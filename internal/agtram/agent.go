@@ -60,11 +60,12 @@ type agentState struct {
 // newAgentState builds agent i's candidate list L_i from the public problem
 // data and the agent's private demand: every object the agent reads, except
 // those whose primary already sits on the agent's server, priced against
-// the initial (primary-only) placement.
+// the initial (primary-only) placement from the problem's c(i, P_k) table.
 func newAgentState(p *replication.Problem, i int) *agentState {
 	a := &agentState{id: i, residual: p.Capacity[i] - p.PrimaryLoad(i)}
 	w := p.Work
-	for _, d := range w.PerServer[i] {
+	base := p.CellBase()[i]
+	for slot, d := range w.PerServer[i] {
 		if d.Reads == 0 {
 			continue // a write-only object can never benefit from a local copy
 		}
@@ -72,13 +73,13 @@ func newAgentState(p *replication.Problem, i int) *agentState {
 		if int(w.Primary[k]) == i {
 			continue // the primary copy is already local
 		}
-		pk := int(w.Primary[k])
+		cPk := p.PrimaryCost(base + int32(slot))
 		c := candidate{
 			object:  k,
 			size:    w.ObjectSize[k],
 			reads:   d.Reads,
-			nnCost:  p.Cost.At(i, pk),
-			updCost: (w.TotalWrites[k] - d.Writes) * w.ObjectSize[k] * int64(p.Cost.At(pk, i)),
+			nnCost:  cPk,
+			updCost: (w.TotalWrites[k] - d.Writes) * w.ObjectSize[k] * int64(cPk),
 		}
 		if c.benefit() > 0 && c.size <= a.residual {
 			a.cands = append(a.cands, c)
@@ -98,7 +99,8 @@ func newAgentStateFrom(s *replication.Schema, i int) *agentState {
 	p := s.Problem()
 	w := p.Work
 	a := &agentState{id: i, residual: s.Residual(i)}
-	for _, d := range w.PerServer[i] {
+	base := p.CellBase()[i]
+	for slot, d := range w.PerServer[i] {
 		if d.Reads == 0 {
 			continue // a write-only object can never benefit from a local copy
 		}
@@ -106,13 +108,13 @@ func newAgentStateFrom(s *replication.Schema, i int) *agentState {
 		if s.HasReplica(k, i) {
 			continue // a copy (primary or carried replica) is already local
 		}
-		pk := int(w.Primary[k])
+		cell := base + int32(slot)
 		c := candidate{
 			object:  k,
 			size:    w.ObjectSize[k],
 			reads:   d.Reads,
-			nnCost:  p.Cost.At(i, int(s.NN(i, k))),
-			updCost: (w.TotalWrites[k] - d.Writes) * w.ObjectSize[k] * int64(p.Cost.At(pk, i)),
+			nnCost:  s.NNCost(cell),
+			updCost: (w.TotalWrites[k] - d.Writes) * w.ObjectSize[k] * int64(p.PrimaryCost(cell)),
 		}
 		if c.benefit() > 0 && c.size <= a.residual {
 			a.cands = append(a.cands, c)

@@ -44,20 +44,21 @@ func BuildAgentsFrom(s *replication.Schema) []*Agent {
 	w := p.Work
 	for i := 0; i < p.M; i++ {
 		a := &Agent{ID: i, Residual: s.Residual(i)}
-		for _, d := range w.PerServer[i] {
+		base := p.CellBase()[i]
+		for slot, d := range w.PerServer[i] {
 			if d.Reads == 0 || int(w.Primary[d.Object]) == i {
 				continue
 			}
 			if s.HasReplica(d.Object, i) {
 				continue
 			}
-			pk := int(w.Primary[d.Object])
+			cell := base + int32(slot)
 			c := Cand{
 				Object:  d.Object,
 				Size:    w.ObjectSize[d.Object],
 				Reads:   d.Reads,
-				NNCost:  p.Cost.At(i, int(s.NN(i, d.Object))),
-				UpdCost: (w.TotalWrites[d.Object] - d.Writes) * w.ObjectSize[d.Object] * int64(p.Cost.At(pk, i)),
+				NNCost:  s.NNCost(cell),
+				UpdCost: (w.TotalWrites[d.Object] - d.Writes) * w.ObjectSize[d.Object] * int64(p.PrimaryCost(cell)),
 			}
 			if c.Benefit() > 0 && c.Size <= a.Residual {
 				a.Cands = append(a.Cands, c)
@@ -78,17 +79,18 @@ func BuildAgents(p *replication.Problem) []*Agent {
 	w := p.Work
 	for i := 0; i < p.M; i++ {
 		a := &Agent{ID: i, Residual: p.Capacity[i] - p.PrimaryLoad(i)}
-		for _, d := range w.PerServer[i] {
+		base := p.CellBase()[i]
+		for slot, d := range w.PerServer[i] {
 			if d.Reads == 0 || int(w.Primary[d.Object]) == i {
 				continue
 			}
-			pk := int(w.Primary[d.Object])
+			cPk := p.PrimaryCost(base + int32(slot))
 			c := Cand{
 				Object:  d.Object,
 				Size:    w.ObjectSize[d.Object],
 				Reads:   d.Reads,
-				NNCost:  p.Cost.At(i, pk),
-				UpdCost: (w.TotalWrites[d.Object] - d.Writes) * w.ObjectSize[d.Object] * int64(p.Cost.At(pk, i)),
+				NNCost:  cPk,
+				UpdCost: (w.TotalWrites[d.Object] - d.Writes) * w.ObjectSize[d.Object] * int64(cPk),
 			}
 			if c.Benefit() > 0 && c.Size <= a.Residual {
 				a.Cands = append(a.Cands, c)

@@ -68,7 +68,8 @@ func BuildArenaFrom(s *replication.Schema, pl *pool.Pool) *Arena {
 // parking the priced terms in slot-indexed scratch), serial prefix sums
 // fixing every segment, then a parallel compaction of the qualifiers into
 // their disjoint segments. BatchGuided spreads the skew of uneven
-// per-server demand lists.
+// per-server demand lists. Pricing reads only the problem's c(i, P_k)
+// table and the schema's NN table, so the build never calls the oracle.
 func buildArena(p *replication.Problem, s *replication.Schema, pl *pool.Pool) *Arena {
 	w := p.Work
 	a := &Arena{
@@ -96,13 +97,6 @@ func buildArena(p *replication.Problem, s *replication.Schema, pl *pool.Pool) *A
 				residual = p.Capacity[i] - p.PrimaryLoad(i)
 			}
 			a.Residual[i] = residual
-			// c(i, ·) doubles as c(·, i) on symmetric row-view oracles,
-			// pricing the whole demand list without virtual At calls. The
-			// row may be materialized lazily by the oracle on this call
-			// (distoracle.CSRLazy runs a Dijkstra per first touch, safe
-			// under this parallel fan-out); approximate oracles return nil
-			// here and the At fallback below prices per cell.
-			row := p.CostColumn(i)
 			base := a.SlotBase[i]
 			var n int32
 			for slot, d := range w.PerServer[i] {
@@ -123,20 +117,12 @@ func buildArena(p *replication.Problem, s *replication.Schema, pl *pool.Pool) *A
 				if size > residual {
 					continue
 				}
-				pk := int(w.Primary[k])
-				var nn, cPk int32
-				if row != nil {
-					cPk = row[pk]
-					nn = cPk
-					if s != nil {
-						nn = row[s.NN(i, k)]
-					}
-				} else {
-					cPk = p.Cost.At(pk, i)
-					nn = cPk
-					if s != nil {
-						nn = p.Cost.At(i, int(s.NN(i, k)))
-					}
+				// Both costs come from tables, never from the oracle:
+				// c(i, P_k) from the problem, c(i, NN_ik) from the schema.
+				cPk := p.PrimaryCost(cell)
+				nn := cPk
+				if s != nil {
+					nn = s.NNCost(cell)
 				}
 				upd := (w.TotalWrites[k] - d.Writes) * size * int64(cPk)
 				if d.Reads*size*int64(nn)-upd <= 0 {

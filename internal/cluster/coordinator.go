@@ -108,10 +108,10 @@ type Coordinator struct {
 	// The read path (Route/Current) never takes it.
 	opMu sync.Mutex
 
-	mu               sync.Mutex
-	assignVer        uint64
-	regions          map[int][]int32 // live assignment: shard id -> members
-	regionOf         []int32         // server -> shard id, -1 unassigned
+	mu        sync.Mutex
+	assignVer uint64
+	regions   map[int][]int32 // live assignment: shard id -> members
+	regionOf  []int32         // server -> shard id, -1 unassigned
 	// mappings holds the coordinator's copy of each live region's index
 	// mapping. Contents are only read and extended under opMu (routing
 	// appends objects in lockstep with the owning shard); the map itself is
@@ -133,8 +133,8 @@ type Coordinator struct {
 		mirrorVer uint64
 		report    MergeReport
 	}
-	phase        PhaseStats
-	repartitions int64
+	phase            PhaseStats
+	repartitions     int64
 	merges           int64
 	topDecisions     int64
 	delegatePayments map[int]int64

@@ -2,33 +2,31 @@ package distoracle
 
 import (
 	"container/list"
-	"math"
 	"sync"
 
 	"repro/internal/topology"
 )
 
-// CSRLazy is an exact distance oracle that stores only the graph, in
-// compressed-sparse-row form, and materializes distance rows on demand with
-// Dijkstra. Finished rows live in a bounded LRU cache so solver re-pricing
-// passes that revisit the same servers hit memory instead of recomputing.
+// CSRLazy is an exact distance oracle that stores only the graph and
+// materializes distance rows on demand with topology.Dijkstra. Finished
+// rows live in a bounded LRU cache so solver passes that revisit the same
+// servers hit memory instead of recomputing. Despite the name it keeps no
+// compressed-sparse-row copy of the graph: the radix-queue search runs as
+// fast over the graph's own adjacency lists.
 //
-// Memory is O(E) for the CSR arrays plus O(cacheRows·M) for the cache —
-// versus O(M²) for the dense matrix. Concurrency: the mutex guards only
-// cache bookkeeping; Dijkstra runs outside it, so goroutines requesting
-// distinct rows compute in parallel, and an in-flight map deduplicates
-// goroutines racing for the same row. Evicted rows stay valid for callers
-// that already hold them (the GC reclaims them when the last reference
-// drops), which is what lets the arena and kernel keep lazily materialized
-// column slices across a solve.
+// Memory is the shared graph plus O(cacheRows·M) for the cache — versus
+// O(M²) for the dense matrix. Concurrency: the mutex guards only cache
+// bookkeeping; Dijkstra runs outside it, so goroutines requesting distinct
+// rows compute in parallel, and an in-flight map deduplicates goroutines
+// racing for the same row. Evicted rows stay valid for callers that
+// already hold them (the GC reclaims them when the last reference drops),
+// which is what lets the kernel keep lazily materialized column slices
+// across a round.
 type CSRLazy struct {
-	n      int
-	rowPtr []int32 // len n+1; node u's edges are [rowPtr[u], rowPtr[u+1])
-	col    []int32 // edge target
-	wt     []int32 // edge weight
-	cap    int     // max cached rows
+	g   *topology.Graph
+	cap int // max cached rows
 
-	scratch sync.Pool // *csrScratch
+	scratch sync.Pool // *topology.Dijkstra
 
 	mu       sync.Mutex
 	rows     map[int32]*list.Element // node -> LRU element holding *csrRow
@@ -43,48 +41,26 @@ type csrRow struct {
 	dist []int32
 }
 
-// NewCSRLazy converts g to CSR form and returns an empty-cache oracle.
-// cacheRows bounds the LRU cache; <= 0 selects DefaultRowCacheRows.
+// NewCSRLazy returns an empty-cache oracle over g, which it shares: g must
+// not change afterwards. cacheRows bounds the LRU cache; <= 0 selects
+// DefaultRowCacheRows.
 func NewCSRLazy(g *topology.Graph, cacheRows int) *CSRLazy {
 	if cacheRows <= 0 {
 		cacheRows = DefaultRowCacheRows
 	}
-	n := g.N()
 	c := &CSRLazy{
-		n:        n,
-		rowPtr:   make([]int32, n+1),
+		g:        g,
 		cap:      cacheRows,
 		rows:     make(map[int32]*list.Element, cacheRows),
 		lru:      list.New(),
 		inflight: make(map[int32]chan struct{}),
 	}
-	edges := 0
-	for u := 0; u < n; u++ {
-		edges += len(g.Neighbors(u))
-	}
-	c.col = make([]int32, edges)
-	c.wt = make([]int32, edges)
-	at := int32(0)
-	for u := 0; u < n; u++ {
-		c.rowPtr[u] = at
-		for _, e := range g.Neighbors(u) {
-			c.col[at] = e.To
-			c.wt[at] = e.Weight
-			at++
-		}
-	}
-	c.rowPtr[n] = at
-	c.scratch.New = func() interface{} {
-		return &csrScratch{
-			visited: make([]bool, n),
-			heap:    make([]int64, 0, 64),
-		}
-	}
+	c.scratch.New = func() interface{} { return new(topology.Dijkstra) }
 	return c
 }
 
 // N implements replication.CostFn.
-func (c *CSRLazy) N() int { return c.n }
+func (c *CSRLazy) N() int { return c.g.N() }
 
 // At implements replication.CostFn. The diagonal short-circuits to zero and
 // either endpoint's cached row can answer (distances are symmetric), so
@@ -142,8 +118,10 @@ func (c *CSRLazy) Row(i int) []int32 {
 	c.misses++
 	c.mu.Unlock()
 
-	dist := make([]int32, c.n)
-	c.dijkstra(i, dist)
+	dist := make([]int32, c.g.N())
+	d := c.scratch.Get().(*topology.Dijkstra)
+	d.Run(c.g, i, dist)
+	c.scratch.Put(d)
 
 	c.mu.Lock()
 	delete(c.inflight, key)
@@ -165,7 +143,7 @@ func (c *CSRLazy) Row(i int) []int32 {
 // it. Out-of-range i is a no-op. Callers that already hold the evicted
 // slice keep a consistent pre-delta view until they re-fetch.
 func (c *CSRLazy) InvalidateRow(i int) {
-	if i < 0 || i >= c.n {
+	if i < 0 || i >= c.g.N() {
 		return
 	}
 	c.mu.Lock()
@@ -194,90 +172,4 @@ func (c *CSRLazy) Stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{Hits: c.hits, Misses: c.misses, Evictions: c.evictions, CachedRows: c.lru.Len()}
-}
-
-// csrScratch holds per-goroutine Dijkstra buffers. The heap stores packed
-// int64 keys (dist in the high 32 bits) so ordering is a plain integer
-// compare with no interface boxing.
-type csrScratch struct {
-	visited []bool
-	heap    []int64
-}
-
-func pack(dist, node int32) int64 { return int64(dist)<<32 | int64(node) }
-
-// dijkstra fills dist with single-source shortest paths from s over the
-// CSR arrays. Lazy-deletion binary heap; unreachable nodes get
-// topology.Infinity (generators always return connected graphs).
-func (c *CSRLazy) dijkstra(s int, dist []int32) {
-	sc := c.scratch.Get().(*csrScratch)
-	visited := sc.visited
-	for i := range dist {
-		dist[i] = math.MaxInt32
-		visited[i] = false
-	}
-	dist[s] = 0
-	h := sc.heap[:0]
-	h = heapPush(h, pack(0, int32(s)))
-	for len(h) > 0 {
-		var top int64
-		top, h = heapPop(h)
-		u := int32(top & 0xffffffff)
-		if visited[u] {
-			continue
-		}
-		visited[u] = true
-		du := dist[u]
-		for e := c.rowPtr[u]; e < c.rowPtr[u+1]; e++ {
-			v := c.col[e]
-			if visited[v] {
-				continue
-			}
-			nd := du + c.wt[e]
-			if nd < dist[v] {
-				dist[v] = nd
-				h = heapPush(h, pack(nd, v))
-			}
-		}
-	}
-	sc.heap = h
-	c.scratch.Put(sc)
-}
-
-func heapPush(h []int64, x int64) []int64 {
-	h = append(h, x)
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h[p] <= h[i] {
-			break
-		}
-		h[p], h[i] = h[i], h[p]
-		i = p
-	}
-	return h
-}
-
-func heapPop(h []int64) (int64, []int64) {
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < len(h) && h[l] < h[small] {
-			small = l
-		}
-		if r < len(h) && h[r] < h[small] {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		h[i], h[small] = h[small], h[i]
-		i = small
-	}
-	return top, h
 }

@@ -6,9 +6,9 @@
 // nearest-replica lookups, never the full matrix at once, so the package
 // offers three storage/accuracy trade-offs:
 //
-//   - CSRLazy: the graph in compressed-sparse-row form plus an on-demand
-//     Dijkstra per row with a bounded LRU row cache. Exact, O(M) memory per
-//     cached row; concurrent callers compute distinct rows in parallel.
+//   - CSRLazy: the graph plus an on-demand Dijkstra per row with a bounded
+//     LRU row cache. Exact, O(M) memory per cached row; concurrent callers
+//     compute distinct rows in parallel.
 //   - Landmark: K landmarks chosen by farthest-point sampling, K×M stored
 //     rows, d(i,j) ≈ min_L d(i,L)+d(L,j). Approximate (an upper bound on
 //     the true distance) with a measurable error distribution; degenerates
@@ -92,8 +92,9 @@ const DenseAutoThreshold = 1024
 const DefaultLandmarks = 32
 
 // DefaultRowCacheRows bounds the CSRLazy cache when Options.RowCacheRows is
-// unset. 256 rows serve the solver's working set (broadcast columns plus
-// the arena build's row streams) while capping memory at O(256·M).
+// unset. NewProblem prices every c(i, P_k) once, so a solve asks the oracle
+// only for each round's winner column; 256 rows keep the recent winners'
+// columns while capping memory at O(256·M).
 const DefaultRowCacheRows = 256
 
 // Options configures Build.

@@ -39,8 +39,9 @@ func FuzzTreeOracleLCA(f *testing.F) {
 			t.Fatalf("NewTree: %v", err)
 		}
 		dist := make([]int32, n)
+		var sp topology.Dijkstra
 		for i := 0; i < n; i++ {
-			topology.ShortestPathsFrom(g, i, dist)
+			sp.Run(g, i, dist)
 			for j := 0; j < n; j++ {
 				if got := tr.At(i, j); got != dist[j] {
 					t.Fatalf("tree At(%d,%d) = %d, Dijkstra says %d", i, j, got, dist[j])

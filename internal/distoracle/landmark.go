@@ -55,11 +55,12 @@ func NewLandmark(g *topology.Graph, k, workers int) (*Landmark, error) {
 	// minDist[v] = distance from v to its nearest chosen landmark.
 	minDist := make([]int32, n)
 	next := 0
+	var sp topology.Dijkstra
 	for l := 0; l < k; l++ {
 		lm.ids = append(lm.ids, int32(next))
 		chosen[next] = true
 		row := lm.rows[l*n : (l+1)*n]
-		topology.ShortestPathsFrom(g, next, row)
+		sp.Run(g, next, row)
 		best, bestDist := -1, int32(-1)
 		for v := 0; v < n; v++ {
 			if l == 0 || row[v] < minDist[v] {
@@ -134,8 +135,9 @@ func (lm *Landmark) ErrorStats(g *topology.Graph, sources int, seed int64) Error
 	rels := make([]float64, 0, sources*(n-1))
 	var pairs, exactPairs int64
 	var sum float64
+	var sp topology.Dijkstra
 	for _, s := range perm[:sources] {
-		topology.ShortestPathsFrom(g, s, exact)
+		sp.Run(g, s, exact)
 		for j := 0; j < n; j++ {
 			if j == s || exact[j] <= 0 || exact[j] == math.MaxInt32 {
 				continue

@@ -279,20 +279,21 @@ func (c *Controller) ApplyDeltas(ds []Delta) (Applied, error) {
 			leaves++
 		}
 	}
-	p, err := next.materialize()
-	if err != nil {
-		return Applied{}, err
-	}
 	// Membership changed: drop the departed/arrived server's cached
 	// distance rows (lazy oracles recompute them on next touch) instead of
-	// rebuilding the whole oracle. Dense matrices don't implement the
-	// capability and skip this.
+	// rebuilding the whole oracle. It runs before materialize, whose
+	// NewProblem prices c(i, P_k) from these rows. Dense matrices don't
+	// implement the capability and skip this.
 	if inv, ok := next.cost.(replication.RowInvalidator); ok {
 		for _, d := range ds {
 			if d.Kind == KindServerJoin || d.Kind == KindServerLeave {
 				inv.InvalidateRow(d.Server)
 			}
 		}
+	}
+	p, err := next.materialize()
+	if err != nil {
+		return Applied{}, err
 	}
 	cur := c.epoch.Load()
 	carried, dropped := p.CarryOver(cur.Schema.Matrix())

@@ -537,7 +537,7 @@ func FuzzCompactRoundTrip(f *testing.F) {
 		pay := make([]int64, len(comp.Servers))
 		var localSum int64
 		for l := range pay {
-			pay[l] = int64(b(l + 17) % 100)
+			pay[l] = int64(b(l+17) % 100)
 			localSum += pay[l]
 		}
 		globalPay := make([]int64, m)

@@ -18,7 +18,9 @@ package replication
 
 import (
 	"fmt"
+	"runtime"
 
+	"repro/internal/pool"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -85,6 +87,13 @@ type Problem struct {
 	// cellReads[cell] caches Work.PerServer[i][slot].Reads so the placement
 	// hot loop reads one flat slice instead of chasing the nested workload.
 	cellReads []int64
+	// primaryCost[cell] is c(i, P_k) of the cell's server and object: the
+	// primary-only nearest-replica cost, the write-ship cost and, by
+	// symmetry, the update term of every CoR valuation. Priced once here so
+	// schemas, arenas and agents never ask the oracle for it.
+	primaryCost []int32
+	// baseCost is the primary-only OTC, Σ (r_ik + w_ik)·o_k·c(i, P_k).
+	baseCost int64
 }
 
 // DemandRef locates one demand cell: Work.PerServer[Server][Slot]. The
@@ -142,7 +151,44 @@ func NewProblem(cost CostFn, w *workload.Workload, capacity []int64) (*Problem, 
 				DemandRef{Server: int32(i), Slot: int32(slot), Cell: cell})
 		}
 	}
+	p.priceCells()
 	return p, nil
+}
+
+// priceCells fills the c(i, P_k) table and the base OTC. Servers are
+// independent, so the pass fans out like the arena build; a row-view
+// oracle answers each server from one row c(i, ·), which a lazy oracle
+// materializes once here instead of once per reader.
+func (p *Problem) priceCells() {
+	w := p.Work
+	p.primaryCost = make([]int32, len(p.cellReads))
+	otc := make([]int64, p.M)
+	pl := pool.New(runtime.GOMAXPROCS(0))
+	defer pl.Close()
+	pl.BatchGuided(p.M, 0, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			ds := w.PerServer[i]
+			if len(ds) == 0 {
+				continue
+			}
+			row := p.CostColumn(i)
+			base := p.cellBase[i]
+			for slot, d := range ds {
+				pk := int(w.Primary[d.Object])
+				var c int32
+				if row != nil {
+					c = row[pk]
+				} else {
+					c = p.Cost.At(i, pk)
+				}
+				p.primaryCost[base+int32(slot)] = c
+				otc[i] += (d.Reads + d.Writes) * w.ObjectSize[d.Object] * int64(c)
+			}
+		}
+	})
+	for _, c := range otc {
+		p.baseCost += c
+	}
 }
 
 // CellBase returns the demand-cell prefix table: server i's demand cells
@@ -152,6 +198,14 @@ func (p *Problem) CellBase() []int32 { return p.cellBase }
 
 // Cells reports the total number of demand cells across all servers.
 func (p *Problem) Cells() int { return len(p.cellReads) }
+
+// PrimaryCost returns c(i, P_k) for demand cell CellBase()[i]+slot, where
+// k is the object of Work.PerServer[i][slot]. By symmetry it is also
+// c(P_k, i).
+func (p *Problem) PrimaryCost(cell int32) int32 { return p.primaryCost[cell] }
+
+// BaseCost returns the OTC of the primary-only placement.
+func (p *Problem) BaseCost() int64 { return p.baseCost }
 
 // PrimaryLoad reports the storage consumed on server i by primary copies.
 func (p *Problem) PrimaryLoad(i int) int64 { return p.primaryLoad[i] }

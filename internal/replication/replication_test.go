@@ -52,6 +52,45 @@ func TestBaseCostByHand(t *testing.T) {
 	}
 }
 
+// TestPrimaryCostTable checks NewProblem's c(i, P_k) table and base OTC
+// against the oracle, on the row-view path (a dense matrix) and the At
+// path (a synthetic metric), and that Snapshot carries both.
+func TestPrimaryCostTable(t *testing.T) {
+	w, err := workload.Synthetic(workload.SyntheticConfig{
+		Servers: 12, Objects: 40, Requests: 3000, RWRatio: 0.7, Seed: 9,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := topology.Random(12, 0.3, topology.DefaultWeights, stats.NewRNG(9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps := make([]int64, 12)
+	for i := range caps {
+		caps[i] = w.TotalPrimarySize()
+	}
+	for _, cost := range []CostFn{topology.AllPairs(g, 1), fuzzCost{n: 12}} {
+		p, err := NewProblem(cost, w, caps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, q := range []*Problem{p, p.Snapshot()} {
+			for i := 0; i < q.M; i++ {
+				for slot, d := range q.Work.PerServer[i] {
+					want := cost.At(i, int(q.Work.Primary[d.Object]))
+					if got := q.PrimaryCost(q.CellBase()[i] + int32(slot)); got != want {
+						t.Fatalf("%T: c(%d, P_%d) = %d, oracle says %d", cost, i, d.Object, got, want)
+					}
+				}
+			}
+			if got, want := q.BaseCost(), q.NewSchema().RecomputeCost(); got != want {
+				t.Fatalf("%T: base OTC %d, recomputed %d", cost, got, want)
+			}
+		}
+	}
+}
+
 func TestPlaceReplicaByHand(t *testing.T) {
 	p := tinyProblem(t, 10)
 	s := p.NewSchema()

@@ -29,11 +29,12 @@ func (s *Schema) Breakdown() Breakdown {
 			k := d.Object
 			ok := p.Work.ObjectSize[k]
 			pk := int(p.Work.Primary[k])
+			cell := p.cellBase[i] + int32(slot)
 			if d.Reads > 0 {
-				b.ReadCost += d.Reads * ok * int64(s.nnCost[p.cellBase[i]+int32(slot)])
+				b.ReadCost += d.Reads * ok * int64(s.nnCost[cell])
 			}
 			if d.Writes > 0 {
-				b.ShipCost += d.Writes * ok * int64(p.Cost.At(i, pk))
+				b.ShipCost += d.Writes * ok * int64(p.primaryCost[cell])
 				var bcast int64
 				for _, j := range s.replicas[k] {
 					if int(j) != i {

@@ -25,15 +25,19 @@ type Schema struct {
 	placed   int     // replicas placed beyond primaries
 }
 
-// NewSchema returns the primary-copies-only placement.
+// NewSchema returns the primary-copies-only placement. Its NN costs and
+// OTC are the problem's c(i, P_k) table and base cost, so it never asks
+// the oracle for a distance.
 func (p *Problem) NewSchema() *Schema {
 	s := &Schema{
 		p:        p,
 		replicas: make([][]int32, p.N),
-		nnCost:   make([]int32, p.Cells()),
+		nnCost:   append([]int32(nil), p.primaryCost...),
 		nnServer: make([]int32, p.Cells()),
 		sumBcast: make([]int64, p.N),
 		residual: make([]int64, p.M),
+		cost:     p.baseCost,
+		baseCost: p.baseCost,
 	}
 	// One backing array for the N replica lists instead of N tiny
 	// allocations. Each list gets room for a primary plus three replicas —
@@ -48,13 +52,9 @@ func (p *Problem) NewSchema() *Schema {
 		s.residual[i] = p.Capacity[i] - p.primaryLoad[i]
 		base := p.cellBase[i]
 		for j, d := range p.Work.PerServer[i] {
-			pk := p.Work.Primary[d.Object]
-			s.nnServer[base+int32(j)] = pk
-			s.nnCost[base+int32(j)] = p.Cost.At(i, int(pk))
+			s.nnServer[base+int32(j)] = p.Work.Primary[d.Object]
 		}
 	}
-	s.baseCost = s.RecomputeCost()
-	s.cost = s.baseCost
 	return s
 }
 
@@ -92,6 +92,10 @@ func (s *Schema) HasReplica(k int32, m int) bool {
 	idx := sort.Search(len(r), func(i int) bool { return r[i] >= int32(m) })
 	return idx < len(r) && r[idx] == int32(m)
 }
+
+// NNCost returns c(i, NN_ik) for demand cell CellBase()[i]+slot of the
+// problem, where k is the object of Work.PerServer[i][slot].
+func (s *Schema) NNCost(cell int32) int32 { return s.nnCost[cell] }
 
 // NN returns the nearest replicator of object k from server i. For servers
 // without demand on k it is computed on the fly.
@@ -182,21 +186,17 @@ func (s *Schema) writeOf(i int, k int32) (int64, int64) {
 // object's public write volume) — this locality is what makes the mechanism
 // semi-distributed. Positive values are beneficial.
 func (s *Schema) LocalBenefit(i int, k int32) int64 {
-	slot, ok := s.demandSlot(i, k)
-	var reads int64
-	oldC := int64(0)
-	if ok {
-		d := s.p.Work.PerServer[i][slot]
-		reads = d.Reads
-		oldC = int64(s.nnCost[s.p.cellBase[i]+int32(slot)])
-	} else {
-		oldC = int64(s.p.Cost.At(i, int(s.NN(i, k))))
+	p := s.p
+	okSize := p.Work.ObjectSize[k]
+	if slot, ok := s.demandSlot(i, k); ok {
+		d := p.Work.PerServer[i][slot]
+		cell := p.cellBase[i] + int32(slot)
+		update := (p.Work.TotalWrites[k] - d.Writes) * okSize * int64(p.primaryCost[cell])
+		return d.Reads*okSize*int64(s.nnCost[cell]) - update
 	}
-	okSize := s.p.Work.ObjectSize[k]
-	wi, _ := s.writeOf(i, k)
-	pk := int(s.p.Work.Primary[k])
-	update := (s.p.Work.TotalWrites[k] - wi) * okSize * int64(s.p.Cost.At(pk, i))
-	return reads*okSize*oldC - update
+	// Without demand there are no reads to save, and every write is new
+	// update traffic.
+	return -p.Work.TotalWrites[k] * okSize * int64(p.Cost.At(int(p.Work.Primary[k]), i))
 }
 
 // PlaceReplica places a replica of k on m, updating cost, capacity, replica
@@ -214,7 +214,15 @@ func (s *Schema) applyPlacement(k int32, m int) int64 {
 	p := s.p
 	ok := p.Work.ObjectSize[k]
 	pk := int(p.Work.Primary[k])
-	cPm := int64(p.Cost.At(pk, m))
+	// With a row-view oracle the winner's column also answers c(P_k, m), so
+	// a placement asks a lazy oracle for one row, never for row P_k too.
+	col := p.CostColumn(m)
+	var cPm int64
+	if col != nil {
+		cPm = int64(col[pk])
+	} else {
+		cPm = int64(p.Cost.At(pk, m))
+	}
 
 	wm, _ := s.writeOf(m, k)
 	delta := ok * cPm * (p.Work.TotalWrites[k] - wm)
@@ -222,7 +230,7 @@ func (s *Schema) applyPlacement(k int32, m int) int64 {
 	// The demander walk is the placement's hot loop; with a row-view oracle
 	// the per-demander cost is one slice load instead of a virtual call, and
 	// the flat cell-indexed NN tables make the update a single store.
-	if col := p.CostColumn(m); col != nil {
+	if col != nil {
 		for _, ref := range p.byObject[k] {
 			newC := col[ref.Server]
 			if newC < s.nnCost[ref.Cell] {

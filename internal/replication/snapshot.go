@@ -20,6 +20,8 @@ func (p *Problem) Snapshot() *Problem {
 		primaryLoad: append([]int64(nil), p.primaryLoad...),
 		cellBase:    append([]int32(nil), p.cellBase...),
 		cellReads:   append([]int64(nil), p.cellReads...),
+		primaryCost: append([]int32(nil), p.primaryCost...),
+		baseCost:    p.baseCost,
 	}
 	for k, refs := range p.byObject {
 		np.byObject[k] = append([]DemandRef(nil), refs...)

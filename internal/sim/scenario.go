@@ -202,9 +202,9 @@ func NewCorrelatedFailures(shape Shape, seed int64) Generator {
 	}
 	batches := [][]online.Delta{
 		demandBatch(churnSrv, someObjects, shape.Reads), // background load builds
-		leave,                                        // the group fails together
+		leave, // the group fails together
 		demandBatch(churnSrv, someObjects, shape.Reads), // survivors absorb more
-		rejoin,                                       // the group comes back
+		rejoin, // the group comes back
 		demandBatch(churnSrv, someObjects, -shape.Reads), // load relaxes
 	}
 	return &scenario{name: "failures", batches: batches}

@@ -1,9 +1,9 @@
 package topology
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 )
@@ -121,10 +121,9 @@ func StreamRows(g *Graph, workers int, rowOf func(src int) []int32) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Per-worker scratch reused across sources.
-			scratch := newDijkstraScratch(n)
+			var d Dijkstra // per-worker queue buffers, reused across sources
 			for s := range src {
-				scratch.run(g, s, rowOf(s))
+				d.Run(g, s, rowOf(s))
 			}
 		}()
 	}
@@ -135,72 +134,93 @@ func StreamRows(g *Graph, workers int, rowOf func(src int) []int32) {
 	wg.Wait()
 }
 
-// ShortestPathsFrom fills dist (length g.N()) with single-source shortest
-// paths from src. It allocates fresh scratch per call; hot loops that run
-// many sources should go through StreamRows or keep their own scratch.
-func ShortestPathsFrom(g *Graph, src int, dist []int32) {
-	newDijkstraScratch(g.N()).run(g, src, dist)
+// Dijkstra is the repository's single-source shortest-path routine: every
+// dense matrix, lazily materialized oracle row and landmark row is one Run.
+// Its priority queue is a monotone radix queue, which fits Dijkstra's
+// integer keys: no key is ever pushed below the last one popped. The zero
+// value is ready to use and keeps its buffers across runs; a Dijkstra must
+// not run on two goroutines at once.
+type Dijkstra struct {
+	q radixQueue
 }
 
-// dijkstraScratch holds reusable per-worker buffers for Dijkstra runs.
-type dijkstraScratch struct {
-	visited []bool
-	pq      pqueue
-}
-
-func newDijkstraScratch(n int) *dijkstraScratch {
-	return &dijkstraScratch{
-		visited: make([]bool, n),
-		pq:      make(pqueue, 0, n),
-	}
-}
-
-// run fills dist with single-source shortest paths from s.
-func (sc *dijkstraScratch) run(g *Graph, s int, dist []int32) {
+// Run fills dist (length g.N()) with the shortest-path distances from src.
+// Unreachable nodes get Infinity.
+func (d *Dijkstra) Run(g *Graph, src int, dist []int32) {
 	for i := range dist {
 		dist[i] = Infinity
-		sc.visited[i] = false
 	}
-	dist[s] = 0
-	sc.pq = sc.pq[:0]
-	heap.Push(&sc.pq, pqItem{node: int32(s), dist: 0})
-	for sc.pq.Len() > 0 {
-		it := heap.Pop(&sc.pq).(pqItem)
-		u := int(it.node)
-		if sc.visited[u] {
-			continue
+	dist[src] = 0
+	q := &d.q
+	q.reset()
+	q.push(0, int32(src))
+	for q.size > 0 {
+		du, u := q.pop()
+		if du != dist[u] {
+			continue // superseded by a shorter path pushed later
 		}
-		sc.visited[u] = true
-		du := dist[u]
-		for _, e := range g.Neighbors(u) {
-			v := int(e.To)
-			if sc.visited[v] {
-				continue
-			}
-			nd := du + e.Weight
-			if nd < dist[v] {
-				dist[v] = nd
-				heap.Push(&sc.pq, pqItem{node: e.To, dist: nd})
+		for _, e := range g.adj[u] {
+			if nd := du + e.Weight; nd < dist[e.To] {
+				dist[e.To] = nd
+				q.push(nd, e.To)
 			}
 		}
 	}
 }
 
-type pqItem struct {
-	node int32
-	dist int32
+// radixQueue is a monotone min-queue of (distance, node) items. Bucket b
+// holds the items whose distance first differs from last, the most recent
+// minimum, in bit b-1; bucket 0 holds items equal to last. A pop that
+// finds bucket 0 empty takes the lowest non-empty bucket, makes its
+// minimum the new last and redistributes it: every item there lands in a
+// strictly lower bucket, so an item moves at most 31 times over its life
+// (distances are non-negative int32s: 31 bits) and no pop compares more
+// than one bucket's items.
+type radixQueue struct {
+	last    int32
+	size    int
+	buckets [32][]uint64 // distance<<32 | node
 }
 
-type pqueue []pqItem
+func (q *radixQueue) reset() {
+	q.last, q.size = 0, 0
+	for b := range q.buckets {
+		q.buckets[b] = q.buckets[b][:0]
+	}
+}
 
-func (q pqueue) Len() int            { return len(q) }
-func (q pqueue) Less(i, j int) bool  { return q[i].dist < q[j].dist }
-func (q pqueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *pqueue) Push(x interface{}) { *q = append(*q, x.(pqItem)) }
-func (q *pqueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	*q = old[:n-1]
-	return it
+// push adds node at distance dist, which must be >= the last popped
+// distance.
+func (q *radixQueue) push(dist, node int32) {
+	b := bits.Len32(uint32(dist ^ q.last))
+	q.buckets[b] = append(q.buckets[b], uint64(dist)<<32|uint64(node))
+	q.size++
+}
+
+// pop removes an item of minimum distance; the queue must be non-empty.
+func (q *radixQueue) pop() (dist, node int32) {
+	if len(q.buckets[0]) == 0 {
+		b := 1
+		for len(q.buckets[b]) == 0 {
+			b++
+		}
+		items := q.buckets[b]
+		least := items[0]
+		for _, it := range items[1:] {
+			if it < least {
+				least = it
+			}
+		}
+		q.last = int32(least >> 32)
+		for _, it := range items {
+			nb := bits.Len32(uint32(int32(it>>32) ^ q.last))
+			q.buckets[nb] = append(q.buckets[nb], it)
+		}
+		q.buckets[b] = items[:0]
+	}
+	top := len(q.buckets[0]) - 1
+	it := q.buckets[0][top]
+	q.buckets[0] = q.buckets[0][:top]
+	q.size--
+	return int32(it >> 32), int32(uint32(it))
 }

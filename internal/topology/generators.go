@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/stats"
 )
@@ -123,13 +124,17 @@ func PowerLaw(n, m int, w WeightRange, r *stats.RNG) (*Graph, error) {
 			targets = append(targets, int32(u))
 		}
 	}
+	chosen := make([]int32, 0, m)
 	for u := seed; u < n; u++ {
-		chosen := make(map[int32]bool, m)
+		// Distinct targets in draw order, so the edge order and the weight
+		// draws below repeat for the same seed.
+		chosen = chosen[:0]
 		for len(chosen) < m {
-			t := targets[r.Intn(len(targets))]
-			chosen[t] = true
+			if t := targets[r.Intn(len(targets))]; !slices.Contains(chosen, t) {
+				chosen = append(chosen, t)
+			}
 		}
-		for t := range chosen {
+		for _, t := range chosen {
 			if err := g.AddEdge(u, int(t), w.sample(r)); err != nil {
 				return nil, err
 			}

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -165,6 +166,22 @@ func TestPowerLawGenerator(t *testing.T) {
 	// Power-law: max degree should be much larger than the median degree.
 	if ds[0] < 3*ds[len(ds)/2] {
 		t.Fatalf("degree sequence not heavy-tailed: max=%d median=%d", ds[0], ds[len(ds)/2])
+	}
+}
+
+func TestPowerLawSeedDeterministic(t *testing.T) {
+	a, err := PowerLaw(300, 2, DefaultWeights, stats.NewRNG(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := PowerLaw(300, 2, DefaultWeights, stats.NewRNG(42))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for u := 0; u < a.N(); u++ {
+		if !slices.Equal(a.Neighbors(u), b.Neighbors(u)) {
+			t.Fatalf("node %d: same-seed builds differ:\n%v\n%v", u, a.Neighbors(u), b.Neighbors(u))
+		}
 	}
 }
 
@@ -387,6 +404,44 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	g.adj[2] = append(g.adj[2], Edge{To: 0, Weight: 1})
 	if err := g.Validate(); err == nil {
 		t.Fatal("Validate missed asymmetric edge")
+	}
+}
+
+// TestRadixQueueOrder drives the queue the way Dijkstra does — every push
+// at or above the last popped key, by a gap of up to 2^20, so keys climb
+// into the high buckets — and checks each pop against the pending minimum. Distances alone cannot
+// catch an out-of-order pop: Dijkstra's stale-entry check turns it into
+// extra work, not a wrong answer.
+func TestRadixQueueOrder(t *testing.T) {
+	r := stats.NewRNG(7)
+	var q radixQueue
+	for trial := 0; trial < 200; trial++ {
+		q.reset()
+		var pending []int32
+		var last int32
+		for step := 0; step < 600; step++ {
+			if len(pending) == 0 || (step < 400 && r.Intn(3) > 0) {
+				key := last + int32(r.Int63n(int64(1)<<r.Intn(21)))
+				q.push(key, int32(step))
+				pending = append(pending, key)
+				continue
+			}
+			got, _ := q.pop()
+			least := 0
+			for j, k := range pending {
+				if k < pending[least] {
+					least = j
+				}
+			}
+			if got != pending[least] {
+				t.Fatalf("trial %d step %d: popped %d, pending minimum is %d", trial, step, got, pending[least])
+			}
+			pending = append(pending[:least], pending[least+1:]...)
+			last = got
+		}
+		if q.size != len(pending) {
+			t.Fatalf("trial %d: queue holds %d items, want %d", trial, q.size, len(pending))
+		}
 	}
 }
 

@@ -274,7 +274,7 @@ func (in *Instance) Servers() int { return in.prob.M }
 func (in *Instance) Objects() int { return in.prob.N }
 
 // BaseOTC reports the OTC of the primary-copies-only placement.
-func (in *Instance) BaseOTC() int64 { return in.prob.NewSchema().TotalCost() }
+func (in *Instance) BaseOTC() int64 { return in.prob.BaseCost() }
 
 // Config returns the instance's configuration.
 func (in *Instance) Config() InstanceConfig { return in.cfg }
