@@ -8,7 +8,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all vet staticcheck build test race bench bench-json ci fuzz faultmatrix loadtest scenarios cluster
+.PHONY: all vet staticcheck build test race bench bench-json ci fuzz faultmatrix loadtest scenarios cluster perfbench
 
 all: build
 
@@ -71,14 +71,16 @@ faultmatrix:
 # The daemon's concurrency load tests plus the routing-plane benchmark.
 # Load: /route reads race delta batches and background solves; SSE/long-poll
 # epoch subscribers verify a gapless version sequence under the same churn;
-# the controller-level journal suite and the routing client's differential
-# tests run alongside — all under the race detector with goroutine-leak
+# the controller-level journal suite, the copy-on-write isolation test (a
+# reader walks a published epoch's demand rows while the next batch
+# rewrites them) and the routing client's differential tests run
+# alongside — all under the race detector with goroutine-leak
 # checking, twice so the RCU swap cannot pass on one lucky schedule.
 # Bench: server-side vs client-side routing throughput (routes/s + tail
 # latency), parsed into BENCH_7.json for the CI compare gate.
 loadtest:
 	$(GO) test -race -count=2 -run 'TestRouteUnderConcurrentDeltas|TestEpochStreamUnderLoad|TestRouteHandlerZeroAlloc' ./internal/server
-	$(GO) test -race -count=2 -run 'TestConcurrentSubscribersGapless|TestSubscribe|TestSlowSubscriber|TestDrainSubscribers' ./internal/online
+	$(GO) test -race -count=2 -run 'TestConcurrentSubscribersGapless|TestSubscribe|TestSlowSubscriber|TestDrainSubscribers|TestCopyOnWriteIsolation' ./internal/online
 	$(GO) test -race -count=2 ./internal/routing
 	$(GO) test -run '^$$' -bench 'RoutingPlane' -benchmem -benchtime 2s ./internal/server | tee routing_bench.out
 	$(GO) run ./cmd/benchjson -o BENCH_7.json < routing_bench.out
@@ -128,5 +130,13 @@ fuzz:
 	$(GO) test -fuzz FuzzReadCLF -fuzztime 10s ./internal/trace
 	$(GO) test -fuzz FuzzDeltasDecoder -fuzztime 10s ./internal/server
 	$(GO) test -fuzz FuzzCompactRoundTrip -fuzztime 10s ./internal/online
+	$(GO) test -fuzz FuzzNewFromState -fuzztime 10s ./internal/online
 
-ci: vet staticcheck build race loadtest scenarios faultmatrix cluster bench
+# The benchmark harness is a Go module of its own (perfbench/go.mod), so the
+# root `go test ./...` and `make race` never build it. This vets it and runs
+# its tests: same-seed fingerprints and delta schedules, pool order, span
+# self time, and metric names and units against BENCHMARK.json.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
+ci: vet staticcheck build race loadtest scenarios faultmatrix cluster perfbench bench

@@ -7,21 +7,21 @@ import (
 	"repro/internal/replication"
 )
 
-// Compaction: where Mask keeps the full M×N shape and merely zeroes
-// non-member capacity, Compact rebuilds the regional instance at M'×N' — the
-// member servers, the objects they either own (primary) or demand, and the
+// Compaction: Compact rebuilds a region's instance at M'×N' — the member
+// servers, the objects they either own (primary) or demand, and the
 // boundary servers that hold primaries of demanded objects — together with a
 // dense index mapping in each direction. Shard-side arena construction,
 // kernel rounds and distance-oracle rows are then all sized to the region;
 // placements, payments and deltas cross the RPC boundary through the
 // mapping.
 //
-// The two restrictions are solution-equivalent: an object nobody in the
-// region demands and no member owns contributes no cost term and no
-// candidate, and a boundary server enters with capacity 0, which the
-// materialized instance clamps to exactly its primary load — it can anchor
-// read/write distances but never host a surplus replica. Regional placements
-// therefore remain disjoint across regions, exactly as under Mask.
+// Dropping the rest of the globe leaves the regional game unchanged: an
+// object nobody in the region demands and no member owns contributes no
+// cost term and no candidate, and a boundary server enters with capacity 0,
+// which the materialized instance clamps to exactly its primary load — it
+// can anchor read/write distances but never host a surplus replica.
+// Regional placements therefore only ever use member servers, are disjoint
+// across regions, and merge as a conflict-free union.
 //
 // Compacting with every server a member is the identity: Servers and Objects
 // are the identity mappings and State is a deep copy of the input snapshot.
@@ -51,9 +51,9 @@ type CompactRegion struct {
 // member (retired ones included — their primary copy still occupies
 // storage) plus every object a member demands. Kept servers: the members
 // plus the boundary primaries of kept objects; boundary servers lose their
-// declared capacity, Mask's rule. Member ids outside the snapshot are
-// ignored, as Mask does. Demand order (sorted by server, then object) is
-// preserved because both mappings are monotone.
+// declared capacity, so they can never host a surplus replica. Member ids
+// outside the snapshot are ignored. Demand order (sorted by server, then
+// object) is preserved because both mappings are monotone.
 func (s *StateSnapshot) Compact(members []int32) *CompactRegion {
 	m, n := len(s.Capacity), len(s.Sizes)
 	member := make([]bool, m)
@@ -190,7 +190,7 @@ func (r *CompactRegion) AppendObject(global int32) int32 {
 // replica lists of global server ids) into the region: one row per regional
 // object, replicas restricted to mapped servers. Replicas on boundary
 // servers survive translation and are then dropped by the carry-over's
-// capacity check, mirroring Mask's treatment of non-member replicas.
+// capacity check: a boundary server has no room beyond its primaries.
 func (r *CompactRegion) CarryToLocal(matrix [][]int32) [][]int32 {
 	if matrix == nil {
 		return nil
@@ -309,12 +309,11 @@ func (r *CompactRegion) TranslateDeltas(ds []Delta) (local []Delta, commit func(
 	return local, commit, nil
 }
 
-// RouteDeltasCompact is the mapping-aware successor of RouteDeltas: it
-// splits a global batch into per-region batches keyed by shard id, consults
-// each region's mapping, and decides when forwarding is impossible and the
-// caller must re-assign from fresh state instead:
+// RouteDeltasCompact splits a global batch into per-region batches keyed by
+// shard id, consults each region's mapping, and decides when forwarding is
+// impossible and the caller must re-assign from fresh state instead:
 //
-//   - membership deltas change the partition itself (as before);
+//   - membership deltas change the partition itself;
 //   - a demand delta for an object outside the owner's region means the
 //     compaction no longer covers the live demand pattern — the region must
 //     be rebuilt to include the object and its boundary primary.

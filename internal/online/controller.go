@@ -298,10 +298,7 @@ func (c *Controller) ApplyDeltas(ds []Delta) (Applied, error) {
 	cur := c.epoch.Load()
 	carried, dropped := p.CarryOver(cur.Schema.Matrix())
 	c.st = next
-	e := &Epoch{
-		Problem: p, Schema: carried, Version: cur.Version + 1,
-		Cause: CauseDeltas, Deltas: append([]Delta(nil), ds...),
-	}
+	e := &Epoch{Problem: p, Schema: carried, Version: cur.Version + 1, Cause: CauseDeltas}
 	c.publishLocked(cur, e)
 
 	c.deltasApplied += int64(len(ds))

@@ -1,7 +1,9 @@
 package online
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/replication"
@@ -55,9 +57,17 @@ type Delta struct {
 }
 
 // state is the controller's mutable materialization source: the demand
-// matrices, catalogue and server population that deltas mutate. A state is
+// rows, catalogue and server population that deltas mutate. A state is
 // only ever touched under the controller's mutex; materialize derives the
 // immutable Problem the read path serves from.
+//
+// demand[i] is server i's demand row in the workload.PerServer form:
+// sorted by object, at most one entry per object. Rows are shared
+// copy-on-write between the live state, its clones and every workload
+// materialize has published, so a batch copies only the rows it changes.
+// owned marks the rows this state copied during the current batch and may
+// therefore write in place; a fresh clone owns none, so a published row is
+// never written.
 type state struct {
 	cost     replication.CostFn
 	capacity []int64 // declared capacity per server, len M
@@ -65,10 +75,9 @@ type state struct {
 	sizes    []int64 // o_k, len N (retired objects keep their size)
 	primary  []int32 // P_k, len N
 	retired  []bool  // object retired, len N
-	demand   []map[int32]*demandCell
+	demand   [][]workload.Demand
+	owned    []bool // batch-local: demand[i] is this state's private copy
 }
-
-type demandCell struct{ reads, writes int64 }
 
 // newState seeds the mutable state from an initial workload and capacities.
 func newState(cost replication.CostFn, w *workload.Workload, capacity []int64) (*state, error) {
@@ -88,16 +97,15 @@ func newState(cost replication.CostFn, w *workload.Workload, capacity []int64) (
 		sizes:    append([]int64(nil), w.ObjectSize...),
 		primary:  append([]int32(nil), w.Primary...),
 		retired:  make([]bool, w.N),
-		demand:   make([]map[int32]*demandCell, w.M),
+		demand:   make([][]workload.Demand, w.M),
 	}
 	for i := range st.active {
 		st.active[i] = true
 	}
+	// The caller keeps its workload, so the rows are copied once here;
+	// Validate already guarantees they are sorted and duplicate-free.
 	for i, ds := range w.PerServer {
-		st.demand[i] = make(map[int32]*demandCell, len(ds))
-		for _, d := range ds {
-			st.demand[i][d.Object] = &demandCell{reads: d.Reads, writes: d.Writes}
-		}
+		st.demand[i] = append([]workload.Demand(nil), ds...)
 	}
 	return st, nil
 }
@@ -105,38 +113,72 @@ func newState(cost replication.CostFn, w *workload.Workload, capacity []int64) (
 func (st *state) servers() int { return len(st.capacity) }
 func (st *state) objects() int { return len(st.sizes) }
 
-// clone deep-copies the state so a delta batch can be validated and applied
+// clone copies the state so a delta batch can be validated and applied
 // atomically: any error discards the clone and the live state is untouched.
+// Demand rows are shared, not copied — the clone copies a row the first
+// time the batch changes it.
 func (st *state) clone() *state {
-	c := &state{
+	return &state{
 		cost:     st.cost,
 		capacity: append([]int64(nil), st.capacity...),
 		active:   append([]bool(nil), st.active...),
 		sizes:    append([]int64(nil), st.sizes...),
 		primary:  append([]int32(nil), st.primary...),
 		retired:  append([]bool(nil), st.retired...),
-		demand:   make([]map[int32]*demandCell, len(st.demand)),
+		demand:   append([][]workload.Demand(nil), st.demand...),
+		owned:    make([]bool, len(st.demand)),
 	}
-	for i, cells := range st.demand {
-		c.demand[i] = make(map[int32]*demandCell, len(cells))
-		for k, cell := range cells {
-			cp := *cell
-			c.demand[i][k] = &cp
-		}
-	}
-	return c
 }
 
-// primaryLoad is Σ_{k: P_k = i} o_k for server i (retired objects included:
-// their primary copy still occupies storage).
-func (st *state) primaryLoad(i int) int64 {
-	var load int64
-	for k, p := range st.primary {
-		if int(p) == i {
-			load += st.sizes[k]
-		}
+// own returns server i's row as this state's private copy, copying the
+// shared row on its first change in the batch.
+func (st *state) own(i int) []workload.Demand {
+	if !st.owned[i] {
+		row := make([]workload.Demand, len(st.demand[i]), len(st.demand[i])+1)
+		copy(row, st.demand[i])
+		st.demand[i] = row
+		st.owned[i] = true
 	}
-	return load
+	return st.demand[i]
+}
+
+// find locates object k in server i's row: its index, or the insertion
+// point when absent.
+func (st *state) find(i int, k int32) (int, bool) {
+	return slices.BinarySearchFunc(st.demand[i], k, func(d workload.Demand, k int32) int {
+		return cmp.Compare(d.Object, k)
+	})
+}
+
+// addDemand adds the signed (reads, writes) to cell (i, k), clamping each
+// at zero; a cell that ends at zero is deleted.
+func (st *state) addDemand(i int, k int32, reads, writes int64) {
+	j, found := st.find(i, k)
+	if found {
+		reads += st.demand[i][j].Reads
+		writes += st.demand[i][j].Writes
+	}
+	reads, writes = max(reads, 0), max(writes, 0)
+	switch {
+	case reads == 0 && writes == 0:
+		if found {
+			st.dropAt(i, j)
+		}
+	case found:
+		row := st.own(i)
+		row[j].Reads, row[j].Writes = reads, writes
+	default:
+		st.demand[i] = slices.Insert(st.own(i), j, workload.Demand{Object: k, Reads: reads, Writes: writes})
+	}
+}
+
+// dropAt deletes the j-th cell of server i's row. An emptied row becomes
+// nil, the form a workload built from scratch has.
+func (st *state) dropAt(i, j int) {
+	st.demand[i] = slices.Delete(st.own(i), j, j+1)
+	if len(st.demand[i]) == 0 {
+		st.demand[i] = nil
+	}
 }
 
 // apply mutates the state with one delta, validating it first.
@@ -155,22 +197,7 @@ func (st *state) apply(d Delta) error {
 		if st.retired[d.Object] {
 			return fmt.Errorf("online: demand delta for retired object %d", d.Object)
 		}
-		cell := st.demand[d.Server][d.Object]
-		if cell == nil {
-			cell = &demandCell{}
-			st.demand[d.Server][d.Object] = cell
-		}
-		cell.reads += d.Reads
-		cell.writes += d.Writes
-		if cell.reads < 0 {
-			cell.reads = 0
-		}
-		if cell.writes < 0 {
-			cell.writes = 0
-		}
-		if cell.reads == 0 && cell.writes == 0 {
-			delete(st.demand[d.Server], d.Object)
-		}
+		st.addDemand(d.Server, d.Object, d.Reads, d.Writes)
 		return nil
 
 	case KindAddObject:
@@ -194,7 +221,9 @@ func (st *state) apply(d Delta) error {
 		}
 		st.retired[d.Object] = true
 		for i := range st.demand {
-			delete(st.demand[i], d.Object)
+			if j, found := st.find(i, d.Object); found {
+				st.dropAt(i, j)
+			}
 		}
 		return nil
 
@@ -215,7 +244,8 @@ func (st *state) apply(d Delta) error {
 			}
 			st.capacity = append(st.capacity, d.Capacity)
 			st.active = append(st.active, true)
-			st.demand = append(st.demand, map[int32]*demandCell{})
+			st.demand = append(st.demand, nil)
+			st.owned = append(st.owned, false)
 		default:
 			return fmt.Errorf("online: server-join id %d is neither an existing server nor the next id %d", d.Server, st.servers())
 		}
@@ -229,7 +259,7 @@ func (st *state) apply(d Delta) error {
 			return fmt.Errorf("online: server %d already departed", d.Server)
 		}
 		st.active[d.Server] = false
-		st.demand[d.Server] = map[int32]*demandCell{}
+		st.demand[d.Server] = nil
 		return nil
 
 	default:
@@ -241,36 +271,41 @@ func (st *state) apply(d Delta) error {
 // Departed servers contribute no demand and get exactly their primary load
 // as capacity (they keep primaries, attract no new replicas); active
 // servers' capacities are clamped up to their primary load so the instance
-// stays feasible when objects were added onto a tight server.
+// stays feasible when objects were added onto a tight server. The workload
+// takes the state's rows as they are — already sorted, shared
+// copy-on-write — so only the per-object totals and primary loads are
+// computed here, one pass each.
 func (st *state) materialize() (*replication.Problem, error) {
 	m, n := st.servers(), st.objects()
-	w := workload.New(m, n)
-	w.ObjectSize = append([]int64(nil), st.sizes...)
-	w.Primary = append([]int32(nil), st.primary...)
-	for i, cells := range st.demand {
+	w := &workload.Workload{
+		M:           m,
+		N:           n,
+		ObjectSize:  append([]int64(nil), st.sizes...),
+		Primary:     append([]int32(nil), st.primary...),
+		PerServer:   make([][]workload.Demand, m),
+		TotalReads:  make([]int64, n),
+		TotalWrites: make([]int64, n),
+	}
+	for i, row := range st.demand {
 		if !st.active[i] {
 			continue
 		}
-		for k, cell := range cells {
-			w.PerServer[i] = append(w.PerServer[i], workload.Demand{
-				Object: k, Reads: cell.reads, Writes: cell.writes,
-			})
+		w.PerServer[i] = row
+		for _, d := range row {
+			w.TotalReads[d.Object] += d.Reads
+			w.TotalWrites[d.Object] += d.Writes
 		}
 	}
-	w.Finalize()
 	if err := w.Validate(); err != nil {
 		return nil, fmt.Errorf("online: materialized workload invalid: %w", err)
 	}
 	caps := make([]int64, m)
-	for i := range caps {
-		pl := st.primaryLoad(i)
-		if !st.active[i] {
-			caps[i] = pl
-			continue
-		}
-		caps[i] = st.capacity[i]
-		if caps[i] < pl {
-			caps[i] = pl
+	for k, p := range st.primary {
+		caps[p] += st.sizes[k]
+	}
+	for i, pl := range caps {
+		if st.active[i] {
+			caps[i] = max(st.capacity[i], pl)
 		}
 	}
 	return replication.NewProblem(st.cost, w, caps)
@@ -289,7 +324,8 @@ func DeltasFromEvents(events []trace.Event, cm workload.ClientMap, servers int) 
 		server int
 		object int32
 	}
-	acc := make(map[key]*demandCell)
+	type counts struct{ reads, writes int64 }
+	acc := make(map[key]*counts)
 	for _, e := range events {
 		var srv int
 		if cm == nil {
@@ -306,7 +342,7 @@ func DeltasFromEvents(events []trace.Event, cm workload.ClientMap, servers int) 
 		kk := key{server: srv, object: e.Object}
 		cell := acc[kk]
 		if cell == nil {
-			cell = &demandCell{}
+			cell = &counts{}
 			acc[kk] = cell
 		}
 		if e.Write {

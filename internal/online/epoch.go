@@ -23,9 +23,10 @@ const (
 // Epoch is one immutable (instance, placement) generation of the controller.
 // Readers load it with a single atomic pointer read; writers build a fresh
 // Epoch and publish it — nothing reachable from a published Epoch is ever
-// mutated. Beyond the served state it carries its provenance: the version,
-// the cause, and (for delta epochs) the workload delta batch that produced
-// it, so the journal can replay the placement's history to subscribers.
+// mutated. Beyond the served state it carries its provenance — the version
+// and the cause — so the journal can replay the placement's history to
+// subscribers. The stream carries placement outcomes only, which is all
+// routing consumes, so a deltas epoch does not keep its delta batch.
 type Epoch struct {
 	Problem *replication.Problem
 	Schema  *replication.Schema
@@ -34,9 +35,6 @@ type Epoch struct {
 	Version uint64
 	// Cause reports what published this epoch.
 	Cause Cause
-	// Deltas is the workload delta batch that produced this epoch; nil for
-	// init, solve and restore epochs.
-	Deltas []Delta
 }
 
 // Route answers "which server does server i read object k from" against this
@@ -141,9 +139,6 @@ type Update struct {
 	Snapshot *PlacementSnapshot `json:"snapshot,omitempty"`
 	// Diff is the incremental change from Version-1 to Version.
 	Diff *Diff `json:"diff,omitempty"`
-	// Deltas is the workload delta batch behind a deltas-caused epoch —
-	// informational for subscribers that track demand, ignored by routing.
-	Deltas []Delta `json:"deltas,omitempty"`
 	// Terminal marks the stream's end: the controller is draining.
 	Terminal bool `json:"terminal,omitempty"`
 }

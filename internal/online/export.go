@@ -1,10 +1,11 @@
 package online
 
 import (
+	"errors"
 	"fmt"
-	"sort"
 
 	"repro/internal/replication"
+	"repro/internal/workload"
 )
 
 // DemandEntry is one (server, object) demand cell on the wire.
@@ -18,8 +19,9 @@ type DemandEntry struct {
 // StateSnapshot is the wire form of a controller's mutable state: everything
 // a fresh controller needs to continue from the same workload, minus the cost
 // oracle (shared by configuration, not shipped). The cluster coordinator
-// ships masked snapshots to shard daemons on every (re-)assignment; demand is
-// sorted by (server, object) so the encoding is deterministic.
+// ships compacted snapshots (Compact) to shard daemons on every
+// (re-)assignment; demand is strictly ascending by (server, object), so the
+// encoding is deterministic and every cell appears once.
 type StateSnapshot struct {
 	Capacity []int64       `json:"capacity"`
 	Active   []bool        `json:"active"`
@@ -29,44 +31,65 @@ type StateSnapshot struct {
 	Demand   []DemandEntry `json:"demand"`
 }
 
-// Validate checks the snapshot's internal consistency.
+// ErrInvalidState marks a StateSnapshot that fails Validate. Shipped state
+// arrives over RPC with every assignment, so a malformed snapshot is a
+// typed, matchable error (errors.Is) rather than a silently wrong instance.
+var ErrInvalidState = errors.New("online: invalid state snapshot")
+
+// Validate checks the snapshot's internal consistency: shapes agree, every
+// index is in range, sizes are at least 1, frequencies are non-negative, and
+// demand is strictly ascending by (server, object) — so no cell appears
+// twice. Every error wraps ErrInvalidState. A snapshot that validates
+// always builds a controller (NewFromState) over an oracle that covers it.
 func (s *StateSnapshot) Validate() error {
 	m, n := len(s.Capacity), len(s.Sizes)
 	if m < 1 {
-		return fmt.Errorf("online: state snapshot has no servers")
+		return fmt.Errorf("%w: no servers", ErrInvalidState)
 	}
 	if len(s.Active) != m {
-		return fmt.Errorf("online: state snapshot active has %d entries, want %d", len(s.Active), m)
+		return fmt.Errorf("%w: active has %d entries, want %d", ErrInvalidState, len(s.Active), m)
 	}
 	if len(s.Primary) != n || len(s.Retired) != n {
-		return fmt.Errorf("online: state snapshot primary/retired have %d/%d entries, want %d",
-			len(s.Primary), len(s.Retired), n)
+		return fmt.Errorf("%w: primary/retired have %d/%d entries, want %d",
+			ErrInvalidState, len(s.Primary), len(s.Retired), n)
 	}
 	for i, c := range s.Capacity {
 		if c < 0 {
-			return fmt.Errorf("online: state snapshot capacity[%d] = %d is negative", i, c)
+			return fmt.Errorf("%w: capacity[%d] = %d is negative", ErrInvalidState, i, c)
 		}
 	}
 	for k, p := range s.Primary {
 		if p < 0 || int(p) >= m {
-			return fmt.Errorf("online: state snapshot primary[%d] = %d outside [0,%d)", k, p, m)
+			return fmt.Errorf("%w: primary[%d] = %d outside [0,%d)", ErrInvalidState, k, p, m)
+		}
+		if s.Sizes[k] < 1 {
+			return fmt.Errorf("%w: sizes[%d] = %d < 1", ErrInvalidState, k, s.Sizes[k])
 		}
 	}
 	for i, d := range s.Demand {
 		if d.Server < 0 || d.Server >= m {
-			return fmt.Errorf("online: state snapshot demand[%d] server %d outside [0,%d)", i, d.Server, m)
+			return fmt.Errorf("%w: demand[%d] server %d outside [0,%d)", ErrInvalidState, i, d.Server, m)
 		}
 		if d.Object < 0 || int(d.Object) >= n {
-			return fmt.Errorf("online: state snapshot demand[%d] object %d outside [0,%d)", i, d.Object, n)
+			return fmt.Errorf("%w: demand[%d] object %d outside [0,%d)", ErrInvalidState, i, d.Object, n)
 		}
 		if d.Reads < 0 || d.Writes < 0 {
-			return fmt.Errorf("online: state snapshot demand[%d] has negative frequencies", i)
+			return fmt.Errorf("%w: demand[%d] has negative frequencies", ErrInvalidState, i)
+		}
+		if i > 0 {
+			p := s.Demand[i-1]
+			if p.Server > d.Server || (p.Server == d.Server && p.Object >= d.Object) {
+				return fmt.Errorf("%w: demand[%d] (server %d, object %d) does not follow (server %d, object %d)",
+					ErrInvalidState, i, d.Server, d.Object, p.Server, p.Object)
+			}
 		}
 	}
 	return nil
 }
 
-// ExportState snapshots the controller's mutable state in wire form.
+// ExportState snapshots the controller's mutable state in wire form. The
+// demand rows are already sorted by object, so walking them in server order
+// yields the (server, object) order directly.
 func (c *Controller) ExportState() *StateSnapshot {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -78,62 +101,27 @@ func (c *Controller) ExportState() *StateSnapshot {
 		Primary:  append([]int32(nil), st.primary...),
 		Retired:  append([]bool(nil), st.retired...),
 	}
-	for i, cells := range st.demand {
-		keys := make([]int32, 0, len(cells))
-		for k := range cells {
-			keys = append(keys, k)
-		}
-		sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-		for _, k := range keys {
-			cell := cells[k]
-			snap.Demand = append(snap.Demand, DemandEntry{
-				Server: i, Object: k, Reads: cell.reads, Writes: cell.writes,
-			})
+	cells := 0
+	for _, row := range st.demand {
+		cells += len(row)
+	}
+	if cells > 0 {
+		snap.Demand = make([]DemandEntry, 0, cells)
+	}
+	for i, row := range st.demand {
+		for _, d := range row {
+			snap.Demand = append(snap.Demand, DemandEntry{Server: i, Object: d.Object, Reads: d.Reads, Writes: d.Writes})
 		}
 	}
 	return snap
 }
 
-// Mask restricts the snapshot to a member subset: non-member servers keep
-// their activity flags and primaries but lose their declared capacity (the
-// materialized instance clamps them to exactly their primary load, so they
-// can never host a surplus replica) and their demand. Regional games over
-// masked snapshots therefore only ever place replicas on their own members —
-// regional placements are disjoint by construction and merge without
-// conflicts. Masking with every server a member is the identity, which is
-// what makes a 1-shard cluster bit-identical to the single daemon.
-func (s *StateSnapshot) Mask(members []int32) *StateSnapshot {
-	member := make([]bool, len(s.Capacity))
-	for _, i := range members {
-		if int(i) < len(member) {
-			member[i] = true
-		}
-	}
-	out := &StateSnapshot{
-		Capacity: append([]int64(nil), s.Capacity...),
-		Active:   append([]bool(nil), s.Active...),
-		Sizes:    append([]int64(nil), s.Sizes...),
-		Primary:  append([]int32(nil), s.Primary...),
-		Retired:  append([]bool(nil), s.Retired...),
-	}
-	for i := range out.Capacity {
-		if !member[i] {
-			out.Capacity[i] = 0
-		}
-	}
-	for _, d := range s.Demand {
-		if member[d.Server] {
-			out.Demand = append(out.Demand, d)
-		}
-	}
-	return out
-}
-
 // NewFromState builds a controller over an exported state snapshot — the
-// shard daemon's entry point: the coordinator ships a masked StateSnapshot,
-// the shard rebuilds its regional controller from it. The cost oracle is the
-// receiver's own (both sides construct it from the shared instance
-// configuration).
+// shard daemon's entry point: the coordinator ships a compacted
+// StateSnapshot, the shard rebuilds its regional controller from it. The
+// cost oracle is the receiver's own (both sides construct it from the
+// shared instance configuration). Zero-demand entries are skipped; the
+// validated (server, object) order makes every row sorted as it is built.
 func NewFromState(cost replication.CostFn, snap *StateSnapshot, cfg Config) (*Controller, error) {
 	if err := snap.Validate(); err != nil {
 		return nil, err
@@ -148,16 +136,13 @@ func NewFromState(cost replication.CostFn, snap *StateSnapshot, cfg Config) (*Co
 		sizes:    append([]int64(nil), snap.Sizes...),
 		primary:  append([]int32(nil), snap.Primary...),
 		retired:  append([]bool(nil), snap.Retired...),
-		demand:   make([]map[int32]*demandCell, len(snap.Capacity)),
-	}
-	for i := range st.demand {
-		st.demand[i] = map[int32]*demandCell{}
+		demand:   make([][]workload.Demand, len(snap.Capacity)),
 	}
 	for _, d := range snap.Demand {
 		if d.Reads == 0 && d.Writes == 0 {
 			continue
 		}
-		st.demand[d.Server][d.Object] = &demandCell{reads: d.Reads, writes: d.Writes}
+		st.demand[d.Server] = append(st.demand[d.Server], workload.Demand{Object: d.Object, Reads: d.Reads, Writes: d.Writes})
 	}
 	return newController(st, cfg)
 }
@@ -202,32 +187,4 @@ func (c *Controller) InstallSchema(sch *replication.Schema, dropped int) int {
 	c.solvedSavings = sch.Savings()
 	c.drift = 0
 	return dropped
-}
-
-// RouteDeltas splits a batch for per-region forwarding. Demand deltas go to
-// the owning server's region; catalogue deltas (add/remove object) are
-// global — every region's instance must agree on the object shape — and are
-// replicated into every sub-batch. Membership deltas (server join/leave)
-// cannot be forwarded piecemeal: they change the partition itself, so the
-// caller must re-assign regions from fresh state instead of forwarding
-// (membership reports whether the batch contains any).
-func RouteDeltas(ds []Delta, regionOf func(server int) int, regions int) (perRegion [][]Delta, membership bool, err error) {
-	perRegion = make([][]Delta, regions)
-	for i, d := range ds {
-		switch d.Kind {
-		case KindServerJoin, KindServerLeave:
-			membership = true
-		case KindDemand:
-			r := regionOf(d.Server)
-			if r < 0 || r >= regions {
-				return nil, false, fmt.Errorf("online: delta %d: server %d maps to region %d outside [0,%d)", i, d.Server, r, regions)
-			}
-			perRegion[r] = append(perRegion[r], d)
-		default:
-			for r := range perRegion {
-				perRegion[r] = append(perRegion[r], d)
-			}
-		}
-	}
-	return perRegion, membership, nil
 }

@@ -3,6 +3,7 @@ package online
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"reflect"
 	"testing"
 
@@ -16,7 +17,7 @@ import (
 
 // TestExportMaskRoundTrip pins the cluster's state-shipping contract: a
 // controller rebuilt from an exported snapshot materializes the identical
-// problem, and a full-membership mask is the identity.
+// problem and solves to the identical placement.
 func TestExportMaskRoundTrip(t *testing.T) {
 	testutil.LeakCheck(t)
 	p := testutil.MustBuild(testutil.Small(31))
@@ -36,14 +37,6 @@ func TestExportMaskRoundTrip(t *testing.T) {
 	if err := snap.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	all := make([]int32, p.M)
-	for i := range all {
-		all[i] = int32(i)
-	}
-	if !reflect.DeepEqual(snap, snap.Mask(all)) {
-		t.Fatal("full-membership mask is not the identity")
-	}
-
 	b, err := NewFromState(p.Cost, snap, Config{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
@@ -52,6 +45,9 @@ func TestExportMaskRoundTrip(t *testing.T) {
 	pa, pb := a.Current().Problem, b.Current().Problem
 	if !reflect.DeepEqual(pa.Capacity, pb.Capacity) {
 		t.Fatal("capacities diverged through export")
+	}
+	if !reflect.DeepEqual(pa.Work, pb.Work) {
+		t.Fatal("workloads diverged through export")
 	}
 	if err := a.SolveNow(context.Background()); err != nil {
 		t.Fatal(err)
@@ -62,24 +58,163 @@ func TestExportMaskRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(a.Current().Schema.Matrix(), b.Current().Schema.Matrix()) {
 		t.Fatal("rebuilt controller solved to a different placement")
 	}
+}
 
-	// A partial mask zeroes non-member capacity and drops their demand.
-	members := []int32{0, 1, 2}
-	masked := snap.Mask(members)
-	for i, c := range masked.Capacity {
-		if i <= 2 {
-			if c != snap.Capacity[i] {
-				t.Fatalf("member %d capacity changed: %d -> %d", i, snap.Capacity[i], c)
+// TestStateSnapshotValidate pins the typed rejection of malformed shipped
+// state: every broken snapshot fails with an error wrapping
+// ErrInvalidState, and NewFromState refuses it before building anything.
+func TestStateSnapshotValidate(t *testing.T) {
+	valid := func() *StateSnapshot {
+		return &StateSnapshot{
+			Capacity: []int64{10, 10, 10},
+			Active:   []bool{true, true, false},
+			Sizes:    []int64{2, 3},
+			Primary:  []int32{0, 2},
+			Retired:  []bool{false, false},
+			Demand: []DemandEntry{
+				{Server: 0, Object: 1, Reads: 4},
+				{Server: 1, Object: 0, Reads: 1, Writes: 1},
+				{Server: 1, Object: 1, Writes: 2},
+			},
+		}
+	}
+	if err := valid().Validate(); err != nil {
+		t.Fatalf("valid snapshot rejected: %v", err)
+	}
+	cases := []struct {
+		name   string
+		mutate func(s *StateSnapshot)
+	}{
+		{"no servers", func(s *StateSnapshot) { s.Capacity, s.Active = nil, nil }},
+		{"active length", func(s *StateSnapshot) { s.Active = s.Active[:2] }},
+		{"primary length", func(s *StateSnapshot) { s.Primary = s.Primary[:1] }},
+		{"retired length", func(s *StateSnapshot) { s.Retired = append(s.Retired, false) }},
+		{"negative capacity", func(s *StateSnapshot) { s.Capacity[1] = -1 }},
+		{"primary out of range", func(s *StateSnapshot) { s.Primary[0] = 3 }},
+		{"zero size", func(s *StateSnapshot) { s.Sizes[1] = 0 }},
+		{"server out of range", func(s *StateSnapshot) { s.Demand[2].Server = 3 }},
+		{"object out of range", func(s *StateSnapshot) { s.Demand[0].Object = 2 }},
+		{"negative reads", func(s *StateSnapshot) { s.Demand[1].Reads = -1 }},
+		{"negative writes", func(s *StateSnapshot) { s.Demand[1].Writes = -1 }},
+		{"duplicate cell", func(s *StateSnapshot) { s.Demand[2].Object = 0 }},
+		{"objects out of order", func(s *StateSnapshot) { s.Demand[1], s.Demand[2] = s.Demand[2], s.Demand[1] }},
+		{"servers out of order", func(s *StateSnapshot) { s.Demand[0], s.Demand[1] = s.Demand[1], s.Demand[0] }},
+	}
+	cost := uniformCost(3)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := valid()
+			tc.mutate(s)
+			err := s.Validate()
+			if !errors.Is(err, ErrInvalidState) {
+				t.Fatalf("Validate = %v, want an ErrInvalidState", err)
 			}
-		} else if c != 0 {
-			t.Fatalf("non-member %d kept capacity %d", i, c)
-		}
+			if _, err := NewFromState(cost, s, Config{}); !errors.Is(err, ErrInvalidState) {
+				t.Fatalf("NewFromState = %v, want an ErrInvalidState", err)
+			}
+		})
 	}
-	for _, d := range masked.Demand {
-		if d.Server > 2 {
-			t.Fatalf("non-member demand survived the mask: %+v", d)
-		}
+}
+
+// uniformCost is a unit metric over n servers: c(i, j) = 1 for i != j.
+type uniformCost int
+
+func (c uniformCost) At(i, j int) int32 {
+	if i == j {
+		return 0
 	}
+	return 1
+}
+
+func (c uniformCost) N() int { return int(c) }
+
+// FuzzNewFromState explores the shard's entry point over arbitrary shipped
+// state: for every snapshot Validate accepts, NewFromState must build a
+// controller whose ExportState equals the input minus its zero-demand
+// entries; every other snapshot must be refused with an ErrInvalidState,
+// never a panic. Run with `go test -fuzz=FuzzNewFromState ./internal/online`
+// to explore; the seed corpus runs on every plain `go test`.
+func FuzzNewFromState(f *testing.F) {
+	f.Add(uint16(0x0013), []byte{1, 2, 3, 4, 5, 6, 7, 8})             // 3x2, built in order
+	f.Add(uint16(0x003e), []byte{9, 9, 9, 2, 250, 19, 3, 4, 5})       // 6x7, built in order
+	f.Add(uint16(0x0053), []byte{1, 1, 1, 1, 1, 2, 2, 1, 3, 2, 0, 0}) // raw, ascending, a zero entry
+	f.Add(uint16(0x0053), []byte{1, 1, 1, 1, 1, 1, 2, 1})             // raw, duplicate cell
+	f.Add(uint16(0x0053), []byte{3, 2, 1, 1, 1, 1, 1, 1})             // raw, servers out of order
+	f.Add(uint16(0x0053), []byte{1, 1, 0xfe, 1})                      // raw, negative reads
+	f.Add(uint16(0x0010), []byte{7})                                  // no servers
+
+	f.Fuzz(func(t *testing.T, shape uint16, data []byte) {
+		b := func(i int) byte {
+			if len(data) == 0 {
+				return byte(i * 37)
+			}
+			return data[i%len(data)]
+		}
+		m := int(shape & 7)    // 0 servers is malformed
+		n := int(shape>>3) & 7 // objects
+		raw := shape>>6&1 == 1 // demand straight from the bytes: any order, any range
+		snap := &StateSnapshot{}
+		// Mostly well-formed fields, each with a rare malformed value: a
+		// capacity of -1, a size of 0, a primary one past the last server.
+		for i := 0; i < m; i++ {
+			snap.Capacity = append(snap.Capacity, int64(b(i))-1)
+			snap.Active = append(snap.Active, b(i+1)%4 != 0)
+		}
+		for k := 0; k < n; k++ {
+			snap.Sizes = append(snap.Sizes, int64(b(k+2)%17))
+			primary := int32(m)
+			if v := b(k + 3); v != 255 && m > 0 {
+				primary = int32(int(v) % m)
+			}
+			snap.Primary = append(snap.Primary, primary)
+			snap.Retired = append(snap.Retired, b(k+4)%8 == 0)
+		}
+		if raw {
+			for j := 0; j+3 < len(data) && j < 64; j += 4 {
+				snap.Demand = append(snap.Demand, DemandEntry{
+					Server: int(data[j]%byte(m+2)) - 1, Object: int32(data[j+1]%byte(n+2)) - 1,
+					Reads: int64(int8(data[j+2])), Writes: int64(int8(data[j+3])),
+				})
+			}
+		} else {
+			for i := 0; i < m; i++ {
+				for k := 0; k < n; k++ {
+					v := b(i*n + k + 5)
+					if v%3 == 0 {
+						continue
+					}
+					snap.Demand = append(snap.Demand, DemandEntry{
+						Server: i, Object: int32(k), Reads: int64(v % 5), Writes: int64(v % 4),
+					})
+				}
+			}
+		}
+
+		ctrl, err := NewFromState(uniformCost(8), snap, Config{})
+		if verr := snap.Validate(); verr != nil {
+			if !errors.Is(verr, ErrInvalidState) {
+				t.Fatalf("Validate returned an untyped error: %v", verr)
+			}
+			if !errors.Is(err, ErrInvalidState) {
+				t.Fatalf("NewFromState = %v for a snapshot Validate rejects (%v)", err, verr)
+			}
+			return
+		}
+		if err != nil {
+			t.Fatalf("NewFromState refused a valid snapshot: %v", err)
+		}
+		defer ctrl.Close()
+		want := *snap
+		want.Demand = nil
+		for _, d := range snap.Demand {
+			if d.Reads != 0 || d.Writes != 0 {
+				want.Demand = append(want.Demand, d)
+			}
+		}
+		if got := ctrl.ExportState(); !reflect.DeepEqual(got, &want) {
+			t.Fatalf("export after import differs:\n got %+v\nwant %+v", got, &want)
+		}
+	})
 }
 
 // TestInstallPlacementPublishesMerge pins the mirror path the coordinator
@@ -113,34 +248,69 @@ func TestInstallPlacementPublishesMerge(t *testing.T) {
 	}
 }
 
-// TestRouteDeltasSplitsByRegion pins the coordinator's forwarding table.
+// TestRouteDeltasSplitsByRegion pins the coordinator's forwarding table:
+// demand goes to the owner's region, an add-object is stamped with the next
+// global id and extends only its primary's mapping, a remove-object reaches
+// every region that maps the object, and anything the mappings cannot
+// express asks for re-assignment or fails.
 func TestRouteDeltasSplitsByRegion(t *testing.T) {
+	snap := &StateSnapshot{
+		Capacity: []int64{9, 9, 9, 9, 9, 9, 9, 9},
+		Active:   []bool{true, true, true, true, true, true, true, true},
+		Sizes:    []int64{1, 1, 1, 1},
+		Primary:  []int32{0, 5, 2, 6},
+		Retired:  []bool{false, false, false, false},
+		Demand: []DemandEntry{
+			{Server: 1, Object: 0, Reads: 3},
+			{Server: 2, Object: 3, Reads: 1},
+			{Server: 5, Object: 1, Reads: 2},
+			{Server: 6, Object: 3, Writes: 1},
+		},
+	}
 	regionOf := func(server int) int {
 		if server < 4 {
 			return 0
 		}
 		return 1
 	}
+	regions := map[int]*CompactRegion{
+		0: snap.Compact([]int32{0, 1, 2, 3}), // objects 0, 2, 3
+		1: snap.Compact([]int32{4, 5, 6, 7}), // objects 1, 3
+	}
 	ds := []Delta{
 		{Kind: KindDemand, Server: 1, Object: 0, Reads: 1},
-		{Kind: KindDemand, Server: 5, Object: 2, Reads: 1},
-		{Kind: KindAddObject, Object: 9, Size: 4, Primary: 0},
+		{Kind: KindDemand, Server: 5, Object: 1, Reads: 1},
+		{Kind: KindAddObject, Size: 4, Primary: 0},
+		{Kind: KindRemoveObject, Object: 3},
 	}
-	per, membership, err := RouteDeltas(ds, regionOf, 2)
-	if err != nil {
-		t.Fatal(err)
+	per, reassign, err := RouteDeltasCompact(ds, regionOf, regions, 4)
+	if err != nil || reassign {
+		t.Fatalf("forwardable batch: reassign=%v err=%v", reassign, err)
 	}
-	if membership {
-		t.Fatal("demand-only batch flagged as membership")
+	stamped := ds[2]
+	stamped.Object = 4
+	want := map[int][]Delta{
+		0: {ds[0], stamped, ds[3]},
+		1: {ds[1], ds[3]},
 	}
-	if len(per[0]) != 2 || len(per[1]) != 2 {
-		t.Fatalf("split %d/%d, want 2/2 (catalogue delta replicated)", len(per[0]), len(per[1]))
+	if !reflect.DeepEqual(per, want) {
+		t.Fatalf("split = %+v, want %+v", per, want)
 	}
-	if _, membership, _ = RouteDeltas([]Delta{{Kind: KindServerLeave, Server: 1}}, regionOf, 2); !membership {
-		t.Fatal("leave delta not flagged as membership")
+	if l, ok := regions[0].LocalObject(4); !ok || l != 3 {
+		t.Fatalf("add-object did not extend the primary's mapping: local %d, %v", l, ok)
 	}
-	if _, _, err = RouteDeltas([]Delta{{Kind: KindDemand, Server: 2, Object: 0, Reads: 1}}, func(int) int { return -1 }, 2); err == nil {
-		t.Fatal("unassigned server routed without error")
+	if _, ok := regions[1].LocalObject(4); ok {
+		t.Fatal("add-object extended a foreign region's mapping")
+	}
+
+	if _, reassign, _ = RouteDeltasCompact([]Delta{{Kind: KindServerLeave, Server: 1}}, regionOf, regions, 5); !reassign {
+		t.Fatal("leave delta did not ask for re-assignment")
+	}
+	if _, reassign, _ = RouteDeltasCompact([]Delta{{Kind: KindDemand, Server: 1, Object: 1, Reads: 1}}, regionOf, regions, 5); !reassign {
+		t.Fatal("demand outside the owner's mapping did not ask for re-assignment")
+	}
+	if _, _, err = RouteDeltasCompact([]Delta{{Kind: KindDemand, Server: 2, Object: 0, Reads: 1}}, func(int) int { return -1 }, regions, 5); err == nil {
+		t.Fatal("unmapped server routed without error")
 	}
 }
 
@@ -233,9 +403,9 @@ func rowsEqual(a, b [][]int32) bool {
 
 // TestCompactFullMembershipIdentity pins the determinism boundary of the
 // compaction: compacting with every server a member yields the identity
-// index mappings and a state deep-equal to both the input snapshot and the
-// full-membership mask. This is the property that keeps a 1-shard cluster
-// bit-identical to the single daemon.
+// index mappings and a state deep-equal to the exported snapshot. This is
+// the property that keeps a 1-shard cluster bit-identical to the single
+// daemon.
 func TestCompactFullMembershipIdentity(t *testing.T) {
 	testutil.LeakCheck(t)
 	p := testutil.MustBuild(testutil.Small(31))
@@ -269,9 +439,6 @@ func TestCompactFullMembershipIdentity(t *testing.T) {
 	}
 	if !reflect.DeepEqual(full.State, snap) {
 		t.Fatal("full-membership compaction changed the snapshot")
-	}
-	if !reflect.DeepEqual(full.State, snap.Mask(all)) {
-		t.Fatal("full-membership compaction and mask disagree")
 	}
 
 	// The compacted controller must follow the single daemon exactly.
@@ -380,7 +547,7 @@ func TestCompactRoundTripPlacementsAndPayments(t *testing.T) {
 // subsets: the index mappings must stay strictly ascending and bijective,
 // member demand must survive translation exactly, placement matrices and
 // payment vectors must round-trip through the global coordinates, and the
-// full-membership compaction must stay the identity (and agree with Mask).
+// full-membership compaction must stay the identity.
 // Run with `go test -fuzz=FuzzCompactRoundTrip ./internal/online` to
 // explore; the seed corpus runs on every plain `go test`.
 func FuzzCompactRoundTrip(f *testing.F) {
@@ -555,7 +722,7 @@ func FuzzCompactRoundTrip(f *testing.F) {
 			}
 		}
 
-		// Full membership: Compact is the identity and agrees with Mask.
+		// Full membership: Compact is the identity.
 		all := make([]int32, m)
 		for i := range all {
 			all[i] = int32(i)
@@ -566,9 +733,6 @@ func FuzzCompactRoundTrip(f *testing.F) {
 		}
 		if !reflect.DeepEqual(full.State, snap) {
 			t.Fatal("full-membership compaction changed the snapshot")
-		}
-		if !reflect.DeepEqual(full.State, snap.Mask(all)) {
-			t.Fatal("full-membership compaction and mask disagree")
 		}
 	})
 }

@@ -172,7 +172,7 @@ func terminalUpdate(cur *Epoch) *Update {
 // to subscribers. Callers hold c.mu; prev must be the epoch next was built
 // from (its version is exactly next.Version-1).
 func (c *Controller) publishLocked(prev, next *Epoch) {
-	u := &Update{Version: next.Version, Cause: next.Cause, Deltas: next.Deltas}
+	u := &Update{Version: next.Version, Cause: next.Cause}
 	if prev == nil {
 		u.Snapshot = snapshotOf(next)
 	} else {

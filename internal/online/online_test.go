@@ -97,7 +97,10 @@ func TestDifferentialDeltasVsMaterialized(t *testing.T) {
 	}
 }
 
-// TestBatchAtomicity: a batch with one invalid delta changes nothing.
+// TestBatchAtomicity: a batch with one invalid delta changes nothing — not
+// the version, not the counters, and not one demand cell of the live
+// workload, although before it failed the batch changed, deleted and
+// dropped cells in rows that workload shares.
 func TestBatchAtomicity(t *testing.T) {
 	p := testutil.MustBuild(testutil.Small(2))
 	ctrl, err := New(p.Cost, p.Work, p.Capacity, Config{})
@@ -105,8 +108,13 @@ func TestBatchAtomicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := ctrl.Metrics()
+	work := ctrl.Current().Problem.Work.Clone()
+	first := work.PerServer[1][0]
 	_, err = ctrl.ApplyDeltas([]Delta{
 		{Kind: KindDemand, Server: 0, Object: 0, Reads: 100},
+		{Kind: KindDemand, Server: 1, Object: first.Object, Reads: -first.Reads, Writes: -first.Writes},
+		{Kind: KindRemoveObject, Object: work.PerServer[2][0].Object},
+		{Kind: KindServerLeave, Server: 3},
 		{Kind: KindDemand, Server: p.M + 5, Object: 0, Reads: 1}, // invalid
 	})
 	if err == nil {
@@ -116,8 +124,147 @@ func TestBatchAtomicity(t *testing.T) {
 	if after.Version != before.Version || after.DeltasApplied != before.DeltasApplied {
 		t.Fatalf("rejected batch mutated state: %+v -> %+v", before, after)
 	}
+	if !reflect.DeepEqual(ctrl.Current().Problem.Work, work) {
+		t.Fatal("rejected batch wrote into the live workload")
+	}
 	if _, err := ctrl.Route(0, 0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCopyOnWriteIsolation: delta batches share demand rows with the epochs
+// already published, so a successful batch must copy every row it changes.
+// The batch below drives a shared cell to zero, rewrites one, inserts one,
+// retires an object, drops a server's row and grows M, while a reader
+// goroutine walks the previous epoch's rows (the race detector flags any
+// write into them). The previous epoch's workload must come out unchanged,
+// and so must the next one's after a second batch touches the rows the
+// first batch copied — row ownership lasts one batch.
+func TestCopyOnWriteIsolation(t *testing.T) {
+	testutil.LeakCheck(t)
+	p := testutil.MustBuild(testutil.Small(4))
+	// One server short of the oracle's coverage, so a server-join can grow M.
+	m := p.M - 1
+	w := p.Work.Clone()
+	w.M, w.PerServer = m, w.PerServer[:m]
+	for k := range w.Primary {
+		w.Primary[k] %= int32(m)
+	}
+	w.Finalize()
+	ctrl, err := New(p.Cost, w, p.Capacity[:m], Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctrl.Close()
+
+	prev := ctrl.Current()
+	want := prev.Problem.Work.Clone()
+	zeroed := want.PerServer[0][0]
+	bumped := want.PerServer[0][1]
+	var fresh int32 // an object server 1 does not demand yet
+	for fresh < int32(p.N) {
+		if r, wr := want.ReadsWrites(1, fresh); r == 0 && wr == 0 {
+			break
+		}
+		fresh++
+	}
+	retired := want.PerServer[2][0].Object
+	batch := []Delta{
+		{Kind: KindDemand, Server: 0, Object: zeroed.Object, Reads: -zeroed.Reads - 1, Writes: -zeroed.Writes},
+		{Kind: KindDemand, Server: 0, Object: bumped.Object, Reads: 3},
+		{Kind: KindDemand, Server: 1, Object: fresh, Reads: 7},
+		{Kind: KindRemoveObject, Object: retired},
+		{Kind: KindServerLeave, Server: 3},
+		{Kind: KindServerJoin, Server: m, Capacity: 50},
+	}
+
+	// walk reads every cell of work in a loop until the returned stop is
+	// called; stop waits for the reader to exit.
+	walk := func(work *workload.Workload) (stop func() int64) {
+		quit, sum := make(chan struct{}), make(chan int64)
+		go func() {
+			var s int64
+			for {
+				for _, row := range work.PerServer {
+					for _, d := range row {
+						s += int64(d.Object) + d.Reads + d.Writes
+					}
+				}
+				select {
+				case <-quit:
+					sum <- s
+					return
+				default:
+				}
+			}
+		}()
+		return func() int64 { close(quit); return <-sum }
+	}
+	stop := walk(prev.Problem.Work)
+	_, err = ctrl.ApplyDeltas(batch)
+	stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(prev.Problem.Work, want) {
+		t.Fatal("a successful batch wrote into the previous epoch's workload")
+	}
+
+	next := ctrl.Current().Problem.Work
+	if next.M != m+1 || next.PerServer[m] != nil {
+		t.Fatalf("server-join grew M to %d (new row %v), want %d and no demand", next.M, next.PerServer[m], m+1)
+	}
+	check := func(i int, k int32, reads, writes int64) {
+		t.Helper()
+		if r, wr := next.ReadsWrites(i, k); r != reads || wr != writes {
+			t.Fatalf("cell (%d,%d) = (%d,%d), want (%d,%d)", i, k, r, wr, reads, writes)
+		}
+	}
+	check(0, zeroed.Object, 0, 0)
+	check(0, bumped.Object, bumped.Reads+3, bumped.Writes)
+	check(1, fresh, 7, 0)
+	for i := range next.PerServer {
+		check(i, retired, 0, 0)
+	}
+	if next.PerServer[3] != nil {
+		t.Fatalf("departed server kept demand %v", next.PerServer[3])
+	}
+	if err := next.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	// A row the batch never touched is shared, not copied.
+	demands := func(i int, k int32) bool {
+		for _, d := range want.PerServer[i] {
+			if d.Object == k {
+				return true
+			}
+		}
+		return false
+	}
+	untouched := 4
+	for len(want.PerServer[untouched]) == 0 || demands(untouched, retired) {
+		untouched++
+	}
+	if &next.PerServer[untouched][0] != &prev.Problem.Work.PerServer[untouched][0] {
+		t.Fatal("an untouched row was copied")
+	}
+
+	// The rows the first batch copied are published now: a second batch
+	// must copy them again.
+	mid := ctrl.Current()
+	wantMid := mid.Problem.Work.Clone()
+	stop = walk(mid.Problem.Work)
+	_, err = ctrl.ApplyDeltas([]Delta{
+		{Kind: KindDemand, Server: 1, Object: fresh, Reads: -7},
+		{Kind: KindDemand, Server: 0, Object: bumped.Object, Writes: 2},
+		{Kind: KindDemand, Server: m, Object: fresh, Reads: 1},
+	})
+	stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(mid.Problem.Work, wantMid) {
+		t.Fatal("the second batch wrote into rows the first batch published")
 	}
 }
 
