@@ -1,8 +1,8 @@
 # Developer and CI entry points. `make ci` is what the GitHub Actions
 # workflow runs: vet, staticcheck, build, the full test suite under the
-# race detector (the incremental AGT-RAM engine shares work with pool
-# workers and the cancellation tests exercise every engine's teardown, so
-# the race run is load-bearing, not ceremonial), and one pass over every
+# race detector (the solvers' pool fan-outs, the daemon's concurrent
+# readers and the cancellation tests of every engine's teardown make the
+# race run load-bearing, not ceremonial), and one pass over every
 # benchmark so the perf harness itself cannot rot.
 
 GO ?= go
@@ -39,11 +39,12 @@ bench:
 
 # Machine-readable engine benchmarks: the six-method comparison
 # (BenchmarkSolve) plus the AGT-RAM engine comparison at Table-1 scale
-# (M=48), M=500 and M=1000 — including the incremental kernel's
-# w1/w2/w4/w8 worker sweep — the distance-oracle micro-benchmarks, the
-# dense/CSR/landmark solve matrix at M=1k and (BENCH_M10K=1, set here)
-# M=10k with its rss-MiB peak-memory column, the routing-plane comparison
-# (HTTP single vs batch vs client-side, routes/s column), and the cluster
+# (M=48), M=500 and M=1000 — including the incremental engine's
+# w1/w2/w4/w8 worker sweep, which varies only its arena build — the
+# distance-oracle micro-benchmarks, the dense/CSR/landmark solve matrix
+# at M=1k and (BENCH_M10K=1, set here) M=10k with its rss-MiB
+# peak-memory column, the routing-plane comparison (HTTP single vs batch
+# vs client-side, routes/s column), and the cluster
 # solve comparison with its per-phase metrics (region-solve-ns,
 # assign-bytes, ... — gated in CI via benchjson -gate-metrics) — parsed
 # into a JSON artifact (BENCH_*.json, CI regression gate). Tune with

@@ -157,7 +157,9 @@ func benchEngines(b *testing.B, cfg repro.InstanceConfig) {
 // benchEnginesScaled is the large-scale engine comparison shared by the
 // M=500 and M=1000 benchmarks: the in-process engines plus the incremental
 // engine at fixed worker counts (w1/w2/w4/w8), the numbers behind the
-// EXPERIMENTS.md speedup table and BENCH_*.json. The network engine is
+// EXPERIMENTS.md speedup table and BENCH_*.json. The worker count varies
+// only the incremental engine's arena build; its rounds run serially, so
+// the w* runs place and price identically. The network engine is
 // skipped: serializing thousands of agents over net.Pipe measures gob, not
 // the mechanism. The instance is built once (Solve is reuse-safe), so the
 // expensive all-pairs shortest paths run stays out of every iteration.

@@ -8,7 +8,8 @@
 //  1. carry the previous epoch's replicas forward,
 //  2. de-allocate replicas whose removal now *reduces* OTC (reads moved
 //     away; keeping the copy only costs update broadcasts),
-//  3. resume sealed-bid rounds for new placements until no agent benefits.
+//  3. resume sealed-bid rounds for new placements until no agent benefits
+//     (agtram.SolveIncrementalFrom, warm from the pruned placement).
 //
 // Each epoch reports how many replicas were kept, dropped and added, and
 // the savings achieved against that epoch's primary-only baseline — so the
@@ -19,7 +20,7 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/candidates"
+	"repro/internal/agtram"
 	"repro/internal/mechanism"
 	"repro/internal/replication"
 	"repro/internal/workload"
@@ -118,11 +119,14 @@ func Run(ctx context.Context, cost replication.CostFn, epochs []*workload.Worklo
 			stats.Kept -= stats.Dropped
 
 			// 3. Migration in: resume the sealed-bid mechanism.
-			added, err := resumeMechanism(ctx, schema, cfg)
+			sol, err := agtram.SolveIncrementalFrom(ctx, schema, agtram.Config{
+				Payment: cfg.Payment, MaxRounds: cfg.MaxRoundsPerEpoch,
+			})
 			if err != nil {
-				return nil, err
+				return nil, fmt.Errorf("adaptive: epoch %d: %w", e, err)
 			}
-			stats.Added = added
+			schema = sol.Schema
+			stats.Added = sol.Rounds
 		}
 
 		stats.Cost = schema.TotalCost()
@@ -171,46 +175,6 @@ func dropHarmful(s *replication.Schema) int {
 			return dropped
 		}
 	}
-}
-
-// resumeMechanism runs AGT-RAM rounds starting from the carried schema.
-func resumeMechanism(ctx context.Context, s *replication.Schema, cfg Config) (int, error) {
-	p := s.Problem()
-	agents := candidates.BuildAgentsFrom(s)
-	added := 0
-	for cfg.MaxRoundsPerEpoch <= 0 || added < cfg.MaxRoundsPerEpoch {
-		if err := ctx.Err(); err != nil {
-			return added, fmt.Errorf("adaptive: %w", err)
-		}
-		bids := make([]mechanism.Bid, 0, len(agents))
-		live := agents[:0]
-		for _, a := range agents {
-			obj, val, ok := a.Best()
-			if !ok {
-				continue
-			}
-			live = append(live, a)
-			bids = append(bids, mechanism.Bid{Agent: a.ID, Item: obj, Value: val})
-		}
-		agents = live
-		round, ok := mechanism.RunRound(bids, cfg.Payment)
-		if !ok {
-			return added, nil
-		}
-		win := round.Winner
-		if _, err := s.PlaceReplica(win.Item, win.Agent); err != nil {
-			return added, fmt.Errorf("adaptive: resuming mechanism: %w", err)
-		}
-		added++
-		for _, a := range agents {
-			if a.ID == win.Agent {
-				a.Won(win.Item)
-			} else {
-				a.Observe(win.Item, p.Cost.At(a.ID, win.Agent))
-			}
-		}
-	}
-	return added, nil
 }
 
 // sameSystem verifies two workloads describe the same fixed system.

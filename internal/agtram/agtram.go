@@ -37,7 +37,9 @@ func (v Valuation) String() string {
 
 // Config tunes the mechanism. The zero value is the paper's configuration.
 type Config struct {
-	// Workers bounds the PARFOR fan-out; <= 0 selects GOMAXPROCS.
+	// Workers bounds the in-process engines' fan-out — the synchronous
+	// engine's PARFOR scan and the incremental engine's arena build — and
+	// never changes a Result field; <= 0 selects GOMAXPROCS.
 	Workers int
 	// Payment selects the payment rule (default: the paper's second-price).
 	Payment mechanism.PaymentRule
@@ -128,7 +130,8 @@ type Result struct {
 	// per candidate scanned per round; SolveIncremental charges one per
 	// candidate actually re-priced, which is the same work in round one and
 	// strictly less afterwards — the allocations and payments are identical
-	// either way, only this counter differs.
+	// either way, only this counter differs. Neither count depends on
+	// Config.Workers.
 	Valuations int64
 	// Evictions lists every agent the wire engines removed from the game
 	// (timeouts, broken connections, failed dials), in eviction order.

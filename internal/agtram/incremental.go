@@ -3,7 +3,6 @@ package agtram
 import (
 	"context"
 	"fmt"
-	"runtime"
 
 	"repro/internal/candidates"
 	"repro/internal/mechanism"
@@ -23,17 +22,17 @@ import (
 // Exactness rests on monotonicity: a candidate's benefit is non-increasing
 // over a run (nnCost only falls, residual capacity only shrinks), so every
 // cached value is an upper bound on the current one. The kernel (kernel.go)
-// exploits that with lazy max-heaps over flat arenas — per agent over its
-// candidates, per shard of agents over their cached dominant bids — and
-// settles each round's (winner, second-best) with a sharded refresh plus a
-// deterministic tournament reduction. The data layout is struct-of-arrays
-// end to end, allocated once up front, so steady-state rounds allocate
-// nothing and the re-pricing fans out across cfg.Workers with no
-// synchronization beyond the phase barriers.
+// exploits that with lazy max-heaps over flat arenas — one per agent over
+// its candidates, one over the agents' cached dominant bids — and settles
+// each round's (winner, second-best) by refreshing only the stale bids that
+// reach the top two. The data layout is struct-of-arrays end to end,
+// allocated once up front, so steady-state rounds allocate nothing.
+// cfg.Workers fans out only the arena build; the rounds run serially.
 //
-// The allocations, round count, and payments are bit-identical to Solve's
-// for every worker count; only Result.Valuations differs in magnitude (see
-// its doc comment), which is the point: the engine performs strictly fewer
+// The allocations, round count, and payments are bit-identical to Solve's,
+// and every Result field is the same for every worker count; only
+// Result.Valuations differs from Solve's in magnitude (see its doc
+// comment), which is the point: the engine performs strictly fewer
 // valuation computations.
 //
 // The ExactDelta valuation is rejected: it needs the shared schema and is
@@ -82,8 +81,7 @@ func solveIncrementalOn(ctx context.Context, schema *replication.Schema, warm bo
 	// trace append out of the allocator for most solves.
 	res.Allocations = make([]Allocation, 0, 4*p.M)
 
-	workers := cfg.workers()
-	pl := pool.New(workers)
+	pl := pool.New(cfg.workers())
 	defer pl.Close()
 	var ar *candidates.Arena
 	if warm {
@@ -92,11 +90,7 @@ func solveIncrementalOn(ctx context.Context, schema *replication.Schema, warm bo
 		ar = candidates.BuildArena(p, pl)
 	}
 
-	// The shard count — and with it the exact refresh schedule and the
-	// Valuations count — is fixed by cfg.Workers alone; whether shards
-	// actually run on the pool additionally requires a multi-core runtime,
-	// and never affects any result field.
-	k := newKernel(p, ar, pl, workers, cfg.Payment, runtime.GOMAXPROCS(0) > 1)
+	k := newKernel(p, ar, cfg.Payment)
 	res.Valuations += k.seedValuations()
 
 	for cfg.MaxRounds <= 0 || res.Rounds < cfg.MaxRounds {

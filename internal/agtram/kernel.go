@@ -1,12 +1,8 @@
 package agtram
 
 import (
-	"math"
-	"sync/atomic"
-
 	"repro/internal/candidates"
 	"repro/internal/mechanism"
-	"repro/internal/pool"
 	"repro/internal/replication"
 )
 
@@ -17,32 +13,19 @@ import (
 // Layout. Every agent's candidate list is a segment of the candidates.Arena;
 // the segment doubles as the backing store of the agent's lazy max-heap
 // (candHeap holds arena slots, keys the cached benefit bounds, pos the
-// slot's position in its heap). On top sit the cached dominant bids
-// (bidVal/bidObj/stale), organized as one lazy max-heap per shard — agents
-// are partitioned into nsh contiguous id ranges — keyed by the cached bid
-// value, mechanism order (value desc, agent id asc).
+// slot's position in its heap). On top sits one lazy max-heap over the live
+// agents' cached dominant bids (bidVal/bidObj/stale), in mechanism order
+// (value desc, agent id asc).
 //
-// Rounds. settle drives each shard's heap until its top is provably exact
-// (stale tops re-priced via the candidate heap, spent agents retired), then
-// a serial tournament over the shard tops picks the global winner under the
-// exact mechanism tie-break; under second-price the winning shard is
-// additionally settled to its runner-up, and the Vickrey payment is the
-// maximum of that runner-up and the other shards' tops (every other cached
-// bid is bounded above by its shard top, so the reduction is exact).
+// Rounds. settle drives the bid heap until its top is provably exact (stale
+// tops re-priced via the candidate heap, spent agents retired); under
+// second-price it then settles the larger root child, and that runner-up is
+// the Vickrey payment — every other cached bid is bounded above by it. A
+// round needs exactly these two bids, which is why one heap suffices.
 // broadcast then walks the placed object's demand index, dropping
 // nearest-neighbor costs and staleness-marking only demanders whose cached
 // bid was for that very object — all other cached bids remain exact upper
 // bounds, the invariant the laziness rests on.
-//
-// Parallelism. Shard heaps are disjoint by construction, and a broadcast
-// write-set is disjoint per demander (each ref touches one server's arrays),
-// so both phases fan out over the worker pool with no synchronization
-// beyond the barrier. The shard partition is fixed by the worker count, and
-// the merge is serial in shard order, so results are bit-identical whether
-// the shards run on the pool or inline — the pool is only the execution
-// vehicle, engaged when a round carries enough work to amortize dispatch.
-// The tasks are pre-built closures and submission reuses them, keeping the
-// parallel path allocation-free too.
 type kernel struct {
 	p       *replication.Problem
 	ar      *candidates.Arena
@@ -61,51 +44,11 @@ type kernel struct {
 	stale    []bool
 	dead     []bool
 
-	// Shard bid heaps: shardHeap[shardStart[s]:shardStart[s]+shardLen[s]]
-	// holds the live agent ids of shard s in bid-heap order.
-	nsh        int
-	shardStart []int32
-	shardHeap  []int32
-	shardLen   []int32
-	heapIdx    []int32 // agent -> index in its shard's heap, -1 retired
-	evals      []int64 // per-shard valuation counters, summed in shard order
-
-	// Execution vehicle.
-	pl          *pool.Pool
-	parallel    bool // pool dispatch permitted (never affects results)
-	settleTasks []func()
-	obsTasks    []func()
-	obsCursor   atomic.Int64
-
-	// Broadcast parameters, passed via fields so obsTasks stay closure-free
-	// in the steady state.
-	bcastObj    int32
-	bcastServer int32
-	bcastRefs   []replication.DemandRef
-	bcastCol    []int32 // c(·, winner) column view, nil without a row oracle
-	staleHint   int     // demanders touched by the last broadcast
+	bidHeap []int32 // live agent ids in bid-heap order
 }
 
-// noBid is the "no second bid" sentinel. Real bids are positive, so it
-// doubles as "refresh everything": with no exact bid to bound them, no
-// stale agent may be skipped.
-const noBid = math.MinInt64
-
-// Dispatch thresholds: below them a phase runs inline — dispatching pool
-// tasks for a few dozen O(1) operations costs more than the work. Vars, not
-// consts, so tests can force the parallel paths on small instances.
-var (
-	settleParallelThreshold  = 256  // stale agents to justify parallel settle
-	observeParallelThreshold = 2048 // broadcast refs to justify parallel observe
-)
-
-// obsChunk is the broadcast fan-out's guided chunk size.
-const obsChunk = 256
-
-// newKernel builds the round machine over an arena. workers fixes the shard
-// count (and with it the exact refresh schedule); parallel decides whether
-// shards may run on the pool.
-func newKernel(p *replication.Problem, ar *candidates.Arena, pl *pool.Pool, workers int, payment mechanism.PaymentRule, parallel bool) *kernel {
+// newKernel builds the round machine over an arena.
+func newKernel(p *replication.Problem, ar *candidates.Arena, payment mechanism.PaymentRule) *kernel {
 	n := int32(ar.Cands())
 	k := &kernel{
 		p: p, ar: ar, payment: payment,
@@ -118,9 +61,7 @@ func newKernel(p *replication.Problem, ar *candidates.Arena, pl *pool.Pool, work
 		bidObj:   make([]int32, ar.M),
 		stale:    make([]bool, ar.M),
 		dead:     make([]bool, ar.M),
-		nsh:      workers,
-		pl:       pl,
-		parallel: parallel && workers > 1,
+		bidHeap:  make([]int32, 0, ar.M),
 	}
 	copy(k.residual, ar.Residual)
 
@@ -144,59 +85,14 @@ func newKernel(p *replication.Problem, ar *candidates.Arena, pl *pool.Pool, work
 			top := k.candHeap[b]
 			k.bidVal[i] = k.keys[top]
 			k.bidObj[i] = ar.Objs[top]
+			k.bidHeap = append(k.bidHeap, int32(i))
 		} else {
 			k.dead[i] = true
 		}
 	}
-
-	// Shard bid heaps over the live agents of each contiguous id range.
-	k.shardStart = make([]int32, k.nsh+1)
-	k.shardLen = make([]int32, k.nsh)
-	k.evals = make([]int64, k.nsh)
-	k.heapIdx = make([]int32, ar.M)
-	live := int32(0)
-	for i := 0; i < ar.M; i++ {
-		if !k.dead[i] {
-			live++
-		}
+	for j := int32(len(k.bidHeap))/2 - 1; j >= 0; j-- {
+		k.bidSiftDown(j)
 	}
-	k.shardHeap = make([]int32, live)
-	at := int32(0)
-	for s := 0; s < k.nsh; s++ {
-		k.shardStart[s] = at
-		lo, hi := s*ar.M/k.nsh, (s+1)*ar.M/k.nsh
-		for i := lo; i < hi; i++ {
-			if k.dead[i] {
-				k.heapIdx[i] = -1
-				continue
-			}
-			k.shardHeap[at] = int32(i)
-			at++
-		}
-		n := at - k.shardStart[s]
-		k.shardLen[s] = n
-		b := k.shardStart[s]
-		for j := n/2 - 1; j >= 0; j-- {
-			k.bidSiftDown(s, j)
-		}
-		for j := int32(0); j < n; j++ {
-			k.heapIdx[k.shardHeap[b+j]] = j
-		}
-	}
-	k.shardStart[k.nsh] = at
-
-	// Pre-build the pool tasks once; submitting an existing func allocates
-	// nothing, which keeps the parallel rounds as allocation-free as the
-	// serial ones.
-	k.settleTasks = make([]func(), k.nsh)
-	k.obsTasks = make([]func(), k.nsh)
-	for s := 0; s < k.nsh; s++ {
-		s := s
-		k.settleTasks[s] = func() { k.evals[s] = k.settleShardTop(s) }
-		k.obsTasks[s] = func() { k.observeChunks() }
-	}
-	// Everything is freshly priced, so the first settle has no stale agents.
-	k.staleHint = 0
 	return k
 }
 
@@ -282,7 +178,7 @@ func (k *kernel) best(i int32) (obj int32, value int64, evals int64, ok bool) {
 	return 0, 0, evals, false
 }
 
-// --- shard bid heaps (keyed by cached bid value desc, agent id asc) ---
+// --- the bid heap (keyed by cached bid value desc, agent id asc) ---
 
 func (k *kernel) bidLess(x, y int32) bool {
 	if k.bidVal[x] != k.bidVal[y] {
@@ -291,9 +187,9 @@ func (k *kernel) bidLess(x, y int32) bool {
 	return x < y
 }
 
-func (k *kernel) bidSiftDown(s int, j int32) {
-	b, n := k.shardStart[s], k.shardLen[s]
-	h := k.shardHeap[b : b+n : b+n]
+func (k *kernel) bidSiftDown(j int32) {
+	h := k.bidHeap
+	n := int32(len(h))
 	node := h[j]
 	for {
 		l := 2*j + 1
@@ -308,175 +204,73 @@ func (k *kernel) bidSiftDown(s int, j int32) {
 			break
 		}
 		h[j] = h[c]
-		k.heapIdx[h[j]] = j
 		j = c
 	}
 	h[j] = node
-	k.heapIdx[node] = j
 }
 
-func (k *kernel) bidSiftUp(s int, j int32) {
-	b := k.shardStart[s]
-	h := k.shardHeap[b:]
-	node := h[j]
-	for j > 0 {
-		parent := (j - 1) / 2
-		if !k.bidLess(node, h[parent]) {
-			break
-		}
-		h[j] = h[parent]
-		k.heapIdx[h[j]] = j
-		j = parent
-	}
-	h[j] = node
-	k.heapIdx[node] = j
-}
-
-// bidRemove retires the agent at relative index j of shard s's heap. The
-// hole is filled by the last entry, which may need to move either way
-// (ties order by agent id, so an equal-valued mover can sort above its new
-// parent).
-func (k *kernel) bidRemove(s int, j int32) {
-	b := k.shardStart[s]
-	n := k.shardLen[s] - 1
-	k.shardLen[s] = n
-	k.heapIdx[k.shardHeap[b+j]] = -1
-	if j == n {
-		return
-	}
-	k.shardHeap[b+j] = k.shardHeap[b+n]
-	k.heapIdx[k.shardHeap[b+j]] = j
-	k.bidSiftDown(s, j)
-	if k.shardHeap[b+j] == k.shardHeap[b+n] { // did not move down
-		k.bidSiftUp(s, j)
+// bidRemove retires the agent at index j of the bid heap, filling the hole
+// with the last entry. Only the root or a root child is ever removed, and
+// the root sorts before every entry, so the mover never needs to sift up.
+func (k *kernel) bidRemove(j int32) {
+	n := int32(len(k.bidHeap)) - 1
+	k.bidHeap[j] = k.bidHeap[n]
+	k.bidHeap = k.bidHeap[:n]
+	if j < n {
+		k.bidSiftDown(j)
 	}
 }
 
-// refresh re-prices the stale agent at relative index j of shard s's heap:
-// its cached bid becomes exact (values only fall, so the entry sifts down),
-// or the agent leaves the game when nothing beneficial and feasible remains
+// refresh re-prices the stale agent at index j of the bid heap: its cached
+// bid becomes exact (values only fall, so the entry sifts down), or the
+// agent leaves the game when nothing beneficial and feasible remains
 // (Figure 2, line 18).
-func (k *kernel) refresh(s int, j int32) int64 {
-	i := k.shardHeap[k.shardStart[s]+j]
+func (k *kernel) refresh(j int32) int64 {
+	i := k.bidHeap[j]
 	obj, v, evals, ok := k.best(i)
+	k.stale[i] = false
 	if !ok {
 		k.dead[i] = true
-		k.stale[i] = false
-		k.bidRemove(s, j)
+		k.bidRemove(j)
 		return evals
 	}
 	k.bidObj[i], k.bidVal[i] = obj, v
-	k.stale[i] = false
-	k.bidSiftDown(s, j)
+	k.bidSiftDown(j)
 	return evals
-}
-
-// settleShardTop drives shard s until its top bid is provably exact: a
-// stale top is refreshed in place (refreshes only lower values, so a new
-// top can only surface from below, already bounded). Returns the evals
-// spent; the settled top, if any, is shardHeap[shardStart[s]].
-func (k *kernel) settleShardTop(s int) int64 {
-	var evals int64
-	for k.shardLen[s] > 0 {
-		top := k.shardHeap[k.shardStart[s]]
-		if !k.stale[top] {
-			break
-		}
-		evals += k.refresh(s, 0)
-	}
-	return evals
-}
-
-// settleShardSecond additionally settles shard s's runner-up: the larger
-// root child, refreshed until fresh. A refreshed runner that ties the top
-// with a lower agent id takes the top (the mechanism tie-break), so the
-// loop re-verifies the top each pass exactly like the serial engine did.
-func (k *kernel) settleShardSecond(s int) (second int64, has bool, evals int64) {
-	for {
-		if k.shardLen[s] > 0 && k.stale[k.shardHeap[k.shardStart[s]]] {
-			evals += k.refresh(s, 0)
-			continue
-		}
-		if k.shardLen[s] < 2 {
-			return 0, false, evals
-		}
-		b := k.shardStart[s]
-		si := int32(1)
-		if k.shardLen[s] > 2 && k.bidLess(k.shardHeap[b+2], k.shardHeap[b+1]) {
-			si = 2
-		}
-		runner := k.shardHeap[b+si]
-		if !k.stale[runner] {
-			// Fresh top and runner: every other entry's cached value (an
-			// upper bound on its true value) is <= the runner's by the heap
-			// property.
-			return k.bidVal[runner], true, evals
-		}
-		evals += k.refresh(s, si)
-	}
 }
 
 // settle produces the round outcome: the exact winner under the mechanism
-// order and, under second-price, the exact second-best report. Phase one
-// settles every shard's top (on the pool when enough agents went stale);
-// phase two is the serial tournament over shard tops; phase three settles
-// the winning shard's runner-up and reduces the global second-best.
+// order and, under second-price, the exact second-best report. A stale top
+// is refreshed in place until the top is fresh (refreshes only lower
+// values, so a new top can only surface from below, already bounded).
+// Under second-price the larger root child is then refreshed until fresh;
+// it can never overtake the top, whose value it was already bounded by
+// (with the larger agent id on a tie).
 func (k *kernel) settle(valuations *int64) (winner int32, value int64, second int64, ok bool) {
-	if k.parallel && k.staleHint >= settleParallelThreshold {
-		for s := 0; s < k.nsh; s++ {
-			k.pl.Submit(k.settleTasks[s])
-		}
-		k.pl.Wait()
-	} else {
-		for s := 0; s < k.nsh; s++ {
-			k.evals[s] = k.settleShardTop(s)
-		}
+	for len(k.bidHeap) > 0 && k.stale[k.bidHeap[0]] {
+		*valuations += k.refresh(0)
 	}
-	for s := 0; s < k.nsh; s++ {
-		*valuations += k.evals[s]
-	}
-
-	sw := -1
-	winner = -1
-	for s := 0; s < k.nsh; s++ {
-		if k.shardLen[s] == 0 {
-			continue
-		}
-		top := k.shardHeap[k.shardStart[s]]
-		if winner < 0 || k.bidLess(top, winner) {
-			winner, sw = top, s
-		}
-	}
-	if sw < 0 {
+	if len(k.bidHeap) == 0 {
 		return 0, 0, 0, false
 	}
-
+	winner = k.bidHeap[0]
 	if k.payment == mechanism.FirstPrice {
 		return winner, k.bidVal[winner], 0, true
 	}
-
-	shardSecond, has, evals := k.settleShardSecond(sw)
-	*valuations += evals
-	// The runner-up settle can promote an equal-valued lower id to the
-	// winning shard's top; other shards' tops lost the tournament to the
-	// *old* top, so they lose to the new one too (same value, smaller id).
-	winner = k.shardHeap[k.shardStart[sw]]
-	second = noBid
-	if has {
-		second = shardSecond
-	}
-	for s := 0; s < k.nsh; s++ {
-		if s == sw || k.shardLen[s] == 0 {
-			continue
+	for len(k.bidHeap) > 1 {
+		si := int32(1)
+		if len(k.bidHeap) > 2 && k.bidLess(k.bidHeap[2], k.bidHeap[1]) {
+			si = 2
 		}
-		if v := k.bidVal[k.shardHeap[k.shardStart[s]]]; v > second {
-			second = v
+		runner := k.bidHeap[si]
+		if !k.stale[runner] {
+			// Every other entry's cached value (an upper bound on its true
+			// value) is <= the runner's by the heap property.
+			return winner, k.bidVal[winner], k.bidVal[runner], true
 		}
+		*valuations += k.refresh(si)
 	}
-	if second == noBid {
-		second = 0 // a lone bidder is paid 0
-	}
-	return winner, k.bidVal[winner], second, true
+	return winner, k.bidVal[winner], 0, true // a lone bidder is paid 0
 }
 
 // award records the win locally: the replica is now on the winner, capacity
@@ -496,44 +290,9 @@ func (k *kernel) award(winner int32) {
 // was bidding on — every other cached bid remains an exact value or a valid
 // upper bound, because benefits only fall.
 func (k *kernel) broadcast(obj, server int32) {
-	refs := k.p.DemandersOf(obj)
-	k.staleHint = len(refs) + 1 // demanders plus the stale winner
-	k.bcastCol = k.p.CostColumn(int(server))
-	if k.parallel && len(refs) >= observeParallelThreshold {
-		k.bcastObj, k.bcastServer, k.bcastRefs = obj, server, refs
-		k.obsCursor.Store(0)
-		for s := 0; s < k.nsh; s++ {
-			k.pl.Submit(k.obsTasks[s])
-		}
-		k.pl.Wait()
-		k.bcastRefs = nil
-		return
-	}
-	k.observe(obj, server, refs)
-}
-
-// observeChunks is the pre-built pool task: grab guided chunks of the
-// broadcast's demand refs until none remain. Each ref touches only its own
-// server's arrays, so chunk assignment is free to be scheduling-dependent.
-func (k *kernel) observeChunks() {
-	refs := k.bcastRefs
-	for {
-		lo := k.obsCursor.Add(obsChunk) - obsChunk
-		if lo >= int64(len(refs)) {
-			return
-		}
-		hi := lo + obsChunk
-		if hi > int64(len(refs)) {
-			hi = int64(len(refs))
-		}
-		k.observe(k.bcastObj, k.bcastServer, refs[lo:hi])
-	}
-}
-
-// observe applies the broadcast to one slice of demand refs.
-func (k *kernel) observe(obj, server int32, refs []replication.DemandRef) {
-	ar, col := k.ar, k.bcastCol
-	for _, ref := range refs {
+	ar := k.ar
+	col := k.p.CostColumn(int(server)) // nil without a row oracle
+	for _, ref := range k.p.DemandersOf(obj) {
 		i := ref.Server
 		if i == server || k.dead[i] {
 			continue

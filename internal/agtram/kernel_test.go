@@ -11,43 +11,59 @@ import (
 	"repro/internal/testutil"
 )
 
-// forceParallelKernel drops the dispatch thresholds to zero and raises
-// GOMAXPROCS so the kernel's pool paths run even on small instances and
-// single-core test machines. Restores everything on cleanup.
-func forceParallelKernel(t *testing.T) {
+// forceParallelArena raises GOMAXPROCS so the arena build's fan-out runs on
+// concurrent workers even on single-core test machines. Restores it on
+// cleanup.
+func forceParallelArena(t *testing.T) {
 	t.Helper()
-	prevSettle, prevObserve := settleParallelThreshold, observeParallelThreshold
 	prevProcs := runtime.GOMAXPROCS(4)
-	settleParallelThreshold, observeParallelThreshold = 0, 0
-	t.Cleanup(func() {
-		settleParallelThreshold, observeParallelThreshold = prevSettle, prevObserve
-		runtime.GOMAXPROCS(prevProcs)
-	})
+	t.Cleanup(func() { runtime.GOMAXPROCS(prevProcs) })
 }
 
-// TestDifferentialEnginesParallel is the parallel-kernel half of
+// workerSweep is the Config.Workers range the parallel differential tests
+// cover. Workers sizes only the arena build's fan-out, so no Result field
+// may depend on it.
+var workerSweep = []int{1, 2, 4, 8}
+
+// differentialInstance is TestDifferentialEngines' instance family.
+func differentialInstance(seed int64) testutil.InstanceConfig {
+	return testutil.InstanceConfig{
+		Servers:         10 + int(seed%5)*4,
+		Objects:         40 + int(seed%3)*30,
+		Requests:        3000 + int(seed)*500,
+		RWRatio:         0.75 + float64(seed%4)*0.05,
+		CapacityPercent: 20 + float64(seed%3)*10,
+		EdgeP:           0.35,
+		Seed:            seed,
+	}
+}
+
+// assertSameValuations extends assertIdenticalRuns to the one counter it
+// leaves out, for runs of the same engine that differ only in Workers.
+func assertSameValuations(t *testing.T, seed int64, workers int, ref, got *Result) {
+	t.Helper()
+	if got.Valuations != ref.Valuations {
+		t.Fatalf("seed %d workers %d: valuations %d, want %d (workers %d)",
+			seed, workers, got.Valuations, ref.Valuations, workerSweep[0])
+	}
+}
+
+// TestDifferentialEnginesParallel is the worker-sweep half of
 // TestDifferentialEngines: for every seed and every worker count the
-// incremental engine — with the pool paths forced on — must reproduce the
-// synchronous engine's allocations, payments, round count, and final OTC
-// bit for bit. Run under -race this doubles as the data-race proof of the
-// sharded settle and the broadcast fan-out.
+// incremental engine must reproduce the synchronous engine's allocations,
+// payments, round count, and final OTC bit for bit, and report the same
+// Valuations as at one worker. Run under -race this doubles as the
+// data-race proof of the arena build's fan-out.
 func TestDifferentialEnginesParallel(t *testing.T) {
-	forceParallelKernel(t)
+	forceParallelArena(t)
 	for seed := int64(0); seed < 20; seed++ {
-		cfg := testutil.InstanceConfig{
-			Servers:         10 + int(seed%5)*4,
-			Objects:         40 + int(seed%3)*30,
-			Requests:        3000 + int(seed)*500,
-			RWRatio:         0.75 + float64(seed%4)*0.05,
-			CapacityPercent: 20 + float64(seed%3)*10,
-			EdgeP:           0.35,
-			Seed:            seed,
-		}
+		cfg := differentialInstance(seed)
 		sync, err := Solve(context.Background(), testutil.MustBuild(cfg), Config{})
 		if err != nil {
 			t.Fatalf("seed %d: sync: %v", seed, err)
 		}
-		for _, workers := range []int{2, 4, 8} {
+		var ref *Result
+		for _, workers := range workerSweep {
 			inc, err := SolveIncremental(context.Background(), testutil.MustBuild(cfg), Config{Workers: workers})
 			if err != nil {
 				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
@@ -56,44 +72,57 @@ func TestDifferentialEnginesParallel(t *testing.T) {
 			if err := inc.Schema.ValidateInvariants(); err != nil {
 				t.Fatalf("seed %d workers %d: invariants: %v", seed, workers, err)
 			}
+			if ref == nil {
+				ref = inc
+			}
+			assertSameValuations(t, seed, workers, ref, inc)
 		}
 	}
 }
 
-// TestWarmParallelEquivalence: the warm re-solve path through the parallel
-// kernel matches its serial twin exactly, including from a drifted placement.
-func TestWarmParallelEquivalence(t *testing.T) {
-	forceParallelKernel(t)
-	for seed := int64(1); seed <= 5; seed++ {
-		p := testutil.MustBuild(testutil.Medium(seed))
+// TestDifferentialEnginesWarmParallel is the warm-path twin of
+// TestDifferentialEnginesParallel: from a partial placement, every worker
+// count of SolveIncrementalFrom (whose arena build fans out over the
+// schema's NN tables) gives the same allocations, payments, OTC and
+// Valuations.
+func TestDifferentialEnginesWarmParallel(t *testing.T) {
+	forceParallelArena(t)
+	for seed := int64(0); seed < 20; seed++ {
+		p := testutil.MustBuild(differentialInstance(seed))
 		base, err := SolveIncremental(context.Background(), p, Config{MaxRounds: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := SolveIncrementalFrom(context.Background(), base.Schema, Config{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
+		var ref *Result
+		for _, workers := range workerSweep {
+			warm, err := SolveIncrementalFrom(context.Background(), base.Schema, Config{Workers: workers})
+			if err != nil {
+				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
+			}
+			if err := warm.Schema.ValidateInvariants(); err != nil {
+				t.Fatalf("seed %d workers %d: invariants: %v", seed, workers, err)
+			}
+			if ref == nil {
+				ref = warm
+			}
+			assertIdenticalRuns(t, seed, ref, warm)
+			assertSameValuations(t, seed, workers, ref, warm)
 		}
-		par, err := SolveIncrementalFrom(context.Background(), base.Schema, Config{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		assertIdenticalRuns(t, seed, serial, par)
 	}
 }
 
 // TestKernelZeroAllocRounds is the flat-arena claim, enforced: once the
 // arena and kernel are built, a steady-state round — settle, award,
-// broadcast — performs zero heap allocations, for one shard and for many.
+// broadcast — performs zero heap allocations.
 func TestKernelZeroAllocRounds(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")
 	}
 	p := testutil.MustBuild(testutil.Medium(7))
 	for _, workers := range []int{1, 4} {
-		pl := pool.New(1) // inline vehicle; shard logic still splits by workers
+		pl := pool.New(1) // inline arena build
 		ar := candidates.BuildArena(p, pl)
-		k := newKernel(p, ar, pl, workers, mechanism.SecondPrice, false)
+		k := newKernel(p, ar, mechanism.SecondPrice)
 		var valuations int64
 		// Warm up one round, then measure several: every steady-state round
 		// must stay out of the allocator entirely.

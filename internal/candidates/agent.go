@@ -33,45 +33,6 @@ type Agent struct {
 	Cands    []Cand // sorted by Object
 }
 
-// BuildAgentsFrom constructs agents priced against an existing placement
-// instead of the primary-only initial state: nearest-replica costs and
-// residual capacities come from the schema, and objects a server already
-// holds are excluded. The adaptive extension uses this to resume the
-// mechanism after demand drift.
-func BuildAgentsFrom(s *replication.Schema) []*Agent {
-	p := s.Problem()
-	var agents []*Agent
-	w := p.Work
-	for i := 0; i < p.M; i++ {
-		a := &Agent{ID: i, Residual: s.Residual(i)}
-		base := p.CellBase()[i]
-		for slot, d := range w.PerServer[i] {
-			if d.Reads == 0 || int(w.Primary[d.Object]) == i {
-				continue
-			}
-			if s.HasReplica(d.Object, i) {
-				continue
-			}
-			cell := base + int32(slot)
-			c := Cand{
-				Object:  d.Object,
-				Size:    w.ObjectSize[d.Object],
-				Reads:   d.Reads,
-				NNCost:  s.NNCost(cell),
-				UpdCost: (w.TotalWrites[d.Object] - d.Writes) * w.ObjectSize[d.Object] * int64(p.PrimaryCost(cell)),
-			}
-			if c.Benefit() > 0 && c.Size <= a.Residual {
-				a.Cands = append(a.Cands, c)
-			}
-		}
-		if len(a.Cands) > 0 {
-			sort.Slice(a.Cands, func(x, y int) bool { return a.Cands[x].Object < a.Cands[y].Object })
-			agents = append(agents, a)
-		}
-	}
-	return agents
-}
-
 // BuildAgents constructs the per-server agents of an instance: every server
 // with at least one initially beneficial, capacity-feasible candidate.
 func BuildAgents(p *replication.Problem) []*Agent {

@@ -60,39 +60,3 @@ func TestAgentBestObserveWon(t *testing.T) {
 		}
 	}
 }
-
-func TestBuildAgentsFromMatchesSchemaState(t *testing.T) {
-	p := testutil.MustBuild(testutil.Small(3))
-	s := p.NewSchema()
-	// Place a few replicas, then rebuild agents from the live schema.
-	placed := 0
-	for k := int32(0); k < int32(p.N) && placed < 5; k++ {
-		for m := 0; m < p.M && placed < 5; m++ {
-			if s.CanPlace(k, m) == nil {
-				if _, err := s.PlaceReplica(k, m); err != nil {
-					t.Fatal(err)
-				}
-				placed++
-			}
-		}
-	}
-	agents := BuildAgentsFrom(s)
-	for _, a := range agents {
-		if a.Residual != s.Residual(a.ID) {
-			t.Fatalf("agent %d residual %d != schema %d", a.ID, a.Residual, s.Residual(a.ID))
-		}
-		for _, c := range a.Cands {
-			if s.HasReplica(c.Object, a.ID) {
-				t.Fatalf("agent %d offered an object it already holds", a.ID)
-			}
-			wantNN := p.Cost.At(a.ID, int(s.NN(a.ID, c.Object)))
-			if c.NNCost != wantNN {
-				t.Fatalf("agent %d object %d NN cost %d != schema %d", a.ID, c.Object, c.NNCost, wantNN)
-			}
-			if c.Benefit() != s.LocalBenefit(a.ID, c.Object) {
-				t.Fatalf("agent %d object %d benefit %d != schema %d",
-					a.ID, c.Object, c.Benefit(), s.LocalBenefit(a.ID, c.Object))
-			}
-		}
-	}
-}

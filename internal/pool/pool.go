@@ -1,7 +1,9 @@
 // Package pool provides a tiny persistent worker pool for the solvers'
-// fan-out loops. Workers live for the lifetime of the pool, so algorithms
-// with many small parallel phases (one per mechanism round or greedy
-// iteration) do not pay a goroutine spawn per phase.
+// fan-out loops: Batch for uniform per-index work, BatchGuided for skewed
+// per-server work. Workers live for the lifetime of the pool, so algorithms
+// with many small parallel phases (the synchronous engine's per-round
+// PARFOR scan, greedy's per-iteration pricing) do not pay a goroutine spawn
+// per phase.
 package pool
 
 import (
@@ -39,17 +41,6 @@ func (p *Pool) Workers() int { return p.workers }
 
 // Close shuts the workers down. The pool must be idle.
 func (p *Pool) Close() { close(p.tasks) }
-
-// Submit schedules f on the pool. Pair with Wait. Unlike Batch, Submit does
-// not wrap f, so a caller that pre-builds its task closures once can run
-// them every round without a single steady-state allocation.
-func (p *Pool) Submit(f func()) {
-	p.wg.Add(1)
-	p.tasks <- f
-}
-
-// Wait blocks until every task submitted since the last Wait has completed.
-func (p *Pool) Wait() { p.wg.Wait() }
 
 // Batch splits [0, n) into one contiguous chunk per worker, runs the chunks
 // on the pool, and blocks until all complete. f must be safe for concurrent

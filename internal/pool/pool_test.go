@@ -158,35 +158,3 @@ func TestBatchGuidedZeroAndNegative(t *testing.T) {
 		t.Fatal("empty guided batch invoked the worker function")
 	}
 }
-
-func TestSubmitWait(t *testing.T) {
-	p := New(3)
-	defer p.Close()
-	var total int64
-	task := func() { atomic.AddInt64(&total, 1) }
-	for round := 1; round <= 10; round++ {
-		for i := 0; i < round; i++ {
-			p.Submit(task)
-		}
-		p.Wait()
-		if got := atomic.LoadInt64(&total); got != int64(round*(round+1)/2) {
-			t.Fatalf("round %d: total %d, want %d", round, got, round*(round+1)/2)
-		}
-	}
-}
-
-func TestSubmitDoesNotAllocate(t *testing.T) {
-	// The kernel's hot loop submits pre-built closures every round; the
-	// whole point of Submit over Batch is that this costs no allocation.
-	p := New(2)
-	defer p.Close()
-	task := func() {}
-	avg := testing.AllocsPerRun(100, func() {
-		p.Submit(task)
-		p.Submit(task)
-		p.Wait()
-	})
-	if avg != 0 {
-		t.Fatalf("Submit/Wait allocated %v per round, want 0", avg)
-	}
-}
