@@ -62,12 +62,13 @@ bench-json:
 	@rm -f bench.out
 
 # The fault-matrix suite: injected crashes, truncated frames, severed and
-# slow links against both wire engines, plus the fault-free differential
-# check, run twice under the race detector so eviction paths and teardown
+# slow links and infeasible bids against both wire engines, plus the
+# fault-free differential check and the frame codec both wire protocols
+# share, run twice under the race detector so eviction paths and teardown
 # cannot hide behind a lucky schedule.
 faultmatrix:
 	$(GO) test -race -count=2 -run 'TestFault|TestSolveTCP|TestEvicted|TestDifferentialEngines' ./internal/agtram
-	$(GO) test -race -count=2 ./internal/faultnet
+	$(GO) test -race -count=2 ./internal/faultnet ./internal/frame
 
 # The daemon's concurrency load tests plus the routing-plane benchmark.
 # Load: /route reads race delta batches and background solves; SSE/long-poll
@@ -132,6 +133,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDeltasDecoder -fuzztime 10s ./internal/server
 	$(GO) test -fuzz FuzzCompactRoundTrip -fuzztime 10s ./internal/online
 	$(GO) test -fuzz FuzzNewFromState -fuzztime 10s ./internal/online
+	$(GO) test -fuzz FuzzFrameDecode -fuzztime 10s ./internal/frame
 
 # The benchmark harness is a Go module of its own (perfbench/go.mod), so the
 # root `go test ./...` and `make race` never build it. This vets it and runs

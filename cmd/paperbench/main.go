@@ -17,10 +17,10 @@
 //	-chart      also render each result as an ASCII chart
 //	-quiet      suppress per-run progress lines
 //
-// The ablation-engine wire rows (gob-netpipe, gob-tcp) additionally honour
-// -round-timeout, -fault-drop, -fault-delay and -fault-seed, measuring the
-// mechanism's graceful degradation under an imperfect network (evicted
-// agents are reported per row).
+// The ablation-engine wire rows (frames-netpipe, frames-tcp) additionally
+// honour -round-timeout, -fault-drop, -fault-delay and -fault-seed,
+// measuring the mechanism's graceful degradation under an imperfect
+// network (evicted agents are reported per row).
 //
 // The paper's full sizes (M=3718, N=25000) correspond to -scale 1; the
 // default scale reproduces every shape in minutes on a laptop.

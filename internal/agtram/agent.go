@@ -11,7 +11,7 @@
 // agent can update its nearest-neighbor table. The loop ends when no agent
 // has a beneficial feasible replica left.
 //
-// Four engines share the same agent logic and produce identical
+// Five engines share the same agent logic and produce identical
 // allocations and payments:
 //
 //   - Solve: synchronous rounds with the per-agent scans fanned out over a
@@ -19,10 +19,12 @@
 //   - SolveIncremental: the event-driven default — cached dominant bids in
 //     lazy max-heaps, re-pricing only the agents a broadcast can actually
 //     have changed (see incremental.go);
-//   - SolveDistributed: one goroutine per agent exchanging messages with a
-//     mechanism goroutine over channels — agents keep purely local state;
-//   - SolveNetwork: the same protocol serialized with encoding/gob over
-//     net.Pipe connections, demonstrating the semi-distributed deployment.
+//   - SolveDistributed, SolveNetwork and SolveTCP: one game of message
+//     passing (see game.go) — a goroutine per agent with purely local
+//     state, and the mechanism loop — over channels, over net.Pipe
+//     connections, or over loopback TCP with agents that dial in and could
+//     as well be separate processes. The two conn engines carry each
+//     message on one internal/frame frame.
 package agtram
 
 import (

@@ -48,8 +48,8 @@ type Config struct {
 	// MaxRounds caps the number of rounds; <= 0 means unbounded.
 	MaxRounds int
 	// OnRound, when non-nil, observes every allocation as the mechanism
-	// makes it (synchronous and incremental engines). Useful for tracing
-	// and live dashboards; must not block.
+	// makes it, on every engine. Useful for tracing and live dashboards;
+	// must not block.
 	OnRound func(Allocation)
 
 	// The remaining fields configure the wire engines (SolveNetwork and
@@ -131,11 +131,14 @@ type Result struct {
 	// candidate actually re-priced, which is the same work in round one and
 	// strictly less afterwards — the allocations and payments are identical
 	// either way, only this counter differs. Neither count depends on
-	// Config.Workers.
+	// Config.Workers. The message-passing engines (SolveDistributed,
+	// SolveNetwork, SolveTCP) see only bids, so they charge one valuation
+	// per bid received in each round the mechanism decides.
 	Valuations int64
 	// Evictions lists every agent the wire engines removed from the game
-	// (timeouts, broken connections, failed dials), in eviction order.
-	// Always empty for the in-process engines and for fault-free runs.
+	// (timeouts, broken connections, failed dials, infeasible bids), in
+	// eviction order. Always empty for the in-process engines and for
+	// fault-free runs.
 	Evictions []Eviction
 }
 

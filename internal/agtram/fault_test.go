@@ -3,7 +3,9 @@ package agtram
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,6 +133,55 @@ func TestSolveTCPSilentPeerDoesNotBlock(t *testing.T) {
 	}
 }
 
+// A connection that says hello in another server's name and then bids for
+// a placement the schema cannot take is evicted in round 1, and the game
+// goes on without it. The real agent's writes are delayed so the scripted
+// hello wins the race for the victim's id.
+func TestSolveTCPInfeasibleBidEvicts(t *testing.T) {
+	testutil.LeakCheck(t)
+	p := testutil.MustBuild(testutil.Small(47))
+	victim := activeAgent(t, p)
+	scripted := make(chan error, 1)
+	cfg := Config{
+		Faults: &faultnet.Config{Delay: map[int]time.Duration{victim: 300 * time.Millisecond}},
+		OnListen: func(addr net.Addr) {
+			go func() { scripted <- bidOutOfRange(addr, victim, p.N) }()
+		},
+	}
+	res, err := SolveTCP(context.Background(), p, cfg, "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("solve errored instead of evicting: %v", err)
+	}
+	ev := assertEvicted(t, res, victim)
+	if ev.Round != 1 || !strings.Contains(ev.Reason, "infeasible bid") {
+		t.Fatalf("eviction %+v, want an infeasible bid in round 1", ev)
+	}
+	if err := <-scripted; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// bidOutOfRange speaks for agent id and bids a huge value for an object
+// past the catalogue of n objects.
+func bidOutOfRange(addr net.Addr, id, n int) error {
+	conn, err := net.Dial("tcp", addr.String())
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	l := newConnLink(context.Background(), conn, 0)
+	if err := l.send(msg{Server: int32(id)}); err != nil {
+		return err
+	}
+	if err := l.send(msg{Object: int32(n + 5), Value: 1 << 60}); err != nil {
+		return err
+	}
+	if aw, err := l.recv(); err == nil {
+		return fmt.Errorf("infeasible bidder received %+v instead of losing its link", aw)
+	}
+	return nil
+}
+
 // faultMatrix is the shared crash/truncate/slow/drop schedule both wire
 // engines must survive: the solve completes, the victim is evicted, and the
 // surviving placement is a valid schema.
@@ -143,7 +194,7 @@ func faultMatrix(victim int) []struct {
 		faults faultnet.Config
 	}{
 		{"crash-mid-round", faultnet.Config{CrashAtRound: map[int]int{victim: 2}}},
-		{"truncated-gob-frame", faultnet.Config{TruncateAfter: map[int]int{victim: 192}}},
+		{"truncated-frame", faultnet.Config{TruncateAfter: map[int]int{victim: 192}}},
 		{"slow-agent-hits-deadline", faultnet.Config{Delay: map[int]time.Duration{victim: 300 * time.Millisecond}}},
 		{"link-severs-immediately", faultnet.Config{Seed: 7, Drop: map[int]float64{victim: 1}}},
 	}

@@ -2,22 +2,14 @@ package agtram
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"net"
 	"sync"
 	"time"
 
 	"repro/internal/faultnet"
-	"repro/internal/mechanism"
 	"repro/internal/replication"
 )
-
-// helloMsg is the first frame an agent sends after dialing: it identifies
-// the server the connection speaks for.
-type helloMsg struct {
-	Agent int
-}
 
 // Dial retry policy of the in-process agents: a handful of attempts with
 // capped exponential backoff, matching what a deployed agent would do
@@ -30,12 +22,12 @@ const (
 
 // RunRemoteAgent speaks the agent side of the AGT-RAM wire protocol over an
 // established connection: hello, then rounds of one bid up / one award
-// down, leaving the game by sending a bid with None set. A real deployment
+// down, leaving the game by sending a bid with Done set. A real deployment
 // runs this in the server process; the tests and SolveTCP run it in a
 // goroutine over loopback. The function returns when the protocol ends, the
 // connection breaks, or ctx is cancelled — cancellation closes conn to
-// unblock any in-flight codec call and returns ctx.Err() wrapped with the
-// package name.
+// unblock any read or write in flight and returns ctx.Err() wrapped with
+// the package name.
 func RunRemoteAgent(ctx context.Context, conn net.Conn, p *replication.Problem, agentID int) error {
 	return runRemoteAgent(ctx, conn, p, agentID, 0)
 }
@@ -47,58 +39,21 @@ func runRemoteAgent(ctx context.Context, conn net.Conn, p *replication.Problem, 
 	if agentID < 0 || agentID >= p.M {
 		return fmt.Errorf("agtram: agent id %d out of range [0,%d)", agentID, p.M)
 	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			conn.Close()
-		case <-stop:
-		}
-	}()
-	enc := gob.NewEncoder(conn)
-	dec := gob.NewDecoder(conn)
-	if err := enc.Encode(helloMsg{Agent: agentID}); err != nil {
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("agtram: %w", cerr)
-		}
-		return fmt.Errorf("agtram: sending hello: %w", err)
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("agtram: %w", err)
 	}
-	a := newAgentState(p, agentID)
-	for round := 1; ; round++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("agtram: %w", err)
-		}
-		if crashRound > 0 && round == crashRound {
-			conn.Close()
-			return fmt.Errorf("agtram: agent %d crashed at round %d (injected)", agentID, round)
-		}
-		obj, val, ok := a.best()
-		if err := enc.Encode(bidMsg{Agent: agentID, Object: obj, Value: val, None: !ok}); err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return fmt.Errorf("agtram: %w", cerr)
-			}
-			return fmt.Errorf("agtram: sending bid: %w", err)
-		}
-		if !ok {
-			return nil
-		}
-		var aw awardMsg
-		if err := dec.Decode(&aw); err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return fmt.Errorf("agtram: %w", cerr)
-			}
-			return fmt.Errorf("agtram: reading award: %w", err)
-		}
-		if aw.Done {
-			return nil
-		}
-		if int(aw.Server) == agentID {
-			a.won(aw.Object)
-		} else {
-			a.observe(aw.Object, p.Cost.At(agentID, int(aw.Server)))
-		}
+	l := newConnLink(ctx, conn, 0)
+	defer l.stop()
+	err := l.send(msg{Server: int32(agentID)})
+	if err != nil {
+		err = fmt.Errorf("agtram: sending hello: %w", err)
+	} else {
+		err = playAgent(p, newAgentState(p, agentID), l, crashRound)
 	}
+	if err != nil && ctx.Err() != nil {
+		return fmt.Errorf("agtram: %w", ctx.Err())
+	}
+	return err
 }
 
 // dialAgent connects one agent to the mechanism with retry and capped
@@ -149,27 +104,23 @@ func dialAgent(ctx context.Context, addr string, id int, faults *faultnet.Config
 //
 // The engine degrades gracefully instead of failing atomically. Agents
 // whose dial fails, whose hello never arrives within Config.HandshakeTimeout,
-// or whose connection breaks or times out mid-game (Config.RoundTimeout)
-// are EVICTED: recorded in Result.Evictions (and Config.OnEvict) and
-// removed from the player set, and the auction continues over the
-// remaining bidders. A connection that arrives but never identifies itself
-// cannot block the game — the hello read carries its own deadline, and the
-// identification phase as a whole is bounded. With no faults and no
-// deadline hits the run is bit-identical to Solve.
+// or whose connection breaks, times out (Config.RoundTimeout) or bids
+// infeasibly mid-game are EVICTED: recorded in Result.Evictions (and
+// Config.OnEvict) and removed from the player set, and the auction
+// continues over the remaining bidders. A connection that arrives but never
+// identifies itself cannot block the game — the hello read carries its own
+// deadline, and the identification phase as a whole is bounded. With no
+// faults and no deadline hits the run is bit-identical to Solve.
 //
-// ctx is checked at the top of every round; a watcher goroutine closes the
-// listener and every accepted connection when ctx fires, so accepts and
-// codec calls blocked on the sockets unwind, every agent goroutine exits,
-// and SolveTCP returns ctx.Err() wrapped with the package name.
+// ctx is checked at the top of every round; when it fires, every
+// identified connection closes, the identification phase (if still
+// running) returns, and SolveTCP closes the listener and every accepted
+// connection, waits for every agent goroutine to exit, and returns
+// ctx.Err() wrapped with the package name.
 func SolveTCP(ctx context.Context, p *replication.Problem, cfg Config, addr string) (*Result, error) {
-	if p == nil {
-		return nil, fmt.Errorf("agtram: nil problem")
-	}
-	if cfg.Valuation == ExactDelta {
-		return nil, fmt.Errorf("agtram: exact-delta valuation needs global state and cannot run distributed")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("agtram: %w", err)
+	g, err := newGame(ctx, p, cfg)
+	if err != nil {
+		return nil, err
 	}
 	handshakeTimeout := cfg.HandshakeTimeout
 	if handshakeTimeout <= 0 {
@@ -179,57 +130,24 @@ func SolveTCP(ctx context.Context, p *replication.Problem, cfg Config, addr stri
 	if err != nil {
 		return nil, fmt.Errorf("agtram: listen: %w", err)
 	}
-	defer ln.Close()
 	if cfg.OnListen != nil {
 		cfg.OnListen(ln.Addr())
 	}
 
-	// The watcher tears the transport down when ctx fires. conns is
-	// append-only under connMu; TCP closes are idempotent, so racing the
-	// loop's own per-peer closes is safe.
-	var connMu sync.Mutex
-	var conns []net.Conn
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			ln.Close()
-			connMu.Lock()
-			defer connMu.Unlock()
-			for _, c := range conns {
-				c.Close()
-			}
-		case <-stop:
-		}
-	}()
-
-	// Which servers participate at all.
+	// Which servers participate at all; pending holds those neither
+	// identified nor evicted yet.
 	var expected []int
+	pending := make(map[int]bool)
 	for i := 0; i < p.M; i++ {
 		if newAgentState(p, i).active() {
 			expected = append(expected, i)
-		}
-	}
-	expectedSet := make(map[int]bool, len(expected))
-	for _, id := range expected {
-		expectedSet[id] = true
-	}
-
-	schema := p.NewSchema()
-	res := &Result{Schema: schema, Payments: make([]int64, p.M)}
-	evict := func(agent, round int, reason string) {
-		ev := Eviction{Agent: agent, Round: round, Reason: reason}
-		res.Evictions = append(res.Evictions, ev)
-		if cfg.OnEvict != nil {
-			cfg.OnEvict(ev)
+			pending[i] = true
 		}
 	}
 
 	// Launch the agents; in a real deployment these are remote processes.
-	// A failed dial is REPORTED to the handshake loop — the loop must not
-	// wait for a hello that can never arrive (the old write-only error map
-	// deadlocked the accept loop here).
+	// A failed dial is reported to the identification phase, which must
+	// not wait for a hello that can never arrive.
 	type dialFailure struct {
 		agent int
 		err   error
@@ -254,226 +172,94 @@ func SolveTCP(ctx context.Context, p *replication.Problem, cfg Config, addr stri
 		}(id)
 	}
 
-	// Identification phase: accept asynchronously and read each hello
-	// under its own deadline, so no single connection — silent, slow, or
-	// hostile — can block the others. hellos and dial failures race into
-	// the main loop until every expected agent is resolved one way or the
-	// other, or the phase deadline fires.
-	type peer struct {
-		conn net.Conn
-		enc  *gob.Encoder
-		dec  *gob.Decoder
-	}
+	// Identification phase: accept asynchronously and read each hello under
+	// its own deadline, so no connection — silent, slow or hostile — blocks
+	// the others. Every accepted connection is tracked and closed when
+	// SolveTCP returns; a hello that arrives after the phase has ended is
+	// dropped.
 	type hello struct {
 		agent int
-		peer  *peer
+		link  *connLink
 	}
-	helloCh := make(chan hello, len(expected)+8)
-	var hsMu sync.Mutex
-	hsOver := false
-	hsPending := make(map[net.Conn]bool)
+	hellos := make(chan hello)
+	phaseOver := make(chan struct{})
+	acceptDone := make(chan struct{})
+	var accepted []net.Conn // the accept loop's until acceptDone closes
 	var hsWg sync.WaitGroup
-	var hsOnce sync.Once
-	// finishHandshake ends the identification phase: no new connections
-	// (the game's transport set is fixed, and the port is freed), and any
-	// connection still unidentified is closed, unblocking its hello read.
-	finishHandshake := func() {
-		hsOnce.Do(func() {
-			hsMu.Lock()
-			hsOver = true
-			for c := range hsPending {
-				c.Close()
-			}
-			hsMu.Unlock()
-			ln.Close()
-		})
-	}
 	defer func() {
-		// Drain hellos that lost the race with the end of the phase so
-		// their connections close. Runs after hsWg.Wait below (LIFO), so
-		// no more sends can arrive.
-		for {
-			select {
-			case h := <-helloCh:
-				h.peer.conn.Close()
-			default:
-				return
-			}
+		ln.Close()
+		<-acceptDone
+		for _, c := range accepted {
+			c.Close()
 		}
+		hsWg.Wait()
 	}()
-	defer hsWg.Wait()
-	defer finishHandshake()
-
 	go func() {
+		defer close(acceptDone)
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
-				return // listener closed: phase over or ctx fired
+				return // listener closed: phase over or SolveTCP returning
 			}
-			connMu.Lock()
-			conns = append(conns, conn)
-			connMu.Unlock()
-			hsMu.Lock()
-			if hsOver {
-				hsMu.Unlock()
-				conn.Close()
-				continue
-			}
-			hsPending[conn] = true
+			accepted = append(accepted, conn)
 			hsWg.Add(1)
-			hsMu.Unlock()
-			go func(conn net.Conn) {
+			go func() {
 				defer hsWg.Done()
-				// A peer that connects and goes silent must not hold the
-				// game hostage: the hello read has its own deadline.
+				l := newConnLink(ctx, conn, 0)
 				conn.SetReadDeadline(time.Now().Add(handshakeTimeout))
-				dec := gob.NewDecoder(conn)
-				var h helloMsg
-				err := dec.Decode(&h)
+				m, err := l.recv()
+				// The game's reads carry Config.RoundTimeout, or no deadline.
 				conn.SetReadDeadline(time.Time{})
-				hsMu.Lock()
-				delete(hsPending, conn)
-				over := hsOver
-				hsMu.Unlock()
-				if err != nil || over {
-					conn.Close()
+				l.timeout = cfg.RoundTimeout
+				if err != nil {
+					l.close()
 					return
 				}
 				select {
-				case helloCh <- hello{agent: h.Agent, peer: &peer{conn: conn, enc: gob.NewEncoder(conn), dec: dec}}:
-				default:
-					conn.Close() // channel full: flooded with impostors
+				case hellos <- hello{agent: int(m.Server), link: l}:
+				case <-phaseOver:
+					l.close()
 				}
-			}(conn)
+			}()
 		}
 	}()
 
-	peers := make(map[int]*peer, len(expected))
-	defer func() {
-		for _, pe := range peers {
-			pe.conn.Close()
-		}
-	}()
-	hsDeadline := time.NewTimer(handshakeTimeout)
-	defer hsDeadline.Stop()
-	dialFailed := make(map[int]bool, len(expected))
-	for resolved := 0; resolved < len(expected); {
+	links := make(map[int]link, len(expected))
+	deadline := time.NewTimer(handshakeTimeout)
+	defer deadline.Stop()
+	for len(pending) > 0 {
 		select {
-		case h := <-helloCh:
-			if !expectedSet[h.agent] || peers[h.agent] != nil || dialFailed[h.agent] {
-				h.peer.conn.Close() // impostor or duplicate: not part of the game
+		case h := <-hellos:
+			if !pending[h.agent] {
+				h.link.close() // impostor or duplicate: not part of the game
 				continue
 			}
-			peers[h.agent] = h.peer
-			resolved++
+			delete(pending, h.agent)
+			links[h.agent] = h.link
 		case f := <-dialFailCh:
-			dialFailed[f.agent] = true
-			evict(f.agent, 0, fmt.Sprintf("dial failed: %v", f.err))
-			resolved++
-		case <-hsDeadline.C:
+			if pending[f.agent] {
+				delete(pending, f.agent)
+				g.evict(f.agent, 0, fmt.Sprintf("dial failed: %v", f.err))
+			}
+		case <-deadline.C:
 			for _, id := range expected {
-				if peers[id] == nil && !dialFailed[id] {
-					evict(id, 0, "handshake timeout: no hello")
+				if pending[id] {
+					g.evict(id, 0, "handshake timeout: no hello")
 				}
 			}
-			resolved = len(expected)
+			clear(pending)
 		case <-ctx.Done():
-			return nil, fmt.Errorf("agtram: %w", ctx.Err())
+			clear(pending) // play returns ctx's error before its first round
 		}
 	}
-	finishHandshake()
+	close(phaseOver)
+	ln.Close() // the game's player set is fixed
 
-	order := make([]int, 0, len(peers))
+	peers := make([]peer, 0, len(links))
 	for _, id := range expected {
-		if peers[id] != nil {
-			order = append(order, id)
+		if l := links[id]; l != nil {
+			peers = append(peers, peer{id: id, link: l})
 		}
 	}
-	bids := make([]mechanism.Bid, 0, len(order))
-
-	for len(order) > 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("agtram: %w", err)
-		}
-		roundNo := res.Rounds + 1
-		bids = bids[:0]
-		live := order[:0]
-		for _, i := range order {
-			pe := peers[i]
-			if cfg.RoundTimeout > 0 {
-				pe.conn.SetReadDeadline(time.Now().Add(cfg.RoundTimeout))
-			}
-			var m bidMsg
-			if err := pe.dec.Decode(&m); err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, fmt.Errorf("agtram: %w", cerr)
-				}
-				// Timed out or disconnected: out of the game; the auction
-				// continues over the remaining bidders.
-				evict(i, roundNo, fmt.Sprintf("reading bid: %v", err))
-				pe.conn.Close()
-				delete(peers, i)
-				continue
-			}
-			if m.None {
-				pe.conn.Close()
-				delete(peers, i)
-				continue
-			}
-			bids = append(bids, mechanism.Bid{Agent: m.Agent, Item: m.Object, Value: m.Value})
-			live = append(live, i)
-		}
-		order = live
-		if cfg.MaxRounds > 0 && res.Rounds >= cfg.MaxRounds {
-			break
-		}
-		round, ok := mechanism.RunRound(bids, cfg.Payment)
-		if !ok {
-			break
-		}
-		winner := round.Winner
-		if _, err := schema.PlaceReplica(winner.Item, winner.Agent); err != nil {
-			return nil, fmt.Errorf("agtram: winning bid infeasible: %w", err)
-		}
-		alloc := Allocation{
-			Round: res.Rounds, Object: winner.Item, Server: int32(winner.Agent),
-			Value: winner.Value, Payment: round.Payment,
-		}
-		res.Allocations = append(res.Allocations, alloc)
-		res.Payments[winner.Agent] += round.Payment
-		res.Rounds++
-		res.Valuations += int64(len(bids))
-		if cfg.OnRound != nil {
-			cfg.OnRound(alloc)
-		}
-		aw := awardMsg{Object: winner.Item, Server: int32(winner.Agent), Payment: round.Payment}
-		live = order[:0]
-		for _, i := range order {
-			pe := peers[i]
-			if cfg.RoundTimeout > 0 {
-				pe.conn.SetWriteDeadline(time.Now().Add(cfg.RoundTimeout))
-			}
-			if err := pe.enc.Encode(aw); err != nil {
-				if cerr := ctx.Err(); cerr != nil {
-					return nil, fmt.Errorf("agtram: %w", cerr)
-				}
-				// A committed placement stands even if its winner dies
-				// right after: the mechanism's accounting already happened;
-				// the agent is simply out of the rest of the game.
-				evict(i, roundNo, fmt.Sprintf("broadcasting award: %v", err))
-				pe.conn.Close()
-				delete(peers, i)
-				continue
-			}
-			live = append(live, i)
-		}
-		order = live
-	}
-	for _, i := range order {
-		if cfg.RoundTimeout > 0 {
-			peers[i].conn.SetWriteDeadline(time.Now().Add(cfg.RoundTimeout))
-		}
-		_ = peers[i].enc.Encode(awardMsg{Done: true})
-	}
-	return res, nil
+	return g.play(ctx, peers)
 }

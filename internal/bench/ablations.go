@@ -100,9 +100,9 @@ func AblationValuation(ctx context.Context, cfg Config) (*Table, error) {
 }
 
 // AblationEngine compares the five AGT-RAM engines (event-driven
-// incremental, synchronous-parallel, goroutine message passing, gob over
-// net.Pipe, gob over loopback TCP) — identical allocations, different
-// execution substrate — and the centralized raw-benefit scan (greedy
+// incremental, synchronous-parallel, and the one message-passing game over
+// channels, over framed net.Pipe links and over framed loopback TCP) —
+// identical allocations, different execution substrate — and the centralized raw-benefit scan (greedy
 // without density) as the non-mechanism control. The valuations column
 // isolates the incremental engine's algorithmic win from wall-clock noise.
 // Config.RoundTimeout and Config.Faults apply to the two wire rows,
@@ -128,9 +128,9 @@ func AblationEngine(ctx context.Context, cfg Config) (*Table, error) {
 		{"incremental", repro.Options{Workers: cfg.Workers}},
 		{"sync-parallel", repro.Options{Workers: cfg.Workers, Sync: true}},
 		{"goroutine-msgs", repro.Options{Workers: cfg.Workers, Distributed: true}},
-		{"gob-netpipe", repro.Options{Workers: cfg.Workers, Network: true,
+		{"frames-netpipe", repro.Options{Workers: cfg.Workers, Network: true,
 			RoundTimeout: cfg.RoundTimeout, Faults: cfg.Faults}},
-		{"gob-tcp", repro.Options{Workers: cfg.Workers, TCPAddr: "127.0.0.1:0",
+		{"frames-tcp", repro.Options{Workers: cfg.Workers, TCPAddr: "127.0.0.1:0",
 			RoundTimeout: cfg.RoundTimeout, Faults: cfg.Faults}},
 	}
 	for _, e := range engines {

@@ -9,8 +9,8 @@
 //
 // The layer cake, bottom to top:
 //
-//   - rpc.go: the transport. 4-byte big-endian length-prefixed frames with a
-//     hand-encoded envelope (id, method, error) wrapping a gob- or
+//   - rpc.go: the transport. internal/frame's length-prefixed frames, whose
+//     hand-encoded envelope (id, method, error) wraps a gob- or
 //     JSON-encoded body; a synchronous Client with lazy redial and an
 //     Endpoint dispatching registered handlers, one goroutine per
 //     connection. Read and write buffers are owned per client / per
@@ -42,18 +42,17 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/faultnet"
+	"repro/internal/frame"
 )
 
 // Codec selects the frame payload encoding. Gob is the compact default for
@@ -78,17 +77,6 @@ func ParseCodec(s string) (Codec, error) {
 	}
 }
 
-func (c Codec) marshal(v any) ([]byte, error) {
-	if c == CodecJSON {
-		return json.Marshal(v)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 func (c Codec) unmarshal(b []byte, v any) error {
 	if c == CodecJSON {
 		return json.Unmarshal(b, v)
@@ -96,117 +84,32 @@ func (c Codec) unmarshal(b []byte, v any) error {
 	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
 }
 
-// maxFrame bounds a single RPC frame: a full M=100k state snapshot with
-// dense demand fits comfortably; anything bigger is a protocol error, not a
-// bigger buffer.
-const maxFrame = 256 << 20
-
-// The wire envelope, hand-encoded into one buffer so a frame costs a single
-// Write and zero intermediate allocations (the old envelope was itself
-// codec-encoded around the codec-encoded body — every frame paid a second
-// full encode and a fresh byte slice; BENCH_9 showed that at 47k allocs/op
-// for a 2-shard solve). Layout after the 4-byte big-endian length prefix,
-// which covers everything that follows:
-//
-//	8B id | 2B method len | method | 4B err len | err | body...
-//
-// Method is set on requests; Err carries a remote handler failure on
-// responses. Body is the codec-encoded payload, decoded by the receiver into
-// its own types.
-type frame struct {
-	ID     uint64
-	Method string
-	Err    string
-	Body   []byte // sub-slice of the read buffer: valid until the next read reuses it
-}
-
-// envelopeMin is the smallest legal frame: empty method, error and body.
-const envelopeMin = 8 + 2 + 4
-
-// sliceWriter lets the codecs encode straight into the frame buffer.
-type sliceWriter struct{ b *[]byte }
-
-func (s sliceWriter) Write(p []byte) (int, error) {
-	*s.b = append(*s.b, p...)
-	return len(p), nil
-}
-
-// appendFrame builds one framed message into buf (reusing its capacity) and
-// returns the full frame including the length prefix. Errors are
-// encode/size-only — nothing has touched the wire, so the caller can still
-// send a replacement frame on the same connection.
+// appendFrame builds one framed message into buf (reusing its capacity),
+// encoding v straight into the frame's body, and returns the full frame
+// including the length prefix. Errors are encode/size-only — nothing has
+// touched the wire, so the caller can still send a replacement frame on
+// the same connection.
 func appendFrame(buf []byte, c Codec, id uint64, method, errMsg string, v any) ([]byte, error) {
-	if len(method) > 0xffff {
-		return nil, fmt.Errorf("cluster: method name of %d bytes", len(method))
+	b, err := frame.Begin(buf, id, method, errMsg)
+	if err != nil {
+		return b, fmt.Errorf("cluster: %w", err)
 	}
-	b := append(buf[:0], 0, 0, 0, 0) // length prefix placeholder
-	b = binary.BigEndian.AppendUint64(b, id)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(method)))
-	b = append(b, method...)
-	b = binary.BigEndian.AppendUint32(b, uint32(len(errMsg)))
-	b = append(b, errMsg...)
 	if v != nil {
-		sw := sliceWriter{&b}
-		var err error
+		w := bytes.NewBuffer(b) // the codec appends straight into the frame
 		if c == CodecJSON {
-			err = json.NewEncoder(sw).Encode(v)
+			err = json.NewEncoder(w).Encode(v)
 		} else {
-			err = gob.NewEncoder(sw).Encode(v)
+			err = gob.NewEncoder(w).Encode(v)
 		}
 		if err != nil {
 			return b[:0], fmt.Errorf("cluster: encode frame body: %w", err)
 		}
+		b = w.Bytes()
 	}
-	n := len(b) - 4
-	if n > maxFrame {
-		return b[:0], fmt.Errorf("cluster: frame of %d bytes exceeds the %d limit", n, maxFrame)
+	if b, err = frame.Seal(b); err != nil {
+		return b, fmt.Errorf("cluster: %w", err)
 	}
-	binary.BigEndian.PutUint32(b[:4], uint32(n))
 	return b, nil
-}
-
-// readFrame reads one length-prefixed frame into buf (growing and reusing it
-// across calls) and parses the envelope. The returned frame's Body aliases
-// buf — the caller decodes it before the next readFrame on the same buffer.
-// The length prefix is validated against maxFrame before any allocation.
-func readFrame(r io.Reader, buf *[]byte) (*frame, int, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, 0, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
-	if n > maxFrame {
-		return nil, 4, fmt.Errorf("cluster: frame of %d bytes exceeds the %d limit", n, maxFrame)
-	}
-	if n < envelopeMin {
-		return nil, 4, fmt.Errorf("cluster: frame of %d bytes is below the %d-byte envelope", n, envelopeMin)
-	}
-	if cap(*buf) < int(n) {
-		*buf = make([]byte, n)
-	}
-	b := (*buf)[:n]
-	if _, err := io.ReadFull(r, b); err != nil {
-		return nil, 4, err
-	}
-	f := new(frame)
-	f.ID = binary.BigEndian.Uint64(b)
-	off := 8
-	ml := int(binary.BigEndian.Uint16(b[off:]))
-	off += 2
-	if off+ml+4 > len(b) {
-		return nil, 4 + int(n), fmt.Errorf("cluster: frame method field overruns the envelope")
-	}
-	f.Method = string(b[off : off+ml])
-	off += ml
-	el := int(binary.BigEndian.Uint32(b[off:]))
-	off += 4
-	if off+el > len(b) {
-		return nil, 4 + int(n), fmt.Errorf("cluster: frame error field overruns the envelope")
-	}
-	f.Err = string(b[off : off+el])
-	off += el
-	f.Body = b[off:]
-	return f, 4 + int(n), nil
 }
 
 // RemoteError is a handler failure that crossed the wire: the call reached
@@ -322,7 +225,7 @@ func (c *Client) Call(ctx context.Context, method string, req, resp any) error {
 		return fmt.Errorf("cluster: send %s to %s: %w", method, c.addr, err)
 	}
 	c.sent.Add(uint64(len(b)))
-	f, nr, err := readFrame(c.conn, &c.rbuf)
+	f, nr, err := frame.Read(c.conn, &c.rbuf, frame.Max)
 	c.recv.Add(uint64(nr))
 	if err != nil {
 		c.dropConn()
@@ -456,7 +359,7 @@ func (e *Endpoint) serveConn(conn net.Conn) {
 	}()
 	var rbuf, wbuf []byte // reused across this connection's frames
 	for {
-		req, _, err := readFrame(conn, &rbuf)
+		req, _, err := frame.Read(conn, &rbuf, frame.Max)
 		if err != nil {
 			return
 		}

@@ -49,7 +49,7 @@ type Config struct {
 	FailDial map[int]bool
 	// TruncateAfter maps agent id -> a byte budget: the link delivers
 	// exactly that many bytes of the agent's output, then severs
-	// mid-frame, leaving the reader a truncated gob message.
+	// mid-frame, leaving the reader a truncated length-prefixed frame.
 	TruncateAfter map[int]int
 }
 

@@ -366,7 +366,8 @@ type Options struct {
 	// (goroutine per agent) instead of the default one; the allocations
 	// are identical.
 	Distributed bool
-	// Network runs AGT-RAM through gob-encoded net.Pipe connections.
+	// Network runs AGT-RAM's message-passing game over net.Pipe
+	// connections, one length-prefixed frame per message.
 	Network bool
 	// TCPAddr, when non-empty, runs AGT-RAM over real loopback TCP sockets
 	// listening on this address (use "127.0.0.1:0" for an ephemeral port).
