@@ -41,7 +41,8 @@ bench:
 # (BenchmarkSolve) plus the AGT-RAM engine comparison at Table-1 scale
 # (M=48), M=500 and M=1000 — including the incremental engine's
 # w1/w2/w4/w8 worker sweep, which varies only its arena build — the
-# distance-oracle micro-benchmarks, the dense/CSR/landmark solve matrix
+# candidate-list builds alone (cold and warm arena, per-server agents),
+# the distance-oracle micro-benchmarks, the dense/CSR/landmark solve matrix
 # at M=1k and (BENCH_M10K=1, set here) M=10k with its rss-MiB
 # peak-memory column, the routing-plane comparison (HTTP single vs batch
 # vs client-side, routes/s column), and the cluster
@@ -49,7 +50,7 @@ bench:
 # assign-bytes, ... — gated in CI via benchjson -gate-metrics) — parsed
 # into a JSON artifact (BENCH_*.json, CI regression gate). Tune with
 #   make bench-json BENCH_PATTERN='AGTRAMEnginesLarge' BENCHTIME=10x BENCH_OUT=pr.json
-BENCH_PATTERN ?= AGTRAMEngines|Solve$$|DistOracle
+BENCH_PATTERN ?= AGTRAMEngines|Solve$$|DistOracle|CandidateBuild
 BENCHTIME ?= 5x
 BENCH_OUT ?= BENCH.json
 bench-json:

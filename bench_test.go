@@ -8,14 +8,17 @@ package repro_test
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro"
 	"repro/internal/adaptive"
 	"repro/internal/agtram"
 	"repro/internal/bench"
+	"repro/internal/candidates"
 	"repro/internal/exhaustive"
 	"repro/internal/hierarchy"
+	"repro/internal/pool"
 	"repro/internal/replication"
 	"repro/internal/stats"
 	"repro/internal/testutil"
@@ -212,6 +215,49 @@ func BenchmarkAGTRAMEnginesXLarge(b *testing.B) {
 }
 
 // --- substrate micro-benchmarks ---
+
+// BenchmarkCandidateBuild times candidate-list construction alone on the
+// solve-dense shape (M=1,000, N=3,000, 180,000 requests, EdgeP 0.05,
+// C=20%): the cold arena every incremental solve builds, the warm arena a
+// re-solve builds from a placement (here the first half of the cold
+// solve's rounds), and the per-server agents the synchronous and
+// message-passing engines play. The instance and the placement are built
+// once, outside the timed loops.
+func BenchmarkCandidateBuild(b *testing.B) {
+	inst, err := repro.NewInstance(repro.InstanceConfig{
+		Servers: 1000, Objects: 3000, Requests: 180000, RWRatio: 0.9,
+		CapacityPercent: 20, EdgeP: 0.05, Oracle: "dense", Seed: 1,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := inst.Problem()
+	full, err := agtram.SolveIncremental(context.Background(), p, agtram.Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	half, err := agtram.SolveIncremental(context.Background(), p, agtram.Config{MaxRounds: full.Rounds / 2})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pl := pool.New(runtime.GOMAXPROCS(0))
+	defer pl.Close()
+	b.Run("arena-cold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			candidates.BuildArena(p, pl)
+		}
+	})
+	b.Run("arena-warm", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			candidates.BuildArenaFrom(half.Schema, pl)
+		}
+	})
+	b.Run("agents", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			candidates.BuildAgents(p)
+		}
+	})
+}
 
 func BenchmarkAllPairsShortestPaths(b *testing.B) {
 	r := stats.NewRNG(1)

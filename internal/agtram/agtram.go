@@ -1,3 +1,31 @@
+// Package agtram implements the paper's contribution: the Axiomatic Game
+// Theoretical Replica Allocation Mechanism (AGT-RAM) of Section 4 and
+// Figure 2.
+//
+// Each server is a selfish agent holding private valuations — the cost of
+// replication CoR_ik of every object it could host. In every round all
+// agents, in parallel, compute their dominant (best) valuation and report
+// only that single number to the central mechanism; the mechanism picks the
+// globally best report, replicates that object on that server, pays the
+// winner the second-best report, and broadcasts the placement so every
+// agent can update its nearest-neighbor table. The loop ends when no agent
+// has a beneficial feasible replica left.
+//
+// Five engines play the same agents, candidates.Agent (the incremental
+// engine keeps the same lists as a candidates.Arena), and produce
+// identical allocations and payments:
+//
+//   - Solve: synchronous rounds with the per-agent scans fanned out over a
+//     worker pool (the PARFOR loops of Figure 2, reproduced literally);
+//   - SolveIncremental: the event-driven default — cached dominant bids in
+//     lazy max-heaps, re-pricing only the agents a broadcast can actually
+//     have changed (see incremental.go);
+//   - SolveDistributed, SolveNetwork and SolveTCP: one game of message
+//     passing (see game.go) — a goroutine per agent with purely local
+//     state, and the mechanism loop — over channels, over net.Pipe
+//     connections, or over loopback TCP with agents that dial in and could
+//     as well be separate processes. The two conn engines carry each
+//     message on one internal/frame frame.
 package agtram
 
 import (
@@ -8,6 +36,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/candidates"
 	"repro/internal/faultnet"
 	"repro/internal/mechanism"
 	"repro/internal/pool"
@@ -156,13 +185,7 @@ func Solve(ctx context.Context, p *replication.Problem, cfg Config) (*Result, er
 	schema := p.NewSchema()
 	res := &Result{Schema: schema, Payments: make([]int64, p.M)}
 
-	agents := make([]*agentState, 0, p.M)
-	for i := 0; i < p.M; i++ {
-		a := newAgentState(p, i)
-		if a.active() {
-			agents = append(agents, a)
-		}
-	}
+	agents := candidates.BuildAgents(p)
 
 	workers := pool.New(cfg.workers())
 	defer workers.Close()
@@ -213,12 +236,8 @@ func Solve(ctx context.Context, p *replication.Problem, cfg Config) (*Result, er
 		// consumes capacity and retires the candidate.
 		live := agents[:0]
 		for _, a := range agents {
-			if a.id == winner.Agent {
-				a.won(winner.Item)
-			} else {
-				a.observe(winner.Item, p.Cost.At(a.id, winner.Agent))
-			}
-			if a.active() {
+			a.Apply(p, winner.Item, winner.Agent)
+			if a.Active() {
 				live = append(live, a)
 			}
 		}
@@ -238,30 +257,30 @@ const serialScanThreshold = 16384
 // scanAgents runs the per-agent candidate scans, fanning out over the
 // worker pool only when the round carries enough work to amortize the
 // dispatch.
-func scanAgents(agents []*agentState, bidSlots []mechanism.Bid, hasBid []bool,
+func scanAgents(agents []*candidates.Agent, bidSlots []mechanism.Bid, hasBid []bool,
 	workers *pool.Pool, val Valuation, schema *replication.Schema, valuations *int64) {
 
 	scanOne := func(idx int) int64 {
 		a := agents[idx]
-		n := int64(len(a.cands))
+		n := int64(len(a.Cands))
 		var obj int32
 		var v int64
 		var ok bool
 		if val == ExactDelta {
 			obj, v, ok = bestExact(a, schema)
 		} else {
-			obj, v, ok = a.best()
+			obj, v, ok = a.Best()
 		}
 		hasBid[idx] = ok
 		if ok {
-			bidSlots[idx] = mechanism.Bid{Agent: a.id, Item: obj, Value: v}
+			bidSlots[idx] = mechanism.Bid{Agent: a.ID, Item: obj, Value: v}
 		}
 		return n
 	}
 
 	var total int64
 	for _, a := range agents {
-		total += int64(len(a.cands))
+		total += int64(len(a.Cands))
 	}
 	// ExactDelta valuations are much heavier per candidate (they read the
 	// shared schema), so they amortize the pool dispatch at a far smaller
@@ -290,24 +309,24 @@ func scanAgents(agents []*agentState, bidSlots []mechanism.Bid, hasBid []bool,
 // bestExact prices the agent's candidates with the exact global OTC delta
 // (read-only against the shared schema; the round barrier orders these
 // reads before the mechanism's single writer applies the placement).
-func bestExact(a *agentState, schema *replication.Schema) (int32, int64, bool) {
-	out := a.cands[:0]
+func bestExact(a *candidates.Agent, schema *replication.Schema) (int32, int64, bool) {
+	out := a.Cands[:0]
 	var bestVal int64
 	var bestObj int32
 	found := false
-	for _, c := range a.cands {
-		if c.size > a.residual {
+	for _, c := range a.Cands {
+		if c.Size > a.Residual {
 			continue
 		}
-		v := -schema.DeltaIfPlaced(c.object, a.id)
+		v := -schema.DeltaIfPlaced(c.Object, a.ID)
 		if v <= 0 {
 			continue
 		}
 		out = append(out, c)
-		if !found || v > bestVal || (v == bestVal && c.object < bestObj) {
-			bestVal, bestObj, found = v, c.object, true
+		if !found || v > bestVal || (v == bestVal && c.Object < bestObj) {
+			bestVal, bestObj, found = v, c.Object, true
 		}
 	}
-	a.cands = out
+	a.Cands = out
 	return bestObj, bestVal, found
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/candidates"
 	"repro/internal/mechanism"
 	"repro/internal/replication"
 	"repro/internal/testutil"
@@ -233,10 +234,9 @@ func TestSystemTruthfulnessProperty(t *testing.T) {
 	p := testutil.MustBuild(testutil.Small(11))
 	// Reconstruct the first round's bids.
 	var bids []mechanism.Bid
-	for i := 0; i < p.M; i++ {
-		a := newAgentState(p, i)
-		if obj, v, ok := a.best(); ok {
-			bids = append(bids, mechanism.Bid{Agent: i, Item: obj, Value: v})
+	for _, a := range candidates.BuildAgents(p) {
+		if obj, v, ok := a.Best(); ok {
+			bids = append(bids, mechanism.Bid{Agent: a.ID, Item: obj, Value: v})
 		}
 	}
 	if len(bids) < 3 {

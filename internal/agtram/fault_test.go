@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/candidates"
 	"repro/internal/faultnet"
 	"repro/internal/replication"
 	"repro/internal/testutil"
@@ -18,13 +19,11 @@ import (
 // fault schedules must name a live victim or they test nothing.
 func activeAgent(t *testing.T, p *replication.Problem) int {
 	t.Helper()
-	for i := 0; i < p.M; i++ {
-		if newAgentState(p, i).active() {
-			return i
-		}
+	agents := candidates.BuildAgents(p)
+	if len(agents) == 0 {
+		t.Fatal("problem has no active agents")
 	}
-	t.Fatal("problem has no active agents")
-	return -1
+	return agents[0].ID
 }
 
 // assertEvicted checks that agent was evicted exactly once and that the

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/candidates"
 	"repro/internal/faultnet"
 	"repro/internal/frame"
 	"repro/internal/mechanism"
@@ -304,13 +305,13 @@ func (g *game) play(ctx context.Context, peers []peer) (*Result, error) {
 // and repeats, until it leaves the game or the game ends. A positive
 // crashRound makes the agent close its link at the start of that (1-based)
 // round instead of bidding.
-func playAgent(p *replication.Problem, a *agentState, l link, crashRound int) error {
+func playAgent(p *replication.Problem, a *candidates.Agent, l link, crashRound int) error {
 	for round := 1; ; round++ {
 		if round == crashRound {
 			l.close()
-			return fmt.Errorf("agtram: agent %d crashed at round %d (injected)", a.id, round)
+			return fmt.Errorf("agtram: agent %d crashed at round %d (injected)", a.ID, round)
 		}
-		obj, val, ok := a.best()
+		obj, val, ok := a.Best()
 		if err := l.send(msg{Object: obj, Value: val, Done: !ok}); err != nil {
 			return fmt.Errorf("agtram: sending bid: %w", err)
 		}
@@ -324,11 +325,7 @@ func playAgent(p *replication.Problem, a *agentState, l link, crashRound int) er
 		if aw.Done {
 			return nil
 		}
-		if int(aw.Server) == a.id {
-			a.won(aw.Object)
-		} else {
-			a.observe(aw.Object, p.Cost.At(a.id, int(aw.Server)))
-		}
+		a.Apply(p, aw.Object, int(aw.Server))
 	}
 }
 
@@ -342,18 +339,14 @@ func solveLocal(ctx context.Context, p *replication.Problem, cfg Config, pair fu
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	peers := make([]peer, 0, p.M)
-	for i := 0; i < p.M; i++ {
-		a := newAgentState(p, i)
-		if !a.active() {
+	for _, a := range candidates.BuildAgents(p) {
+		if cfg.Faults.DialFails(a.ID) {
+			g.evict(a.ID, 0, "dial failed: injected unroutable host")
 			continue
 		}
-		if cfg.Faults.DialFails(i) {
-			g.evict(i, 0, "dial failed: injected unroutable host")
-			continue
-		}
-		mech, agent := pair(i)
-		peers = append(peers, peer{id: i, link: mech})
-		crash := cfg.Faults.CrashRound(i)
+		mech, agent := pair(a.ID)
+		peers = append(peers, peer{id: a.ID, link: mech})
+		crash := cfg.Faults.CrashRound(a.ID)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/candidates"
 	"repro/internal/faultnet"
 	"repro/internal/replication"
 )
@@ -48,7 +49,7 @@ func runRemoteAgent(ctx context.Context, conn net.Conn, p *replication.Problem, 
 	if err != nil {
 		err = fmt.Errorf("agtram: sending hello: %w", err)
 	} else {
-		err = playAgent(p, newAgentState(p, agentID), l, crashRound)
+		err = playAgent(p, candidates.NewAgent(p, agentID), l, crashRound)
 	}
 	if err != nil && ctx.Err() != nil {
 		return fmt.Errorf("agtram: %w", ctx.Err())
@@ -138,11 +139,9 @@ func SolveTCP(ctx context.Context, p *replication.Problem, cfg Config, addr stri
 	// identified nor evicted yet.
 	var expected []int
 	pending := make(map[int]bool)
-	for i := 0; i < p.M; i++ {
-		if newAgentState(p, i).active() {
-			expected = append(expected, i)
-			pending[i] = true
-		}
+	for _, a := range candidates.BuildAgents(p) {
+		expected = append(expected, a.ID)
+		pending[a.ID] = true
 	}
 
 	// Launch the agents; in a real deployment these are remote processes.

@@ -6,59 +6,66 @@ import (
 	"repro/internal/replication"
 )
 
-// Cand is one candidate replica with the cached pricing state needed to
-// value it in O(1): the agent-local nearest-replica cost (only ever drops)
-// and the constant update-traffic term of the CoR valuation.
+// Cand is one entry of agent i's candidate list L_i: an object k the agent
+// might replicate, with the locally cached state that prices it in O(1).
 type Cand struct {
-	Object  int32
-	Size    int64
-	Reads   int64
-	NNCost  int32
+	Object int32 // k
+	Size   int64 // o_k
+	Reads  int64 // r_ik: the agent's own reads of k
+	// NNCost is the agent-local copy of c(i, NN_ik), the cost of reaching
+	// the nearest copy of k; it only ever decreases.
+	NNCost int32
+	// UpdCost is the constant update-traffic term of CoR:
+	// (Σ_{x≠i} w_xk) · o_k · c(P_k, i).
 	UpdCost int64
 }
 
-// Benefit is the CoR valuation of Eq. 5's essence: read traffic saved by a
-// local copy minus the update traffic it attracts.
+// Benefit is the agent's private valuation CoR_ik (Eq. 5's essence): the
+// read traffic r_ik · o_k · c(i, NN_ik) a local copy saves, minus the
+// update traffic it attracts.
 func (c *Cand) Benefit() int64 {
 	return c.Reads*c.Size*int64(c.NNCost) - c.UpdCost
 }
 
-// Agent is the purely local replica-bidding state of one server, shared by
-// the auction baselines and the hierarchical mechanism. (The AGT-RAM
-// package keeps its own equivalent type — it is the paper's central
-// abstraction and its documentation anchors to the paper's notation.)
+// Agent is the purely local state of server i's agent (§4, Fig. 2): its
+// residual capacity and its candidate list L_i. It never reads the shared
+// schema after construction: placements reach it only through Apply,
+// exactly as the broadcast OMAX reaches a remote server. The synchronous
+// and message-passing AGT-RAM engines, the regional mechanism and the
+// DRP[σ] game all play these agents; the incremental engine keeps the same
+// lists as an Arena.
 type Agent struct {
 	ID       int
 	Residual int64
 	Cands    []Cand // sorted by Object
 }
 
-// BuildAgents constructs the per-server agents of an instance: every server
-// with at least one initially beneficial, capacity-feasible candidate.
+// NewAgent builds agent i's candidate list from the public problem data and
+// the agent's private demand, priced against the initial (primary-only)
+// placement: every object the agent reads and does not hold the primary
+// of, that fits its residual capacity and is beneficial.
+func NewAgent(p *replication.Problem, i int) *Agent {
+	row := p.Work.PerServer[i]
+	mark, nn, upd := make([]int32, len(row)), make([]int32, len(row)), make([]int64, len(row))
+	residual, n := priceRow(p, nil, i, mark, nn, upd)
+	a := &Agent{ID: i, Residual: residual, Cands: make([]Cand, 0, n)}
+	for slot, d := range row {
+		if mark[slot] > 0 {
+			a.Cands = append(a.Cands, Cand{
+				Object: d.Object, Size: p.Work.ObjectSize[d.Object], Reads: d.Reads,
+				NNCost: nn[slot], UpdCost: upd[slot],
+			})
+		}
+	}
+	return a
+}
+
+// BuildAgents constructs the active agents of an instance: every server
+// with at least one candidate.
 func BuildAgents(p *replication.Problem) []*Agent {
 	var agents []*Agent
-	w := p.Work
 	for i := 0; i < p.M; i++ {
-		a := &Agent{ID: i, Residual: p.Capacity[i] - p.PrimaryLoad(i)}
-		base := p.CellBase()[i]
-		for slot, d := range w.PerServer[i] {
-			if d.Reads == 0 || int(w.Primary[d.Object]) == i {
-				continue
-			}
-			cPk := p.PrimaryCost(base + int32(slot))
-			c := Cand{
-				Object:  d.Object,
-				Size:    w.ObjectSize[d.Object],
-				Reads:   d.Reads,
-				NNCost:  cPk,
-				UpdCost: (w.TotalWrites[d.Object] - d.Writes) * w.ObjectSize[d.Object] * int64(cPk),
-			}
-			if c.Benefit() > 0 && c.Size <= a.Residual {
-				a.Cands = append(a.Cands, c)
-			}
-		}
-		if len(a.Cands) > 0 {
-			sort.Slice(a.Cands, func(x, y int) bool { return a.Cands[x].Object < a.Cands[y].Object })
+		if a := NewAgent(p, i); a.Active() {
 			agents = append(agents, a)
 		}
 	}
@@ -66,9 +73,10 @@ func BuildAgents(p *replication.Problem) []*Agent {
 }
 
 // Best returns the agent's dominant valuation: the highest positive benefit
-// among candidates that still fit. Dead candidates — too big for the
-// shrinking residual, or no longer beneficial — are pruned permanently
-// (both conditions are monotone).
+// among candidates that still fit, ties to the lower object id. Dead
+// candidates — too big for the shrinking residual, or no longer beneficial
+// — are pruned permanently (both conditions are monotone), which is what
+// drives termination.
 func (a *Agent) Best() (obj int32, val int64, ok bool) {
 	out := a.Cands[:0]
 	for i := range a.Cands {
@@ -89,22 +97,23 @@ func (a *Agent) Best() (obj int32, val int64, ok bool) {
 	return obj, val, ok
 }
 
-// Observe processes the broadcast "object k replicated at cost c from me".
-func (a *Agent) Observe(k int32, cost int32) {
+// Apply processes the broadcast OMAX "object k was replicated on server m".
+// If m is this agent, its bid won: capacity shrinks and the candidate
+// retires. Otherwise the agent refreshes its nearest-copy cost for k with
+// c(i, m), which it computes from public knowledge.
+func (a *Agent) Apply(p *replication.Problem, k int32, m int) {
 	idx := sort.Search(len(a.Cands), func(j int) bool { return a.Cands[j].Object >= k })
-	if idx < len(a.Cands) && a.Cands[idx].Object == k && cost < a.Cands[idx].NNCost {
-		a.Cands[idx].NNCost = cost
+	if idx == len(a.Cands) || a.Cands[idx].Object != k {
+		return
 	}
-}
-
-// Won records a winning bid: capacity shrinks and the candidate retires.
-func (a *Agent) Won(k int32) {
-	idx := sort.Search(len(a.Cands), func(j int) bool { return a.Cands[j].Object >= k })
-	if idx < len(a.Cands) && a.Cands[idx].Object == k {
+	if m == a.ID {
 		a.Residual -= a.Cands[idx].Size
 		a.Cands = append(a.Cands[:idx], a.Cands[idx+1:]...)
+	} else if c := p.Cost.At(a.ID, m); c < a.Cands[idx].NNCost {
+		a.Cands[idx].NNCost = c
 	}
 }
 
-// Active reports whether the agent still has candidates.
+// Active reports whether the agent still has candidates (the LS membership
+// of Figure 2, line 18).
 func (a *Agent) Active() bool { return len(a.Cands) > 0 }

@@ -40,18 +40,28 @@ func TestAgentBestObserveWon(t *testing.T) {
 	if !ok || val <= 0 {
 		t.Fatalf("Best() = %d,%d,%v", obj, val, ok)
 	}
-	// Observing a replica at distance 0 kills the candidate's read side.
-	a.Observe(obj, 0)
-	obj2, val2, ok2 := a.Best()
-	if ok2 && obj2 == obj && val2 >= val {
-		t.Fatalf("observe did not reduce the valuation: %d -> %d", val, val2)
+	// Observing a replica on the nearest other server refreshes the
+	// candidate's nearest-copy cost, so its valuation cannot rise.
+	near := -1
+	for m := 0; m < p.M; m++ {
+		if m != a.ID && (near < 0 || p.Cost.At(a.ID, m) < p.Cost.At(a.ID, near)) {
+			near = m
+		}
+	}
+	before := candFor(t, a, obj).NNCost
+	a.Apply(p, obj, near)
+	if got, want := candFor(t, a, obj).NNCost, min(before, p.Cost.At(a.ID, near)); got != want {
+		t.Fatalf("observe left NN cost %d, want %d", got, want)
+	}
+	if obj2, val2, ok2 := a.Best(); ok2 && obj2 == obj && val2 > val {
+		t.Fatalf("observe raised the valuation: %d -> %d", val, val2)
 	}
 	// Winning consumes capacity and retires the candidate.
-	before := a.Residual
+	residual := a.Residual
 	if obj3, _, ok3 := a.Best(); ok3 {
-		a.Won(obj3)
-		if a.Residual >= before {
-			t.Fatal("Won did not consume capacity")
+		a.Apply(p, obj3, a.ID)
+		if a.Residual >= residual {
+			t.Fatal("winning did not consume capacity")
 		}
 		for _, c := range a.Cands {
 			if c.Object == obj3 {
@@ -59,4 +69,22 @@ func TestAgentBestObserveWon(t *testing.T) {
 			}
 		}
 	}
+	// A broadcast for an object the agent does not list changes nothing.
+	n, residual := len(a.Cands), a.Residual
+	a.Apply(p, int32(p.N), a.ID)
+	if len(a.Cands) != n || a.Residual != residual {
+		t.Fatal("broadcast for an unlisted object changed the agent")
+	}
+}
+
+// candFor returns a's candidate for object k.
+func candFor(t *testing.T, a *Agent, k int32) Cand {
+	t.Helper()
+	for _, c := range a.Cands {
+		if c.Object == k {
+			return c
+		}
+	}
+	t.Fatalf("agent %d lists no object %d", a.ID, k)
+	return Cand{}
 }

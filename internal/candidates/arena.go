@@ -48,9 +48,8 @@ func (a *Arena) Len(i int) int { return int(a.Start[i+1] - a.Start[i]) }
 func (a *Arena) Cands() int { return len(a.Objs) }
 
 // BuildArena builds the arena against the initial (primary-only) placement:
-// every candidate a server reads, does not primarily hold, and that is
-// beneficial and capacity-feasible — the same filter as the AGT-RAM agents'
-// candidate lists. Construction fans out over pl; servers are independent.
+// segment i holds exactly the candidates of NewAgent(p, i). Construction
+// fans out over pl; servers are independent.
 func BuildArena(p *replication.Problem, pl *pool.Pool) *Arena {
 	return buildArena(p, nil, pl)
 }
@@ -64,12 +63,11 @@ func BuildArenaFrom(s *replication.Schema, pl *pool.Pool) *Arena {
 }
 
 // buildArena runs the two-pass construction: a parallel pricing pass that
-// values every demand cell once (marking qualifiers in Slot2Cand and
-// parking the priced terms in slot-indexed scratch), serial prefix sums
-// fixing every segment, then a parallel compaction of the qualifiers into
-// their disjoint segments. BatchGuided spreads the skew of uneven
-// per-server demand lists. Pricing reads only the problem's c(i, P_k)
-// table and the schema's NN table, so the build never calls the oracle.
+// runs priceRow over every server's row of demand cells (marking
+// qualifiers in Slot2Cand and parking the priced terms in cell-indexed
+// scratch), serial prefix sums fixing every segment, then a parallel
+// compaction of the qualifiers into their disjoint segments. BatchGuided
+// spreads the skew of uneven per-server demand lists.
 func buildArena(p *replication.Problem, s *replication.Schema, pl *pool.Pool) *Arena {
 	w := p.Work
 	a := &Arena{
@@ -90,50 +88,8 @@ func buildArena(p *replication.Problem, s *replication.Schema, pl *pool.Pool) *A
 	counts := make([]int32, p.M)
 	pl.BatchGuided(p.M, 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			var residual int64
-			if s != nil {
-				residual = s.Residual(i)
-			} else {
-				residual = p.Capacity[i] - p.PrimaryLoad(i)
-			}
-			a.Residual[i] = residual
-			base := a.SlotBase[i]
-			var n int32
-			for slot, d := range w.PerServer[i] {
-				cell := base + int32(slot)
-				a.Slot2Cand[cell] = -1
-				if d.Reads == 0 {
-					continue // a write-only object never benefits from a copy
-				}
-				k := d.Object
-				if s != nil {
-					if s.HasReplica(k, i) {
-						continue // a copy (primary or carried) is already local
-					}
-				} else if int(w.Primary[k]) == i {
-					continue // the primary copy is already local
-				}
-				size := w.ObjectSize[k]
-				if size > residual {
-					continue
-				}
-				// Both costs come from tables, never from the oracle:
-				// c(i, P_k) from the problem, c(i, NN_ik) from the schema.
-				cPk := p.PrimaryCost(cell)
-				nn := cPk
-				if s != nil {
-					nn = s.NNCost(cell)
-				}
-				upd := (w.TotalWrites[k] - d.Writes) * size * int64(cPk)
-				if d.Reads*size*int64(nn)-upd <= 0 {
-					continue // never beneficial: benefits only shrink
-				}
-				nnScratch[cell] = nn
-				updScratch[cell] = upd
-				a.Slot2Cand[cell] = 1 // qualifier; compaction assigns the slot
-				n++
-			}
-			counts[i] = n
+			first, end := a.SlotBase[i], a.SlotBase[i+1]
+			a.Residual[i], counts[i] = priceRow(p, s, i, a.Slot2Cand[first:end], nnScratch[first:end], updScratch[first:end])
 		}
 	})
 

@@ -1,8 +1,10 @@
 // Package candidates enumerates the feasible (server, object) replica
 // candidates of a DRP instance: pairs where the server reads the object,
-// does not already hold its primary, and where replication is at least
-// initially beneficial. All baseline solvers draw from this set; the
-// AGT-RAM agents build the same set independently from their local data.
+// holds no copy of it, and where replication is at least initially
+// beneficial. It keeps the set in three forms: Pair lists for the baseline
+// solvers, one Agent per server (the paper's candidate list L_i), and the
+// Arena, the flat form the incremental AGT-RAM engine iterates. Agents and
+// the arena are priced by one routine, priceRow.
 package candidates
 
 import (
@@ -46,4 +48,57 @@ func Build(p *replication.Problem, onlyBeneficial bool) []Pair {
 		return out[a].Object < out[b].Object
 	})
 	return out
+}
+
+// priceRow prices server i's demand row Work.PerServer[i]: against the
+// primary-only placement when s is nil, else against s. It returns the
+// server's residual capacity and the number of qualifying cells. A cell
+// qualifies when the server reads the object, holds no copy of it, the
+// object fits the residual, and its CoR valuation is positive; a cell that
+// fails can never qualify later, because benefits and residuals only
+// shrink. For every slot of the row, mark[slot] is 1 for a qualifier and -1
+// otherwise, and a qualifier's nn[slot] and upd[slot] hold its Cand.NNCost
+// and Cand.UpdCost. Both costs come from tables, never from the oracle:
+// c(i, P_k) from the problem, c(i, NN_ik) from the schema.
+func priceRow(p *replication.Problem, s *replication.Schema, i int, mark, nn []int32, upd []int64) (residual int64, n int32) {
+	w := p.Work
+	if s != nil {
+		residual = s.Residual(i)
+	} else {
+		residual = p.Capacity[i] - p.PrimaryLoad(i)
+	}
+	row := w.PerServer[i]
+	mark, nn, upd = mark[:len(row)], nn[:len(row)], upd[:len(row)]
+	base := p.CellBase()[i]
+	for slot, d := range row {
+		mark[slot] = -1
+		if d.Reads == 0 {
+			continue // a write-only object never benefits from a copy
+		}
+		k := d.Object
+		if s != nil {
+			if s.HasReplica(k, i) {
+				continue // a copy (primary or carried) is already local
+			}
+		} else if int(w.Primary[k]) == i {
+			continue // the primary copy is already local
+		}
+		size := w.ObjectSize[k]
+		if size > residual {
+			continue
+		}
+		cell := base + int32(slot)
+		cPk := p.PrimaryCost(cell)
+		cNN := cPk
+		if s != nil {
+			cNN = s.NNCost(cell)
+		}
+		u := (w.TotalWrites[k] - d.Writes) * size * int64(cPk)
+		if d.Reads*size*int64(cNN)-u <= 0 {
+			continue // never beneficial: benefits only shrink
+		}
+		mark[slot], nn[slot], upd[slot] = 1, cNN, u
+		n++
+	}
+	return residual, n
 }

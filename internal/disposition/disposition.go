@@ -18,6 +18,7 @@ package disposition
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/candidates"
 	"repro/internal/mechanism"
@@ -81,9 +82,10 @@ type Outcome struct {
 // truth — and returns both outcomes. factor > 1 over-claims (risking
 // ejection on the first infeasible award), factor < 1 under-claims
 // (forfeiting opportunities), factor == 1 reproduces the truthful game.
+// factor must be positive and finite, and the claim must fit an int64.
 func CapacityMisreport(build func() (*replication.Problem, error), agentID int, factor float64) (truthful, misreport Outcome, err error) {
-	if factor <= 0 {
-		return truthful, misreport, fmt.Errorf("disposition: factor must be positive, got %v", factor)
+	if !(factor > 0) || math.IsInf(factor, 1) {
+		return truthful, misreport, fmt.Errorf("disposition: factor must be positive and finite, got %v", factor)
 	}
 	pT, err := build()
 	if err != nil {
@@ -92,7 +94,14 @@ func CapacityMisreport(build func() (*replication.Problem, error), agentID int, 
 	if agentID < 0 || agentID >= pT.M {
 		return truthful, misreport, fmt.Errorf("disposition: agent %d out of range [0,%d)", agentID, pT.M)
 	}
-	truthful, err = playSigma(pT, agentID, 1.0)
+	truth := pT.Capacity[agentID] - pT.PrimaryLoad(agentID)
+	// The truth is non-negative, so only the top of the range can
+	// overflow; float64(math.MaxInt64) is 2^63, the first value past it.
+	claim := float64(truth) * factor
+	if claim >= math.MaxInt64 {
+		return truthful, misreport, fmt.Errorf("disposition: claimed capacity %v × %d exceeds the int64 range", factor, truth)
+	}
+	truthful, err = playSigma(pT, agentID, truth)
 	if err != nil {
 		return truthful, misreport, err
 	}
@@ -100,22 +109,22 @@ func CapacityMisreport(build func() (*replication.Problem, error), agentID int, 
 	if err != nil {
 		return truthful, misreport, err
 	}
-	misreport, err = playSigma(pM, agentID, factor)
+	misreport, err = playSigma(pM, agentID, int64(claim))
 	return truthful, misreport, err
 }
 
-// playSigma runs the sealed-bid game with the chosen agent's *claimed*
-// capacity scaled by factor. All other agents are truthful.
-func playSigma(p *replication.Problem, agentID int, factor float64) (Outcome, error) {
+// playSigma runs the sealed-bid game with the chosen agent claiming the
+// given residual capacity. All other agents are truthful.
+func playSigma(p *replication.Problem, agentID int, claim int64) (Outcome, error) {
 	var out Outcome
 	schema := p.NewSchema()
 	agents := candidates.BuildAgents(p)
 
-	// Scale the liar's claimed residual. Its candidate pruning then uses
-	// the claim; the schema keeps the truth.
+	// The liar's candidate pruning uses the claim; the schema keeps the
+	// truth.
 	for _, a := range agents {
 		if a.ID == agentID {
-			a.Residual = int64(float64(a.Residual) * factor)
+			a.Residual = claim
 		}
 	}
 
@@ -158,11 +167,7 @@ func playSigma(p *replication.Problem, agentID int, factor float64) (Outcome, er
 			out.Utility += round.Payment + win.Value
 		}
 		for _, a := range agents {
-			if a.ID == win.Agent {
-				a.Won(win.Item)
-			} else {
-				a.Observe(win.Item, p.Cost.At(a.ID, win.Agent))
-			}
+			a.Apply(p, win.Item, win.Agent)
 		}
 	}
 	out.SystemSavings = schema.Savings()

@@ -1,6 +1,7 @@
 package disposition
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -133,5 +134,50 @@ func TestCapacityMisreportErrors(t *testing.T) {
 	}
 	if _, _, err := CapacityMisreport(build, 9999, 1.5); err == nil {
 		t.Fatal("out-of-range agent accepted")
+	}
+	// A claim the int64 capacity cannot represent must not wrap into a
+	// negative one, which would play an over-claim as an under-claim.
+	for _, f := range []float64{1e30, math.Inf(1), math.NaN()} {
+		if _, _, err := CapacityMisreport(build, 0, f); err == nil {
+			t.Fatalf("factor %v accepted", f)
+		}
+	}
+}
+
+// TestCapacityMisreportGolden pins both outcomes of the DRP[σ] game for
+// agent 3 on four seeds and four claim factors. The values are recorded
+// from a reference run; the property tests above check only inequalities.
+func TestCapacityMisreportGolden(t *testing.T) {
+	golden := []struct {
+		seed            int64
+		factor          float64
+		truth, misclaim Outcome
+	}{
+		{1, 0.3, Outcome{0, 0, false, 30.905203490540238}, Outcome{0, 0, false, 30.905203490540238}},
+		{1, 1, Outcome{0, 0, false, 30.905203490540238}, Outcome{0, 0, false, 30.905203490540238}},
+		{1, 4, Outcome{0, 0, false, 30.905203490540238}, Outcome{0, 0, false, 30.905203490540238}},
+		{1, 8, Outcome{0, 0, false, 30.905203490540238}, Outcome{0, 0, false, 30.905203490540238}},
+		{2, 0.3, Outcome{2, 915, false, 22.714490567443246}, Outcome{1, 68, false, 22.552780726421712}},
+		{2, 1, Outcome{2, 915, false, 22.714490567443246}, Outcome{2, 915, false, 22.714490567443246}},
+		{2, 4, Outcome{2, 915, false, 22.714490567443246}, Outcome{2, 915, true, 22.714490567443246}},
+		{2, 8, Outcome{2, 915, false, 22.714490567443246}, Outcome{2, 915, true, 22.714490567443246}},
+		{3, 0.3, Outcome{5, 9373, false, 18.8473786407767}, Outcome{3, 6645, false, 18.25294498381877}},
+		{3, 1, Outcome{5, 9373, false, 18.8473786407767}, Outcome{5, 9373, false, 18.8473786407767}},
+		{3, 4, Outcome{5, 9373, false, 18.8473786407767}, Outcome{3, 9082, true, 18.793009708737863}},
+		{3, 8, Outcome{5, 9373, false, 18.8473786407767}, Outcome{3, 9082, true, 18.793009708737863}},
+		{4, 0.3, Outcome{3, 2258, false, 13.784340374226828}, Outcome{1, 1575, false, 13.751491294091316}},
+		{4, 1, Outcome{3, 2258, false, 13.784340374226828}, Outcome{3, 2258, false, 13.784340374226828}},
+		{4, 4, Outcome{3, 2258, false, 13.784340374226828}, Outcome{3, 2258, false, 13.784340374226828}},
+		{4, 8, Outcome{3, 2258, false, 13.784340374226828}, Outcome{3, 2258, false, 13.784340374226828}},
+	}
+	for _, g := range golden {
+		truth, mis, err := CapacityMisreport(buildFor(g.seed), 3, g.factor)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if truth != g.truth || mis != g.misclaim {
+			t.Errorf("seed %d factor %v: truthful %+v misreport %+v, want %+v and %+v",
+				g.seed, g.factor, truth, mis, g.truth, g.misclaim)
+		}
 	}
 }

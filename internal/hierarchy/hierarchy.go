@@ -58,8 +58,6 @@ type Config struct {
 	Regions int
 	// Mode selects hierarchical or autonomous coordination.
 	Mode Mode
-	// Payment is the per-region payment rule (default second-price).
-	Payment mechanism.PaymentRule
 	// TopFailsAfter, when > 0, fails the top-level mechanism after that
 	// many epochs: the system continues autonomously (hierarchical mode
 	// only).
@@ -255,17 +253,9 @@ func Solve(ctx context.Context, p *replication.Problem, cfg Config) (*Result, er
 			res.DegradedAtEpoch = res.Epochs
 		}
 		// Each regional mechanism runs one sealed-bid round over its agents.
-		type regionalWinner struct {
-			region int
-			round  mechanism.Round
-			ok     bool
-		}
-		winners := make([]regionalWinner, 0, len(regions))
-		for r := range regions {
-			agents := byRegion[r]
-			if len(agents) == 0 {
-				continue
-			}
+		// No Result field records a payment, so only the winners matter.
+		winners := make([]mechanism.Bid, 0, len(regions))
+		for r, agents := range byRegion {
 			bids := make([]mechanism.Bid, 0, len(agents))
 			live := agents[:0]
 			for _, a := range agents {
@@ -277,9 +267,8 @@ func Solve(ctx context.Context, p *replication.Problem, cfg Config) (*Result, er
 				bids = append(bids, mechanism.Bid{Agent: a.ID, Item: obj, Value: val})
 			}
 			byRegion[r] = live
-			round, ok := mechanism.RunRound(bids, cfg.Payment)
-			if ok {
-				winners = append(winners, regionalWinner{region: r, round: round, ok: true})
+			if round, ok := mechanism.RunRound(bids, mechanism.SecondPrice); ok {
+				winners = append(winners, round.Winner)
 			}
 		}
 		if len(winners) == 0 {
@@ -287,28 +276,17 @@ func Solve(ctx context.Context, p *replication.Problem, cfg Config) (*Result, er
 		}
 		res.Epochs++
 
-		var toPlace []mechanism.Round
+		toPlace := winners
 		if hierarchical {
 			// Top level: one binary decision over the regional winners.
-			top := make([]mechanism.Bid, 0, len(winners))
-			for _, w := range winners {
-				top = append(top, w.round.Winner)
-			}
-			final, ok := mechanism.RunRound(top, cfg.Payment)
-			if !ok {
-				break
-			}
-			toPlace = []mechanism.Round{{Winner: final.Winner, Payment: final.Payment}}
+			final, _ := mechanism.RunRound(winners, mechanism.SecondPrice)
+			toPlace = []mechanism.Bid{final.Winner}
 			res.TopDecisions++
 		} else {
-			for _, w := range winners {
-				toPlace = append(toPlace, w.round)
-				res.RegionalDecisions++
-			}
+			res.RegionalDecisions += len(winners)
 		}
 
-		for _, round := range toPlace {
-			win := round.Winner
+		for _, win := range toPlace {
 			if err := schema.CanPlace(win.Item, win.Agent); err != nil {
 				// In autonomous mode two regions can race for the last slot
 				// of an object's feasibility only via capacity on their own
@@ -321,13 +299,9 @@ func Solve(ctx context.Context, p *replication.Problem, cfg Config) (*Result, er
 			}
 			res.Placed++
 			// Broadcast to every live agent in every region.
-			for r := range byRegion {
-				for _, a := range byRegion[r] {
-					if a.ID == win.Agent {
-						a.Won(win.Item)
-					} else {
-						a.Observe(win.Item, p.Cost.At(a.ID, win.Agent))
-					}
+			for _, agents := range byRegion {
+				for _, a := range agents {
+					a.Apply(p, win.Item, win.Agent)
 				}
 			}
 		}
