@@ -160,8 +160,11 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		defer f.Close()
 		if err := res.WriteReport(f); err != nil {
+			f.Close()
+			fatal(err)
+		}
+		if err := f.Close(); err != nil {
 			fatal(err)
 		}
 	}

@@ -40,10 +40,12 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -259,20 +261,42 @@ func main() {
 	ctrl.Close()
 
 	if *snapshot != "" {
-		f, err := os.Create(*snapshot)
-		if err != nil {
-			fatal(err)
-		}
 		rep := ctrl.Placement()
-		if err := rep.WriteJSON(f); err != nil {
-			f.Close()
-			fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			fatal(err)
+		if err := writeFileAtomic(*snapshot, rep.WriteJSON); err != nil {
+			fatal(fmt.Errorf("persisting placement: %w", err))
 		}
 		logf("persisted placement to %s (OTC %d, %d servers, %d objects)", *snapshot, rep.OTC, rep.Servers, rep.Objects)
 	}
+}
+
+// writeFileAtomic replaces path with what write produces. It writes a
+// temporary file in path's directory, syncs and closes it, then renames it
+// over path, so a write that fails or is cut short by a crash leaves the
+// previous file whole and the next start can still restore it.
+func writeFileAtomic(path string, write func(io.Writer) error) (err error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return err
+	}
+	defer func() {
+		if err != nil {
+			f.Close() // a second Close after a failed one is harmless
+			os.Remove(f.Name())
+		}
+	}()
+	if err := f.Chmod(0o644); err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // engineOpt maps the -engine flag onto solver options: only agt-ram has

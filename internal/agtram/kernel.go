@@ -288,11 +288,12 @@ func (k *kernel) award(winner int32) {
 // object both still lives and actually got a closer replica. A demander's
 // cached bid goes stale only when the broadcast touched the very object it
 // was bidding on — every other cached bid remains an exact value or a valid
-// upper bound, because benefits only fall.
+// upper bound, because benefits only fall. The distances come from the
+// problem's PlaceCosts view, the same source the schema's placement reads.
 func (k *kernel) broadcast(obj, server int32) {
 	ar := k.ar
-	col := k.p.CostColumn(int(server)) // nil without a row oracle
-	for _, ref := range k.p.DemandersOf(obj) {
+	costs := k.p.PlaceCosts(obj, int(server))
+	for b, ref := range k.p.DemandersOf(obj) {
 		i := ref.Server
 		if i == server || k.dead[i] {
 			continue
@@ -301,12 +302,7 @@ func (k *kernel) broadcast(obj, server int32) {
 		if c < 0 || k.pos[c] < 0 {
 			continue // never qualified, or pruned/awarded since
 		}
-		var cost int32
-		if col != nil {
-			cost = col[i]
-		} else {
-			cost = k.p.Cost.At(int(i), int(server))
-		}
+		cost := costs.Demander(b, i)
 		if cost >= ar.NNCosts[c] {
 			continue // the new replica is no closer
 		}

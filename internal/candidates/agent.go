@@ -100,7 +100,9 @@ func (a *Agent) Best() (obj int32, val int64, ok bool) {
 // Apply processes the broadcast OMAX "object k was replicated on server m".
 // If m is this agent, its bid won: capacity shrinks and the candidate
 // retires. Otherwise the agent refreshes its nearest-copy cost for k with
-// c(i, m), which it computes from public knowledge.
+// c(i, m), which it computes from public knowledge: Problem.PlaceCost, the
+// single-entry form of the distances the placement itself reads. Agents
+// that do not list k ask for nothing.
 func (a *Agent) Apply(p *replication.Problem, k int32, m int) {
 	idx := sort.Search(len(a.Cands), func(j int) bool { return a.Cands[j].Object >= k })
 	if idx == len(a.Cands) || a.Cands[idx].Object != k {
@@ -109,7 +111,7 @@ func (a *Agent) Apply(p *replication.Problem, k int32, m int) {
 	if m == a.ID {
 		a.Residual -= a.Cands[idx].Size
 		a.Cands = append(a.Cands[:idx], a.Cands[idx+1:]...)
-	} else if c := p.Cost.At(a.ID, m); c < a.Cands[idx].NNCost {
+	} else if c := p.PlaceCost(k, m, a.ID); c < a.Cands[idx].NNCost {
 		a.Cands[idx].NNCost = c
 	}
 }

@@ -18,6 +18,9 @@ type Pair struct {
 	Server int
 	Object int32
 	Size   int64
+	// Cell is the pair's demand cell, Problem.CellBase()[Server] plus the
+	// object's slot in the server's demand row.
+	Cell int32
 }
 
 // Build returns all candidate pairs of the instance, sorted by (server,
@@ -28,7 +31,8 @@ func Build(p *replication.Problem, onlyBeneficial bool) []Pair {
 	s := p.NewSchema()
 	var out []Pair
 	for i := 0; i < p.M; i++ {
-		for _, d := range p.Work.PerServer[i] {
+		base := p.CellBase()[i]
+		for slot, d := range p.Work.PerServer[i] {
 			if d.Reads == 0 {
 				continue
 			}
@@ -38,7 +42,7 @@ func Build(p *replication.Problem, onlyBeneficial bool) []Pair {
 			if onlyBeneficial && s.LocalBenefit(i, d.Object) <= 0 {
 				continue
 			}
-			out = append(out, Pair{Server: i, Object: d.Object, Size: p.Work.ObjectSize[d.Object]})
+			out = append(out, Pair{Server: i, Object: d.Object, Size: p.Work.ObjectSize[d.Object], Cell: base + int32(slot)})
 		}
 	}
 	sort.Slice(out, func(a, b int) bool {

@@ -15,13 +15,16 @@ import (
 // fast over the graph's own adjacency lists.
 //
 // Memory is the shared graph plus O(cacheRows·M) for the cache — versus
-// O(M²) for the dense matrix. Concurrency: the mutex guards only cache
+// O(M²) for the dense matrix. replication.NewProblem reads every server's
+// row once to price its c(i, P_k) table and co-demander blocks; after that
+// an AGT-RAM or greedy solve asks for rows only on placements the blocks do
+// not cover. Concurrency: the mutex guards only cache
 // bookkeeping; Dijkstra runs outside it, so goroutines requesting distinct
 // rows compute in parallel, and an in-flight map deduplicates goroutines
 // racing for the same row. Evicted rows stay valid for callers that
 // already hold them (the GC reclaims them when the last reference drops),
-// which is what lets the kernel keep lazily materialized column slices
-// across a round.
+// which is what lets a placement keep a lazily materialized column slice
+// across its demander walk.
 type CSRLazy struct {
 	g   *topology.Graph
 	cap int // max cached rows

@@ -92,8 +92,10 @@ const DenseAutoThreshold = 1024
 const DefaultLandmarks = 32
 
 // DefaultRowCacheRows bounds the CSRLazy cache when Options.RowCacheRows is
-// unset. NewProblem prices every c(i, P_k) once, so a solve asks the oracle
-// only for each round's winner column; 256 rows keep the recent winners'
+// unset. NewProblem prices every c(i, P_k) and a co-demander block for each
+// object with d_k² ≤ M, so a solve asks the oracle for a row only when it
+// places an object without a block, or places on a server that does not
+// demand the object (carry-over, restore); 256 rows keep those recent
 // columns while capping memory at O(256·M).
 const DefaultRowCacheRows = 256
 

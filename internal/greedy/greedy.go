@@ -85,7 +85,9 @@ func keyOf(cfg Config, benefit, size int64) float64 {
 // Each candidate carries cached pricing state (its nearest-replica cost and
 // its constant update-traffic term), refreshed lazily when its object was
 // the last one placed, so an evaluation is O(1) just as for the AGT-RAM
-// agents. The rescan fans out over a worker pool; each chunk compacts
+// agents; both terms come from the problem's tables (the c(i, P_k) cell
+// and the placed object's co-demander block), not from the distance
+// oracle. The rescan fans out over a worker pool; each chunk compacts
 // survivors in place and reports its local best, then a serial reduction
 // picks the global winner (first occurrence on key ties, matching the
 // sequential scan order).
@@ -101,14 +103,14 @@ func solveEager(ctx context.Context, schema *replication.Schema, pairs []candida
 	live := make([]cand, 0, len(pairs))
 	for _, pr := range pairs {
 		r, w := p.Work.ReadsWrites(pr.Server, pr.Object)
-		pk := int(p.Work.Primary[pr.Object])
+		cPk := p.PrimaryCost(pr.Cell)
 		live = append(live, cand{
 			server:  pr.Server,
 			object:  pr.Object,
 			size:    pr.Size,
 			reads:   r,
-			nnCost:  p.Cost.At(pr.Server, pk),
-			updCost: (p.Work.TotalWrites[pr.Object] - w) * pr.Size * int64(p.Cost.At(pk, pr.Server)),
+			nnCost:  cPk,
+			updCost: (p.Work.TotalWrites[pr.Object] - w) * pr.Size * int64(cPk),
 		})
 	}
 
@@ -138,8 +140,9 @@ func solveEager(ctx context.Context, schema *replication.Schema, pairs []candida
 				if c.object == lastObj {
 					// Refresh the nearest-replica cost against the replica
 					// placed last round (all older placements were folded in
-					// the round after they happened).
-					if nc := p.Cost.At(c.server, lastServer); nc < c.nnCost {
+					// the round after they happened), reading the distance
+					// the placement itself read.
+					if nc := p.PlaceCost(lastObj, lastServer, c.server); nc < c.nnCost {
 						c.nnCost = nc
 					}
 				}

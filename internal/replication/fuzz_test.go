@@ -24,8 +24,14 @@ func (c fuzzCost) At(i, j int) int32 {
 
 func (c fuzzCost) N() int { return c.n }
 
+// fuzzProblem draws M from the seed, over 4..32 servers. The synthetic
+// workload spreads each object over about M/4 servers, so at small M every
+// object has one or two demanders and a co-demander block (d_k² ≤ M),
+// while at large M the most-demanded objects go without one: seeds 20 and
+// 28 place both kinds.
 func fuzzProblem(t testing.TB, seed int64) *Problem {
-	const m, n = 6, 14
+	const n = 14
+	m := 4 + int((seed%29+29)%29)
 	w, err := workload.Synthetic(workload.SyntheticConfig{
 		Servers: m, Objects: n, Requests: 900, RWRatio: 0.8, Seed: seed,
 	})
@@ -59,6 +65,8 @@ func FuzzSchemaPlaceRemove(f *testing.F) {
 	f.Add(int64(2), []byte{0x10, 0x01, 0x90, 0x01, 0x10, 0x01, 0x90, 0x01})
 	f.Add(int64(3), []byte{})
 	f.Add(int64(4), []byte{0xff, 0xff, 0x7f, 0x00, 0x42, 0x42, 0x13, 0x37, 0x99, 0x21})
+	f.Add(int64(20), []byte{0x00, 0x03, 0x11, 0x02, 0x05, 0x17, 0x00, 0x09, 0x1d, 0x01, 0x05, 0x17, 0x00, 0x0c, 0x02})
+	f.Add(int64(28), []byte{0x00, 0x01, 0x1f, 0x02, 0x01, 0x05, 0x00, 0x07, 0x0e, 0x00, 0x0a, 0x13, 0x03, 0x01, 0x1f})
 
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte) {
 		p := fuzzProblem(t, seed%64)

@@ -26,7 +26,9 @@ import (
 )
 
 // CostFn is the communication-cost oracle c(i,j). topology.DistMatrix
-// implements it; tests may use synthetic metrics.
+// implements it; tests may use synthetic metrics. Costs are symmetric: the
+// c(i, P_k) table also answers c(P_k, i), the update-broadcast cost of a
+// replica on i.
 type CostFn interface {
 	// At returns the cost of moving one data unit between servers i and j.
 	At(i, j int) int32
@@ -56,18 +58,6 @@ type RowInvalidator interface {
 	InvalidateRow(i int)
 }
 
-// CostColumn returns the cost column c(·, m) as a shared slice when the
-// oracle supports it, nil otherwise. Callers must keep an At-based fallback
-// and must not mutate the slice. The slice may have been materialized
-// lazily by the oracle (and may later be evicted from its cache), but it
-// remains valid and immutable for as long as the caller holds it.
-func (p *Problem) CostColumn(m int) []int32 {
-	if rc, ok := p.Cost.(RowCostFn); ok {
-		return rc.Row(m)
-	}
-	return nil
-}
-
 // Problem is an immutable DRP instance.
 type Problem struct {
 	M, N     int
@@ -92,6 +82,11 @@ type Problem struct {
 	// symmetry, the update term of every CoR valuation. Priced once here so
 	// schemas, arenas and agents never ask the oracle for it.
 	primaryCost []int32
+	// coStart and coCost hold the co-demander blocks (placecost.go): priced
+	// object k's d_k×d_k block is coCost[coStart[k]:coStart[k+1]], an empty
+	// range when k is unpriced. len(coStart) is N+1.
+	coStart []int
+	coCost  []int32
 	// baseCost is the primary-only OTC, Σ (r_ik + w_ik)·o_k·c(i, P_k).
 	baseCost int64
 }
@@ -138,6 +133,9 @@ func NewProblem(cost CostFn, w *workload.Workload, capacity []int64) (*Problem, 
 	}
 	p.cellBase[w.M] = cells
 	p.cellReads = make([]int64, cells)
+	// pos[cell] is the cell's position in its object's demand index, which
+	// places the server's row in the object's co-demander block.
+	pos := make([]int32, cells)
 	for i := 0; i < w.M; i++ {
 		if capacity[i] < p.primaryLoad[i] {
 			return nil, fmt.Errorf("replication: server %d capacity %d below its primary load %d",
@@ -147,21 +145,32 @@ func NewProblem(cost CostFn, w *workload.Workload, capacity []int64) (*Problem, 
 		for slot, d := range w.PerServer[i] {
 			cell := base + int32(slot)
 			p.cellReads[cell] = d.Reads
+			pos[cell] = int32(len(p.byObject[d.Object]))
 			p.byObject[d.Object] = append(p.byObject[d.Object],
 				DemandRef{Server: int32(i), Slot: int32(slot), Cell: cell})
 		}
 	}
-	p.priceCells()
+	p.priceCells(pos)
 	return p, nil
 }
 
-// priceCells fills the c(i, P_k) table and the base OTC. Servers are
-// independent, so the pass fans out like the arena build; a row-view
-// oracle answers each server from one row c(i, ·), which a lazy oracle
-// materializes once here instead of once per reader.
-func (p *Problem) priceCells() {
+// priceCells fills the c(i, P_k) table, the co-demander blocks and the
+// base OTC. Servers are independent, so the pass fans out like the arena
+// build; a row-view oracle answers each server from one row c(i, ·), which
+// a lazy oracle materializes once here instead of once per reader or
+// placement. Server i writes only its own cells and its own row of each
+// block.
+func (p *Problem) priceCells(pos []int32) {
 	w := p.Work
 	p.primaryCost = make([]int32, len(p.cellReads))
+	p.coStart = make([]int, p.N+1)
+	for k, refs := range p.byObject {
+		p.coStart[k+1] = p.coStart[k]
+		if d := len(refs); p.priced(d) {
+			p.coStart[k+1] += d * d
+		}
+	}
+	p.coCost = make([]int32, p.coStart[p.N])
 	otc := make([]int64, p.M)
 	pl := pool.New(runtime.GOMAXPROCS(0))
 	defer pl.Close()
@@ -171,7 +180,7 @@ func (p *Problem) priceCells() {
 			if len(ds) == 0 {
 				continue
 			}
-			row := p.CostColumn(i)
+			row := p.costColumn(i)
 			base := p.cellBase[i]
 			for slot, d := range ds {
 				pk := int(w.Primary[d.Object])
@@ -183,6 +192,9 @@ func (p *Problem) priceCells() {
 				}
 				p.primaryCost[base+int32(slot)] = c
 				otc[i] += (d.Reads + d.Writes) * w.ObjectSize[d.Object] * int64(c)
+				if blk := p.coBlock(d.Object); blk != nil {
+					p.fillBlockRow(blk, d.Object, int(pos[base+int32(slot)]), i, row)
+				}
 			}
 		}
 	})

@@ -147,23 +147,20 @@ func (s *Schema) CanPlace(k int32, m int) error {
 func (s *Schema) DeltaIfPlaced(k int32, m int) int64 {
 	p := s.p
 	ok := p.Work.ObjectSize[k]
-	pk := int(p.Work.Primary[k])
-	cPm := int64(p.Cost.At(pk, m))
+	pc := p.PlaceCosts(k, m)
 
 	// Write side: S_k grows by c(P_k, m); server m stops paying the
 	// broadcast share for its own writes (Eq. 2's j != i exclusion).
-	wm, _ := s.writeOf(m, k)
-	totalW := p.Work.TotalWrites[k]
-	delta := ok * cPm * (totalW - wm)
+	delta := ok * int64(pc.primary) * (p.Work.TotalWrites[k] - pc.writes)
 
 	// Read side: every demander whose NN cost exceeds c(i, m) improves.
-	for _, ref := range p.byObject[k] {
+	for b, ref := range p.byObject[k] {
 		r := p.cellReads[ref.Cell]
 		if r == 0 {
 			continue
 		}
 		oldC := int64(s.nnCost[ref.Cell])
-		newC := int64(p.Cost.At(int(ref.Server), m))
+		newC := int64(pc.Demander(b, ref.Server))
 		if newC < oldC {
 			delta += r * ok * (newC - oldC)
 		}
@@ -213,44 +210,28 @@ func (s *Schema) PlaceReplica(k int32, m int) (int64, error) {
 func (s *Schema) applyPlacement(k int32, m int) int64 {
 	p := s.p
 	ok := p.Work.ObjectSize[k]
-	pk := int(p.Work.Primary[k])
-	// With a row-view oracle the winner's column also answers c(P_k, m), so
-	// a placement asks a lazy oracle for one row, never for row P_k too.
-	col := p.CostColumn(m)
-	var cPm int64
-	if col != nil {
-		cPm = int64(col[pk])
-	} else {
-		cPm = int64(p.Cost.At(pk, m))
-	}
+	pc := p.PlaceCosts(k, m)
+	cPm := int64(pc.primary)
+	delta := ok * cPm * (p.Work.TotalWrites[k] - pc.writes)
 
-	wm, _ := s.writeOf(m, k)
-	delta := ok * cPm * (p.Work.TotalWrites[k] - wm)
-
-	// The demander walk is the placement's hot loop; with a row-view oracle
-	// the per-demander cost is one slice load instead of a virtual call, and
-	// the flat cell-indexed NN tables make the update a single store.
-	if col != nil {
-		for _, ref := range p.byObject[k] {
-			newC := col[ref.Server]
-			if newC < s.nnCost[ref.Cell] {
-				if r := p.cellReads[ref.Cell]; r > 0 {
-					delta += r * ok * int64(newC-s.nnCost[ref.Cell])
-				}
-				s.nnCost[ref.Cell] = newC
-				s.nnServer[ref.Cell] = int32(m)
-			}
+	// The demander walk is the placement's hot loop. It runs once per
+	// distance source, so the per-demander cost is a plain slice load with
+	// no branch on the source, even over an unpriced object's hundreds of
+	// demanders; the flat cell-indexed NN tables make the update a single
+	// store.
+	refs := p.byObject[k]
+	switch {
+	case pc.byPos:
+		for b, ref := range refs {
+			delta += s.lowerNN(ref, pc.dist[b], m, ok)
 		}
-	} else {
-		for _, ref := range p.byObject[k] {
-			newC := p.Cost.At(int(ref.Server), m)
-			if newC < s.nnCost[ref.Cell] {
-				if r := p.cellReads[ref.Cell]; r > 0 {
-					delta += r * ok * int64(newC-s.nnCost[ref.Cell])
-				}
-				s.nnCost[ref.Cell] = newC
-				s.nnServer[ref.Cell] = int32(m)
-			}
+	case pc.dist != nil:
+		for _, ref := range refs {
+			delta += s.lowerNN(ref, pc.dist[ref.Server], m, ok)
+		}
+	default:
+		for _, ref := range refs {
+			delta += s.lowerNN(ref, pc.at(ref.Server), m, ok)
 		}
 	}
 
@@ -266,6 +247,22 @@ func (s *Schema) applyPlacement(k int32, m int) int64 {
 	s.residual[m] -= ok
 	s.cost += delta
 	s.placed++
+	return delta
+}
+
+// lowerNN points a demand cell at the new replica on m when c, its distance
+// to m, beats the cell's nearest copy, and returns the read-cost change for
+// an object of size o.
+func (s *Schema) lowerNN(ref DemandRef, c int32, m int, o int64) int64 {
+	if c >= s.nnCost[ref.Cell] {
+		return 0
+	}
+	var delta int64
+	if r := s.p.cellReads[ref.Cell]; r > 0 {
+		delta = r * o * int64(c-s.nnCost[ref.Cell])
+	}
+	s.nnCost[ref.Cell] = c
+	s.nnServer[ref.Cell] = int32(m)
 	return delta
 }
 

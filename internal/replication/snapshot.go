@@ -3,8 +3,9 @@ package replication
 // Snapshot returns an independent deep copy of the problem: the workload,
 // capacities, demand index and primary-load table are all duplicated, so
 // mutating the copy's demand matrices or capacities never affects the
-// original. The cost oracle is shared — every CostFn in the repository
-// (distance matrices, UniformCost) is immutable after construction.
+// original. The cost oracle and the co-demander blocks are shared — every
+// CostFn in the repository (distance matrices, UniformCost) is immutable
+// after construction, and so are the blocks.
 //
 // The online controller solves against a snapshot so a buggy solver can
 // never corrupt the placement being served, and the bench harness uses it
@@ -21,6 +22,8 @@ func (p *Problem) Snapshot() *Problem {
 		cellBase:    append([]int32(nil), p.cellBase...),
 		cellReads:   append([]int64(nil), p.cellReads...),
 		primaryCost: append([]int32(nil), p.primaryCost...),
+		coStart:     p.coStart,
+		coCost:      p.coCost,
 		baseCost:    p.baseCost,
 	}
 	for k, refs := range p.byObject {
