@@ -62,6 +62,14 @@ bench-json:
 	$(GO) run ./cmd/benchjson -o $(BENCH_OUT) < bench.out
 	@rm -f bench.out
 
+# loadtest, scenarios and cluster parse their benchmarks into bench-out/,
+# which git ignores, so a routine run leaves the tracked baselines
+# (BENCH_7.json, BENCH_8.json, BENCH_10.json) alone. Name a tracked file to
+# refresh it, e.g. make cluster CLUSTER_JSON=BENCH_10.json.
+LOADTEST_JSON ?= bench-out/BENCH_7.json
+SCENARIOS_JSON ?= bench-out/BENCH_8.json
+CLUSTER_JSON ?= bench-out/BENCH_10.json
+
 # The fault-matrix suite: injected crashes, truncated frames, severed and
 # slow links and infeasible bids against both wire engines, plus the
 # fault-free differential check and the frame codec both wire protocols
@@ -80,13 +88,14 @@ faultmatrix:
 # alongside — all under the race detector with goroutine-leak
 # checking, twice so the RCU swap cannot pass on one lucky schedule.
 # Bench: server-side vs client-side routing throughput (routes/s + tail
-# latency), parsed into BENCH_7.json for the CI compare gate.
+# latency), parsed into LOADTEST_JSON.
 loadtest:
 	$(GO) test -race -count=2 -run 'TestRouteUnderConcurrentDeltas|TestEpochStreamUnderLoad|TestRouteHandlerZeroAlloc' ./internal/server
 	$(GO) test -race -count=2 -run 'TestConcurrentSubscribersGapless|TestSubscribe|TestSlowSubscriber|TestDrainSubscribers|TestCopyOnWriteIsolation' ./internal/online
 	$(GO) test -race -count=2 ./internal/routing
 	$(GO) test -run '^$$' -bench 'RoutingPlane' -benchmem -benchtime 2s ./internal/server | tee routing_bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_7.json < routing_bench.out
+	@mkdir -p $(dir $(LOADTEST_JSON))
+	$(GO) run ./cmd/benchjson -o $(LOADTEST_JSON) < routing_bench.out
 	@rm -f routing_bench.out
 
 # The adversarial-workload scenario matrix. Tests: every registered method
@@ -95,12 +104,13 @@ loadtest:
 # bit-identically, leak-checked under the race detector, twice so generator
 # purity and the controller's churn paths cannot pass on one lucky
 # schedule. Bench: the full scenario x method matrix with per-tick
-# re-solves (savings-pct + solverwork/op columns), parsed into BENCH_8.json
-# for the CI compare gate.
+# re-solves (savings-pct + solverwork/op columns), parsed into
+# SCENARIOS_JSON.
 scenarios:
 	$(GO) test -race -count=2 -run 'TestScenario|TestRunScenario|TestCompose' ./internal/sim
 	$(GO) test -run '^$$' -bench 'ScenarioMatrix' -benchmem -benchtime 1x . | tee scenario_bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_8.json < scenario_bench.out
+	@mkdir -p $(dir $(SCENARIOS_JSON))
+	$(GO) run ./cmd/benchjson -o $(SCENARIOS_JSON) < scenario_bench.out
 	@rm -f scenario_bench.out
 
 # The cluster plane's differential and fault suites. Differential: a
@@ -114,13 +124,16 @@ scenarios:
 # loops and teardown cannot pass on one lucky schedule. Bench: multi-shard
 # vs single-daemon solve wall-clock at M=1000 with per-phase metrics
 # (partition/ship/regional-solve/merge, wire bytes per assignment), parsed
-# into BENCH_10.json. 5 iterations so the steady state — where the merge
-# memo and pooled frames pay off — dominates the cold first merge.
+# into CLUSTER_JSON. 5 iterations so the steady state dominates the cold
+# first merge: every solve after the first re-solves the regions onto the
+# same placements, so the merge memo's content gate returns the installed
+# report, and the pooled frames are warm.
 cluster:
 	$(GO) test -race -count=2 ./internal/cluster
 	$(GO) test -race -count=2 -run 'TestTopFails|TestFailedRegions|TestAllRegionsFailed|TestCancelledDuringDegraded' ./internal/hierarchy
 	$(GO) test -run '^$$' -bench 'ClusterSolve' -benchmem -benchtime 5x ./internal/cluster | tee cluster_bench.out
-	$(GO) run ./cmd/benchjson -o BENCH_10.json < cluster_bench.out
+	@mkdir -p $(dir $(CLUSTER_JSON))
+	$(GO) run ./cmd/benchjson -o $(CLUSTER_JSON) < cluster_bench.out
 	@rm -f cluster_bench.out
 
 # Short smoke of each fuzz target beyond its checked-in corpus.

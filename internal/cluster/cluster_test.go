@@ -17,6 +17,7 @@ import (
 	"repro/internal/online"
 	"repro/internal/replication"
 	"repro/internal/testutil"
+	"repro/internal/workload"
 )
 
 func listen(t *testing.T) net.Listener {
@@ -516,5 +517,162 @@ func TestShardRejectsForeignAndMembershipDeltas(t *testing.T) {
 		{Kind: online.KindServerLeave, Server: 0},
 	}); err == nil {
 		t.Fatal("shard accepted a membership delta")
+	}
+}
+
+// TestClusterSolveCountsForwardErrors pins the forward-error accounting on
+// the solve path: a shard that dies after assignment fails its solve RPC
+// (and its placement pull), and each failure must show in forward_errors
+// even though the surviving shard solved and the cluster solve succeeds.
+func TestClusterSolveCountsForwardErrors(t *testing.T) {
+	testutil.LeakCheck(t)
+	p := testutil.MustBuild(testutil.Small(29))
+	cfg := online.Config{Seed: 4}
+	ctx := context.Background()
+
+	sh0 := NewShard(0, p.Cost, ShardConfig{Codec: CodecGob, Controller: cfg})
+	sh0.Serve(listen(t))
+	defer sh0.Close()
+	sh1 := NewShard(1, p.Cost, ShardConfig{Codec: CodecGob, Controller: cfg})
+	sh1.Serve(listen(t))
+
+	co, err := NewCoordinator(p, []string{sh0.Addr(), sh1.Addr()}, CoordinatorConfig{Codec: CodecGob, Controller: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	if err := co.AssignNow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sh1.Close()
+	if err := co.SolveNow(ctx); err != nil {
+		t.Fatalf("solve with one live shard: %v", err)
+	}
+	if got := co.Status(ctx).ForwardErrors; got < 1 {
+		t.Fatalf("forward_errors = %d after a shard failed its solve", got)
+	}
+}
+
+// TestClusterMergeMemo pins the merge memo's contract on a 2-shard cluster:
+// with no deltas in between, a re-solve lands on the same regional
+// placements, so the merge returns the previous report and publishes no
+// mirror epoch; a bare MergeNow does the same; a delta batch moves the
+// mirror, and the next merge installs afresh.
+func TestClusterMergeMemo(t *testing.T) {
+	testutil.LeakCheck(t)
+	p := testutil.MustBuild(testutil.Small(31))
+	cfg := online.Config{Seed: 6}
+	ctx := context.Background()
+
+	var addrs []string
+	for i := 0; i < 2; i++ {
+		sh := NewShard(i, p.Cost, ShardConfig{Codec: CodecGob, Controller: cfg})
+		sh.Serve(listen(t))
+		defer sh.Close()
+		addrs = append(addrs, sh.Addr())
+	}
+	co, err := NewCoordinator(p, addrs, CoordinatorConfig{Codec: CodecGob, Controller: cfg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer co.Close()
+	if err := co.AssignNow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := co.SolveNow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	first := co.Current().Version
+	rep, err := co.MergeNow(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Version != first || rep.Regions != 2 || rep.OTC != co.Current().Schema.TotalCost() {
+		t.Fatalf("merge report %+v does not describe the installed epoch %d", rep, first)
+	}
+
+	merges := co.Phases().Merges
+	if err := co.SolveNow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := co.Current().Version; got != first {
+		t.Fatalf("re-solve with no deltas published epoch %d after %d", got, first)
+	}
+	if got := co.Phases().Merges; got != merges+1 {
+		t.Fatalf("re-solve ran %d merges, want 1", got-merges)
+	}
+	again, err := co.MergeNow(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(again, rep) {
+		t.Fatalf("memoized merge report changed:\nfirst %+v\nagain %+v", rep, again)
+	}
+	if got := co.Current().Version; got != first {
+		t.Fatalf("memoized merge published epoch %d after %d", got, first)
+	}
+
+	if _, err := co.ApplyDeltas(demandTrace(p, 37, 1, 4)[0]); err != nil {
+		t.Fatal(err)
+	}
+	moved := co.Current().Version
+	if moved <= first {
+		t.Fatalf("delta batch left the mirror at version %d", moved)
+	}
+	fresh, err := co.MergeNow(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Version != moved+1 || co.Current().Version != moved+1 {
+		t.Fatalf("merge after deltas installed version %d (mirror %d), want %d", fresh.Version, co.Current().Version, moved+1)
+	}
+}
+
+// TestExchangeBordersManyRegions drives the boundary exchange with more
+// contributing regions than a signed byte counts: 128 single-server regions
+// each hold a surplus replica of one heavily written object, so every
+// replica costs more in update broadcasts than it saves in reads, and the
+// exchange must drop them all.
+func TestExchangeBordersManyRegions(t *testing.T) {
+	const regions = 128
+	m := regions + 2 // primary holder, the regions' servers, one writer
+	w := workload.New(m, 1)
+	w.ObjectSize[0] = 1
+	for s := 1; s <= regions; s++ {
+		w.PerServer[s] = []workload.Demand{{Object: 0, Reads: 1}}
+	}
+	w.PerServer[m-1] = []workload.Demand{{Object: 0, Writes: 1000}}
+	w.Finalize()
+	capacity := make([]int64, m)
+	for s := range capacity {
+		capacity[s] = 10
+	}
+	p, err := replication.NewProblem(replication.UniformCost{Nodes: m, Weight: 10}, w, capacity)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var parts []regionPart
+	merged := [][]int32{{0}}
+	for s := int32(1); s <= regions; s++ {
+		parts = append(parts, regionPart{
+			shard:   int(s),
+			members: []int32{s},
+			matrix:  [][]int32{{0, s}},
+			border:  []globalAd{{object: 0, server: s, gain: 5}},
+		})
+		merged[0] = append(merged[0], s)
+	}
+	carried, dropped := p.CarryOver(merged)
+	if dropped != 0 {
+		t.Fatalf("carry dropped %d replicas", dropped)
+	}
+	before := carried.TotalCost()
+	recovered, borderDropped, _ := exchangeBorders(carried, p, parts)
+	if borderDropped != regions {
+		t.Fatalf("exchange dropped %d of %d redundant replicas", borderDropped, regions)
+	}
+	if recovered <= 0 || before-carried.TotalCost() != recovered {
+		t.Fatalf("recovered %d, OTC fell from %d to %d", recovered, before, carried.TotalCost())
 	}
 }

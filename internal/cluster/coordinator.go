@@ -99,7 +99,6 @@ type PhaseStats struct {
 type Coordinator struct {
 	cfg        CoordinatorConfig
 	mirror     *online.Controller
-	shards     []Peer
 	membership *Membership
 	ep         *Endpoint
 
@@ -110,32 +109,17 @@ type Coordinator struct {
 
 	mu        sync.Mutex
 	assignVer uint64
-	regions   map[int][]int32 // live assignment: shard id -> members
-	regionOf  []int32         // server -> shard id, -1 unassigned
+	regionOf  []int32 // server -> shard id, -1 unassigned
 	// mappings holds the coordinator's copy of each live region's index
-	// mapping. Contents are only read and extended under opMu (routing
-	// appends objects in lockstep with the owning shard); the map itself is
-	// swapped under both locks on re-assignment.
+	// mapping; its keys are the shards that hold a region. Contents are only
+	// read and extended under opMu (routing appends objects in lockstep with
+	// the owning shard); the map itself is swapped under both locks on
+	// re-assignment.
 	mappings map[int]*online.CompactRegion
-	// lastMerge memoizes the most recent multi-region merge. The merge is
-	// deterministic in (assignment generation, each region's epoch version,
-	// the mirror's epoch version) — the documented determinism boundary —
-	// so when a ping round shows none of them moved, the installed
-	// placement is already this merge's outcome and the pull + carry +
-	// exchange pipeline is skipped. Any delta, regional self-solve,
-	// re-assignment or membership change moves one of the versions and
-	// forces the full path.
-	lastMerge struct {
-		valid     bool
-		assign    uint64
-		shardVers map[int]uint64
-		replies   map[int]*PlacementReply
-		mirrorVer uint64
-		report    MergeReport
-	}
+	// lastMerge memoizes the most recent multi-region merge; nil after a
+	// single-region one.
+	lastMerge        *mergeMemo
 	phase            PhaseStats
-	repartitions     int64
-	merges           int64
 	topDecisions     int64
 	delegatePayments map[int]int64
 	lastWinner       int
@@ -168,7 +152,6 @@ func NewCoordinator(p *replication.Problem, shardAddrs []string, cfg Coordinator
 		cfg:              cfg,
 		mirror:           mirror,
 		ep:               NewEndpoint(cfg.Codec),
-		regions:          map[int][]int32{},
 		regionOf:         make([]int32, p.M),
 		mappings:         map[int]*online.CompactRegion{},
 		delegatePayments: map[int]int64{},
@@ -179,10 +162,11 @@ func NewCoordinator(p *replication.Problem, shardAddrs []string, cfg Coordinator
 	for i := range co.regionOf {
 		co.regionOf[i] = -1
 	}
+	shards := make([]Peer, len(shardAddrs))
 	for i, addr := range shardAddrs {
-		co.shards = append(co.shards, Peer{ID: i, Addr: addr})
+		shards[i] = Peer{ID: i, Addr: addr}
 	}
-	co.membership = NewMembership(co.shards, MembershipConfig{
+	co.membership = NewMembership(shards, MembershipConfig{
 		Codec:          cfg.Codec,
 		ProbeTimeout:   cfg.ProbeTimeout,
 		DeathThreshold: cfg.DeathThreshold,
@@ -282,18 +266,43 @@ func (co *Coordinator) noteErr(err error) {
 	co.mu.Unlock()
 }
 
-// liveAssigned snapshots the shards that are both alive and hold a region.
-func (co *Coordinator) liveAssigned() []int {
+// liveAssigned snapshots the assignment generation, its region mappings and
+// the shards, ascending, that are both alive and hold a region.
+func (co *Coordinator) liveAssigned() ([]int, uint64, map[int]*online.CompactRegion) {
 	alive := co.membership.Alive()
 	co.mu.Lock()
 	defer co.mu.Unlock()
-	out := make([]int, 0, len(alive))
+	live := make([]int, 0, len(alive))
 	for _, id := range alive {
-		if _, ok := co.regions[id]; ok {
-			out = append(out, id)
+		if _, ok := co.mappings[id]; ok {
+			live = append(live, id)
 		}
 	}
-	return out
+	return live, co.assignVer, co.mappings
+}
+
+// forward calls method on every listed shard concurrently under
+// ForwardTimeout — req builds shard ids[i]'s request inside its goroutine —
+// and returns the replies and errors in ids order. It is the one failure
+// policy for the coordinator's shard RPCs: each failed call counts as a
+// forward error, feeds the failure detector and kicks a re-partition, which
+// re-syncs whatever the shard missed.
+func forward[Rep any](ctx context.Context, co *Coordinator, ids []int, method string, req func(i int) any) ([]Rep, []error) {
+	reps, errs := fanOut[Rep](ctx, co.membership, ids, co.cfg.ForwardTimeout, method, req)
+	var failed int64
+	for i, err := range errs {
+		if err != nil {
+			failed++
+			co.membership.ReportFailure(ids[i])
+		}
+	}
+	if failed > 0 {
+		co.mu.Lock()
+		co.forwardErrors += failed
+		co.mu.Unlock()
+		co.kick(co.reassignKick)
+	}
+	return reps, errs
 }
 
 // AssignNow re-partitions the servers over the live shards and ships every
@@ -325,65 +334,44 @@ func (co *Coordinator) AssignNow(ctx context.Context) error {
 
 	bytesBefore := co.wireBytes(live)
 	t1 := time.Now()
-	type result struct {
-		shard   int
-		members []int32
-		region  *online.CompactRegion
-		err     error
-	}
-	results := make(chan result, len(live))
-	for j, id := range live {
-		go func(j, id int) {
-			members := parts[j]
-			region := full.Compact(members)
-			req := &AssignRequest{
-				Version: ver, Members: members, Region: region,
-				Carry: region.CarryToLocal(carry),
-			}
-			cctx, cancel := context.WithTimeout(ctx, co.cfg.ForwardTimeout)
-			defer cancel()
-			err := co.membership.Client(id).Call(cctx, MethodAssign, req, &AssignReply{})
-			results <- result{shard: id, members: members, region: region, err: err}
-		}(j, id)
-	}
-	regions := make(map[int][]int32, len(live))
+	regions := make([]*online.CompactRegion, len(live))
+	_, errs := forward[AssignReply](ctx, co, live, MethodAssign, func(j int) any {
+		regions[j] = full.Compact(parts[j])
+		return &AssignRequest{
+			Version: ver, Members: parts[j], Region: regions[j],
+			Carry: regions[j].CarryToLocal(carry),
+		}
+	})
+	shipNs := time.Since(t1).Nanoseconds()
+	assignBytes := co.wireBytes(live) - bytesBefore
+
 	mappings := make(map[int]*online.CompactRegion, len(live))
 	regionOf := make([]int32, e.Problem.M)
 	for i := range regionOf {
 		regionOf[i] = -1
 	}
 	var firstErr error
-	var failed int64
-	for range live {
-		r := <-results
-		if r.err != nil {
-			failed++
-			co.membership.ReportFailure(r.shard)
+	for j, id := range live {
+		if errs[j] != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: assign shard %d: %w", r.shard, r.err)
+				firstErr = fmt.Errorf("cluster: assign shard %d: %w", id, errs[j])
 			}
 			continue
 		}
-		regions[r.shard] = r.members
-		mappings[r.shard] = r.region
-		for _, srv := range r.members {
-			regionOf[srv] = int32(r.shard)
+		mappings[id] = regions[j]
+		for _, srv := range parts[j] {
+			regionOf[srv] = int32(id)
 		}
 	}
-	shipNs := time.Since(t1).Nanoseconds()
-	assignBytes := co.wireBytes(live) - bytesBefore
 	co.mu.Lock()
-	co.regions = regions
 	co.regionOf = regionOf
 	co.mappings = mappings
-	co.repartitions++
-	co.forwardErrors += failed
 	co.phase.Assigns++
 	co.phase.PartitionNs += partitionNs
 	co.phase.ShipNs += shipNs
 	co.phase.AssignBytes += assignBytes
 	co.mu.Unlock()
-	if len(regions) == 0 {
+	if len(mappings) == 0 {
 		return firstErr
 	}
 	return nil
@@ -483,28 +471,16 @@ func (co *Coordinator) ApplyDeltas(ds []online.Delta) (online.Applied, error) {
 			co.noteErr(aerr)
 		}
 	} else {
-		ctx := context.Background()
-		var wg sync.WaitGroup
+		ids := make([]int, 0, len(perShard))
 		for id, batch := range perShard {
-			if len(batch) == 0 {
-				continue
+			if len(batch) > 0 {
+				ids = append(ids, id)
 			}
-			wg.Add(1)
-			go func(id int, batch []online.Delta) {
-				defer wg.Done()
-				cctx, cancel := context.WithTimeout(ctx, co.cfg.ForwardTimeout)
-				defer cancel()
-				req := &DeltasRequest{Assign: ver, Deltas: batch}
-				if err := co.membership.Client(id).Call(cctx, MethodDeltas, req, &online.Applied{}); err != nil {
-					co.mu.Lock()
-					co.forwardErrors++
-					co.mu.Unlock()
-					co.membership.ReportFailure(id)
-					co.kick(co.reassignKick)
-				}
-			}(id, batch)
 		}
-		wg.Wait()
+		sort.Ints(ids)
+		forward[online.Applied](context.Background(), co, ids, MethodDeltas, func(i int) any {
+			return &DeltasRequest{Assign: ver, Deltas: perShard[ids[i]]}
+		})
 		co.opMu.Unlock()
 	}
 
@@ -524,61 +500,35 @@ func (co *Coordinator) SolveNow(ctx context.Context) error {
 }
 
 func (co *Coordinator) solveLocked(ctx context.Context) error {
-	live := co.liveAssigned()
+	live, ver, mappings := co.liveAssigned()
 	if len(live) == 0 {
 		return errors.New("cluster: no live assigned shards to solve")
 	}
-	co.mu.Lock()
-	ver := co.assignVer
-	mappings := co.mappings
-	co.mu.Unlock()
 	t0 := time.Now()
-	type result struct {
-		shard int
-		rep   SolveReply
-		err   error
-	}
-	results := make(chan result, len(live))
-	for _, id := range live {
-		go func(id int) {
-			cctx, cancel := context.WithTimeout(ctx, co.cfg.ForwardTimeout)
-			defer cancel()
-			var rep SolveReply
-			err := co.membership.Client(id).Call(cctx, MethodSolve, &SolveRequest{}, &rep)
-			results <- result{shard: id, rep: rep, err: err}
-		}(id)
-	}
+	reps, errs := forward[SolveReply](ctx, co, live, MethodSolve, func(int) any { return &SolveRequest{} })
+	solveNs := time.Since(t0).Nanoseconds()
 	payments := make([]int64, co.mirror.Current().Problem.M)
 	solved := 0
 	var regionNs int64
 	var firstErr error
-	for range live {
-		r := <-results
-		if r.err != nil {
-			co.membership.ReportFailure(r.shard)
-			co.kick(co.reassignKick)
-			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: solve shard %d: %w", r.shard, r.err)
-			}
-			continue
-		}
-		mapping := mappings[r.shard]
-		if r.rep.Assign != ver || mapping == nil {
+	for i, id := range live {
+		err := errs[i]
+		if err == nil && reps[i].Assign != ver {
 			// The shard solved under a different assignment: its payment
 			// indexes mean nothing against this mapping. Re-sync it.
 			co.kick(co.reassignKick)
+			err = fmt.Errorf("ran assignment %d, coordinator at %d", reps[i].Assign, ver)
+		}
+		if err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("cluster: solve shard %d ran assignment %d, coordinator at %d", r.shard, r.rep.Assign, ver)
+				firstErr = fmt.Errorf("cluster: solve shard %d: %w", id, err)
 			}
 			continue
 		}
 		solved++
-		mapping.PaymentsToGlobal(r.rep.Payments, payments)
-		if r.rep.ElapsedNs > regionNs {
-			regionNs = r.rep.ElapsedNs
-		}
+		mappings[id].PaymentsToGlobal(reps[i].Payments, payments)
+		regionNs = max(regionNs, reps[i].ElapsedNs)
 	}
-	solveNs := time.Since(t0).Nanoseconds()
 	if solved == 0 {
 		return firstErr
 	}
@@ -594,129 +544,96 @@ func (co *Coordinator) solveLocked(ctx context.Context) error {
 
 // MergeNow pulls every live region's placement, runs the top-level delegate
 // game over the regional savings bids, and installs the union on the mirror
-// as the next merged epoch.
+// as the next merged epoch. When the pulled placements and the mirror are
+// those of the previous multi-region merge, it returns that merge's report
+// and publishes nothing.
 func (co *Coordinator) MergeNow(ctx context.Context) (MergeReport, error) {
 	co.opMu.Lock()
 	defer co.opMu.Unlock()
 	return co.mergeLocked(ctx)
 }
 
+// pull is one region's placement reply, as a merge consumed it.
+type pull struct {
+	shard int
+	rep   *PlacementReply
+}
+
+// mergeMemo keys a multi-region merge's report by everything the merge is
+// deterministic in: the assignment generation, the mirror's epoch version
+// and the pulled regional placements.
+type mergeMemo struct {
+	assign, mirrorVer uint64
+	pulls             []pull
+	report            MergeReport
+}
+
+// hit reports whether merging pulls under generation assign at mirror
+// version mirrorVer would reproduce the memoized merge. Pulls arrive in
+// ascending shard order, so the comparison is positional.
+func (m *mergeMemo) hit(assign, mirrorVer uint64, pulls []pull) bool {
+	if m == nil || m.assign != assign || m.mirrorVer != mirrorVer || len(m.pulls) != len(pulls) {
+		return false
+	}
+	for i := range pulls {
+		if pulls[i].shard != m.pulls[i].shard || !placementEqual(pulls[i].rep, m.pulls[i].rep) {
+			return false
+		}
+	}
+	return true
+}
+
 func (co *Coordinator) mergeLocked(ctx context.Context) (MergeReport, error) {
-	live := co.liveAssigned()
+	live, ver, mappings := co.liveAssigned()
 	if len(live) == 0 {
 		return MergeReport{}, errors.New("cluster: no live assigned shards to merge")
 	}
-	co.mu.Lock()
-	ver := co.assignVer
-	mappings := co.mappings
-	memo := co.lastMerge
-	co.mu.Unlock()
 	t0 := time.Now()
-
-	if memo.valid && memo.assign == ver && co.mirror.Current().Version == memo.mirrorVer && len(memo.shardVers) == len(live) {
-		stale := false
-		for _, id := range live {
-			if _, ok := memo.shardVers[id]; !ok {
-				stale = true
-				break
-			}
-		}
-		if !stale && co.pingMatches(ctx, live, ver, memo.shardVers) {
-			co.mu.Lock()
-			co.merges++
-			co.phase.Merges++
-			co.phase.MergeNs += time.Since(t0).Nanoseconds()
-			co.mu.Unlock()
-			return memo.report, nil
-		}
-	}
-
-	type pull struct {
-		shard int
-		rep   PlacementReply
-		err   error
-	}
-	results := make(chan pull, len(live))
-	for _, id := range live {
-		go func(id int) {
-			cctx, cancel := context.WithTimeout(ctx, co.cfg.ForwardTimeout)
-			defer cancel()
-			var rep PlacementReply
-			err := co.membership.Client(id).Call(cctx, MethodPlacement, &PlacementRequest{}, &rep)
-			results <- pull{shard: id, rep: rep, err: err}
-		}(id)
-	}
-	e := co.mirror.Current()
+	reps, errs := forward[PlacementReply](ctx, co, live, MethodPlacement, func(int) any { return &PlacementRequest{} })
 	var pulls []pull
-	for range live {
-		r := <-results
-		if r.err != nil {
-			co.membership.ReportFailure(r.shard)
-			co.kick(co.reassignKick)
+	for i, id := range live {
+		if errs[i] != nil {
 			continue
 		}
-		if r.rep.Assign != ver || mappings[r.shard] == nil {
+		if reps[i].Assign != ver {
 			// A different generation's placement is in the wrong coordinate
 			// system; drop it and re-sync the shard.
 			co.kick(co.reassignKick)
 			continue
 		}
-		pulls = append(pulls, r)
+		pulls = append(pulls, pull{shard: id, rep: &reps[i]})
 	}
 	if len(pulls) == 0 {
 		return MergeReport{}, errors.New("cluster: every placement pull failed")
 	}
-	sort.Slice(pulls, func(a, b int) bool { return pulls[a].shard < pulls[b].shard })
 
-	// Second memo gate, on content: a regional re-solve bumps the region's
-	// epoch version even when it lands on the same placement, so the ping
-	// gate misses — but if every pulled placement (matrix, bid, ads) equals
-	// what the last merge consumed and the mirror has not moved, the
-	// translate + carry + exchange pipeline would reproduce the installed
-	// placement exactly. Refresh the memo's versions so the next ping gate
-	// can hit without pulling.
-	if memo.valid && memo.assign == ver && co.mirror.Current().Version == memo.mirrorVer &&
-		len(memo.replies) == len(pulls) {
-		same := true
-		for i := range pulls {
-			prev, ok := memo.replies[pulls[i].shard]
-			if !ok || !placementEqual(prev, &pulls[i].rep) {
-				same = false
-				break
-			}
-		}
-		if same {
-			co.mu.Lock()
-			co.merges++
-			co.phase.Merges++
-			co.phase.MergeNs += time.Since(t0).Nanoseconds()
-			if co.lastMerge.valid && co.lastMerge.assign == ver {
-				vers := make(map[int]uint64, len(pulls))
-				for i := range pulls {
-					vers[pulls[i].shard] = pulls[i].rep.Version
-				}
-				co.lastMerge.shardVers = vers
-			}
-			co.mu.Unlock()
-			return memo.report, nil
-		}
+	// The memo gate, on content: a regional re-solve publishes a fresh epoch
+	// even when it lands on the same placement, but if every pulled
+	// placement (matrix, bid, ads) equals what the last merge consumed and
+	// the mirror has not moved, the translate + carry + exchange pipeline
+	// would reproduce the installed placement exactly.
+	e := co.mirror.Current()
+	co.mu.Lock()
+	memo := co.lastMerge
+	co.mu.Unlock()
+	if memo.hit(ver, e.Version, pulls) {
+		co.mu.Lock()
+		co.phase.Merges++
+		co.phase.MergeNs += time.Since(t0).Nanoseconds()
+		co.mu.Unlock()
+		return memo.report, nil
 	}
 
-	var parts []regionPart
-	shardVers := make(map[int]uint64, len(pulls))
-	replies := make(map[int]*PlacementReply, len(pulls))
-	for i := range pulls {
-		r := &pulls[i]
-		mapping := mappings[r.shard]
-		shardVers[r.shard] = r.rep.Version
-		replies[r.shard] = &r.rep
+	parts := make([]regionPart, 0, len(pulls))
+	for _, pl := range pulls {
+		mapping := mappings[pl.shard]
 		pt := regionPart{
-			shard:   r.shard,
-			members: r.rep.Members,
-			matrix:  mapping.MatrixToGlobal(r.rep.Matrix, e.Problem.N),
-			saved:   r.rep.SavedOTC,
+			shard:   pl.shard,
+			members: pl.rep.Members,
+			matrix:  mapping.MatrixToGlobal(pl.rep.Matrix, e.Problem.N),
+			saved:   pl.rep.SavedOTC,
 		}
-		for _, ad := range r.rep.Border {
+		for _, ad := range pl.rep.Border {
 			gk, okK := mapping.GlobalObject(ad.Object)
 			gs, okS := mapping.GlobalServer(int(ad.Server))
 			if okK && okS {
@@ -746,10 +663,9 @@ func (co *Coordinator) mergeLocked(ctx context.Context) (MergeReport, error) {
 		co.mu.Unlock()
 	}
 
-	merged := mergeParts(e.Problem.N, e.Problem.M, e.Problem.Work.Primary, parts)
+	carried, dropped := e.Problem.CarryOver(mergeParts(e.Problem.N, e.Problem.M, e.Problem.Work.Primary, parts))
 	var recovered int64
 	borderDropped, borderPlaced := 0, 0
-	dropped := 0
 	if len(parts) > 1 {
 		// Boundary-replica exchange: each region priced its surplus replicas
 		// in isolation; against the merged placement some are redundant — a
@@ -760,13 +676,9 @@ func (co *Coordinator) mergeLocked(ctx context.Context) (MergeReport, error) {
 		// the cross-region coordination a masked merge structurally could
 		// not do. The single-region case skips the exchange entirely, which
 		// keeps the 1-shard cluster bit-identical to the single daemon.
-		carried, firstDropped := e.Problem.CarryOver(merged)
-		rec, bd, bp := exchangeBorders(carried, e.Problem, parts)
-		recovered, borderDropped, borderPlaced = rec, bd, bp
-		dropped = co.mirror.InstallSchema(carried, firstDropped)
-	} else {
-		dropped = co.mirror.InstallPlacement(merged)
+		recovered, borderDropped, borderPlaced = exchangeBorders(carried, e.Problem, parts)
 	}
+	dropped = co.mirror.InstallSchema(carried, dropped)
 	mergeNs := time.Since(t0).Nanoseconds()
 	cur := co.mirror.Current()
 	report := MergeReport{
@@ -782,19 +694,14 @@ func (co *Coordinator) mergeLocked(ctx context.Context) (MergeReport, error) {
 		Savings:       cur.Schema.Savings(),
 	}
 	co.mu.Lock()
-	co.merges++
 	co.phase.Merges++
 	co.phase.MergeNs += mergeNs
 	// Memoize multi-region merges only: the 1-shard path must keep
 	// installing every merge so its epoch cadence stays bit-identical to
 	// the single daemon's.
-	co.lastMerge.valid = len(parts) > 1 && len(shardVers) == len(parts)
-	if co.lastMerge.valid {
-		co.lastMerge.assign = ver
-		co.lastMerge.shardVers = shardVers
-		co.lastMerge.replies = replies
-		co.lastMerge.mirrorVer = cur.Version
-		co.lastMerge.report = report
+	co.lastMerge = nil
+	if len(parts) > 1 {
+		co.lastMerge = &mergeMemo{assign: ver, mirrorVer: cur.Version, pulls: pulls, report: report}
 	}
 	co.mu.Unlock()
 	return report, nil
@@ -831,33 +738,6 @@ func placementEqual(a, b *PlacementReply) bool {
 		}
 	}
 	return true
-}
-
-// pingMatches checks whether every live shard still runs assignment ver at
-// exactly the regional epoch version the last merge pulled — the cheap
-// probe behind the merge memo. Any RPC failure counts as a mismatch; the
-// full merge path reports it properly.
-func (co *Coordinator) pingMatches(ctx context.Context, live []int, ver uint64, want map[int]uint64) bool {
-	results := make(chan bool, len(live))
-	for _, id := range live {
-		go func(id int) {
-			cctx, cancel := context.WithTimeout(ctx, co.cfg.ForwardTimeout)
-			defer cancel()
-			var rep PingReply
-			if err := co.membership.Client(id).Call(cctx, MethodPing, &PingRequest{}, &rep); err != nil {
-				results <- false
-				return
-			}
-			results <- rep.Assign == ver && rep.Version == want[id]
-		}(id)
-	}
-	ok := true
-	for range live {
-		if !<-results {
-			ok = false
-		}
-	}
-	return ok
 }
 
 // regionPart is one region's contribution to a merge, already translated
@@ -935,9 +815,14 @@ func exchangeBorders(carried *replication.Schema, p *replication.Problem, parts 
 	// regional game has not cleaned up yet). Everything else is filtered
 	// before any global re-pricing, which is what keeps the exchange's cost
 	// proportional to the contested boundary rather than the replica count.
-	contributors := make([]int8, p.N)
+	// The count stops at 2, the only threshold it is tested against, so any
+	// number of regions fits a byte.
+	contributors := make([]uint8, p.N)
 	for _, pt := range parts {
 		for k, row := range pt.matrix {
+			if contributors[k] == 2 {
+				continue
+			}
 			for _, s := range row {
 				if s != p.Work.Primary[k] {
 					contributors[k]++

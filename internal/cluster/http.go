@@ -51,58 +51,54 @@ type ClusterStatus struct {
 }
 
 // Status aggregates the cluster view: membership states locally, per-shard
-// metrics over RPC (bounded by ForwardTimeout; a failed pull reports the
-// error in the shard's row instead of failing the whole status).
+// metrics over RPC (bounded by ForwardTimeout; a failed pull is a forward
+// error like any other and reports the error in the shard's row instead of
+// failing the whole status).
 func (co *Coordinator) Status(ctx context.Context) ClusterStatus {
+	peers := co.membership.Snapshot()
+	rows := make([]ShardInfo, len(peers))
+	var ids, at []int // the non-Dead peers, and their rows
+	for i, p := range peers {
+		rows[i] = ShardInfo{ID: p.ID, Addr: p.Addr, State: p.State.String()}
+		if p.State != Dead {
+			ids = append(ids, p.ID)
+			at = append(at, i)
+		}
+	}
+	reps, errs := forward[MetricsReply](ctx, co, ids, MethodMetrics, func(int) any { return &MetricsRequest{} })
+	for j, i := range at {
+		if errs[j] != nil {
+			rows[i].Error = errs[j].Error()
+			continue
+		}
+		rep := &reps[j]
+		rows[i].Assign = rep.Assign
+		rows[i].Mode = rep.Mode
+		rows[i].Members = len(rep.Members)
+		rows[i].RegionServers = rep.RegionServers
+		rows[i].RegionObjects = rep.RegionObjects
+		rows[i].Metrics = &rep.Metrics
+	}
+
 	co.mu.Lock()
 	st := ClusterStatus{
 		Role:             "coordinator",
 		AssignVersion:    co.assignVer,
-		Merges:           co.merges,
-		Repartitions:     co.repartitions,
+		Merges:           co.phase.Merges,
+		Repartitions:     co.phase.Assigns,
 		TopDecisions:     co.topDecisions,
 		LastWinner:       co.lastWinner,
 		ForwardErrors:    co.forwardErrors,
 		LastError:        co.lastErr,
 		DelegatePayments: make(map[int]int64, len(co.delegatePayments)),
 		Payments:         append([]int64(nil), co.lastPayments...),
+		Shards:           rows,
 	}
 	for id, p := range co.delegatePayments {
 		st.DelegatePayments[id] = p
 	}
 	co.mu.Unlock()
 	st.EpochVersion = co.mirror.Current().Version
-
-	peers := co.membership.Snapshot()
-	rows := make([]ShardInfo, len(peers))
-	done := make(chan int, len(peers))
-	for i, p := range peers {
-		rows[i] = ShardInfo{ID: p.ID, Addr: p.Addr, State: p.State.String()}
-		if p.State == Dead {
-			done <- i
-			continue
-		}
-		go func(i int, id int) {
-			cctx, cancel := context.WithTimeout(ctx, co.cfg.ForwardTimeout)
-			defer cancel()
-			var rep MetricsReply
-			if err := co.membership.Client(id).Call(cctx, MethodMetrics, &MetricsRequest{}, &rep); err != nil {
-				rows[i].Error = err.Error()
-			} else {
-				rows[i].Assign = rep.Assign
-				rows[i].Mode = rep.Mode
-				rows[i].Members = len(rep.Members)
-				rows[i].RegionServers = rep.RegionServers
-				rows[i].RegionObjects = rep.RegionObjects
-				rows[i].Metrics = &rep.Metrics
-			}
-			done <- i
-		}(i, p.ID)
-	}
-	for range peers {
-		<-done
-	}
-	st.Shards = rows
 	return st
 }
 

@@ -72,7 +72,7 @@ type MembershipConfig struct {
 // the coordinator (a Dead coordinator flips the shard to autonomous mode).
 type Membership struct {
 	cfg     MembershipConfig
-	peers   []Peer
+	ids     []int // peer ids in seed order
 	clients map[int]*Client
 
 	mu     sync.Mutex
@@ -94,15 +94,15 @@ func NewMembership(peers []Peer, cfg MembershipConfig) *Membership {
 	}
 	m := &Membership{
 		cfg:     cfg,
-		peers:   append([]Peer(nil), peers...),
 		clients: make(map[int]*Client, len(peers)),
 		status:  make(map[int]*PeerStatus, len(peers)),
 	}
-	for _, p := range m.peers {
+	for _, p := range peers {
 		var dial DialFunc
 		if cfg.Dial != nil {
 			dial = cfg.Dial(p)
 		}
+		m.ids = append(m.ids, p.ID)
 		m.clients[p.ID] = NewClient(p.Addr, cfg.Codec, dial)
 		m.status[p.ID] = &PeerStatus{Peer: p, State: Alive}
 	}
@@ -113,80 +113,92 @@ func NewMembership(peers []Peer, cfg MembershipConfig) *Membership {
 // are serialized per client).
 func (m *Membership) Client(id int) *Client { return m.clients[id] }
 
+// fanOut calls method on every peer in ids concurrently, each call bounded
+// by timeout, and returns once every call has returned. req builds the i-th
+// request inside its goroutine, so costly requests are built in parallel
+// too. Replies and errors come back in ids order, whatever order the
+// answers arrived in.
+func fanOut[Rep any](ctx context.Context, m *Membership, ids []int, timeout time.Duration, method string, req func(i int) any) ([]Rep, []error) {
+	reps := make([]Rep, len(ids))
+	errs := make([]error, len(ids))
+	var wg sync.WaitGroup
+	for i, id := range ids {
+		wg.Add(1)
+		go func(i int, c *Client) {
+			defer wg.Done()
+			cctx, cancel := context.WithTimeout(ctx, timeout)
+			defer cancel()
+			errs[i] = c.Call(cctx, method, req(i), &reps[i])
+		}(i, m.clients[id])
+	}
+	wg.Wait()
+	return reps, errs
+}
+
 // ProbeOnce runs one probe round — every peer pinged concurrently, each
 // bounded by ProbeTimeout — and returns when the round completes. Tests call
 // it directly to step the failure detector deterministically; Start wraps it
 // in a timer loop for the daemons.
 func (m *Membership) ProbeOnce(ctx context.Context) {
-	type outcome struct {
-		id int
-		ok bool
-	}
-	results := make(chan outcome, len(m.peers))
-	for _, p := range m.peers {
-		go func(p Peer) {
-			pctx, cancel := context.WithTimeout(ctx, m.cfg.ProbeTimeout)
-			defer cancel()
-			err := m.clients[p.ID].Call(pctx, "ping", &PingRequest{}, &PingReply{})
-			results <- outcome{id: p.ID, ok: err == nil}
-		}(p)
-	}
-	type change struct {
-		peer     Peer
-		from, to PeerState
-	}
-	var changes []change
+	_, errs := fanOut[PingReply](ctx, m, m.ids, m.cfg.ProbeTimeout, MethodPing, func(int) any { return &PingRequest{} })
+	var changes []stateChange
 	m.mu.Lock()
-	for range m.peers {
-		r := <-results
-		st := m.status[r.id]
-		st.Probes++
-		from := st.State
-		if r.ok {
-			st.Fails = 0
-			st.State = Alive
-		} else {
-			st.Fails++
-			if st.Fails >= m.cfg.DeathThreshold {
-				st.State = Dead
-			} else {
-				st.State = Suspect
-			}
-		}
-		if st.State != from {
-			changes = append(changes, change{peer: st.Peer, from: from, to: st.State})
-		}
+	for i, id := range m.ids {
+		m.status[id].Probes++
+		changes = m.transition(changes, id, errs[i] == nil)
 	}
 	m.mu.Unlock()
-	if m.cfg.OnChange != nil {
-		for _, c := range changes {
-			m.cfg.OnChange(c.peer, c.from, c.to)
-		}
-	}
+	m.notify(changes)
 }
 
 // ReportFailure feeds an out-of-band RPC failure (a delta forward or solve
 // call that died) into the failure detector, so the next decision does not
 // wait for a probe round to notice.
 func (m *Membership) ReportFailure(id int) {
-	var fire func()
 	m.mu.Lock()
-	if st, ok := m.status[id]; ok {
-		from := st.State
+	changes := m.transition(nil, id, false)
+	m.mu.Unlock()
+	m.notify(changes)
+}
+
+// stateChange is one peer's state transition, reported to OnChange.
+type stateChange struct {
+	peer     Peer
+	from, to PeerState
+}
+
+// transition applies one call outcome to a peer, under mu: a success returns
+// it to Alive, a failure lengthens its streak — Suspect, then Dead at
+// DeathThreshold. A state that moved is appended to changes.
+func (m *Membership) transition(changes []stateChange, id int, ok bool) []stateChange {
+	st, known := m.status[id]
+	if !known {
+		return changes
+	}
+	from := st.State
+	if ok {
+		st.Fails = 0
+		st.State = Alive
+	} else {
 		st.Fails++
+		st.State = Suspect
 		if st.Fails >= m.cfg.DeathThreshold {
 			st.State = Dead
-		} else {
-			st.State = Suspect
-		}
-		if st.State != from && m.cfg.OnChange != nil {
-			peer, to := st.Peer, st.State
-			fire = func() { m.cfg.OnChange(peer, from, to) }
 		}
 	}
-	m.mu.Unlock()
-	if fire != nil {
-		fire()
+	if st.State != from {
+		changes = append(changes, stateChange{peer: st.Peer, from: from, to: st.State})
+	}
+	return changes
+}
+
+// notify fires OnChange for each change, outside the membership lock.
+func (m *Membership) notify(changes []stateChange) {
+	if m.cfg.OnChange == nil {
+		return
+	}
+	for _, c := range changes {
+		m.cfg.OnChange(c.peer, c.from, c.to)
 	}
 }
 

@@ -19,7 +19,10 @@
 //     with internal/faultnet, so the fault matrix drives the same
 //     deterministic fault model as the engine tests.
 //   - membership.go: static seed list + health probes with a consecutive-
-//     failure threshold (Alive → Suspect → Dead, probes recover the peer).
+//     failure threshold (Alive → Suspect → Dead, probes recover the peer),
+//     and fanOut, the one "call each listed peer concurrently under a
+//     timeout, then collect in peer order" helper: probes, assignments,
+//     delta forwards, solves, placement pulls and status pulls all run on it.
 //   - shard.go: one regional game. Holds an online.Controller over the
 //     compacted sub-instance the coordinator assigned (arena, kernel and
 //     oracle rows all sized to the region), translates global ids at the RPC
@@ -28,7 +31,11 @@
 //   - coordinator.go: membership + partition + compaction + mapping-aware
 //     delta forwarding + the fan-out solve and translate-then-union merge,
 //     behind the same server.Backend interface the single daemon serves
-//     HTTP from.
+//     HTTP from. Every shard RPC goes through forward, one failure policy:
+//     a failed call is counted as a forward error, reported to the failure
+//     detector and re-synced by a re-partition. A multi-region merge whose
+//     pulled placements equal the previous merge's, with the mirror
+//     unmoved, returns the previous report instead of installing again.
 //
 // Determinism boundary: regional games are deterministic in (sub-instance,
 // seed) exactly like the single daemon; the merge — including the boundary
