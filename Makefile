@@ -136,7 +136,8 @@ cluster:
 	$(GO) run ./cmd/benchjson -o $(CLUSTER_JSON) < cluster_bench.out
 	@rm -f cluster_bench.out
 
-# Short smoke of each fuzz target beyond its checked-in corpus.
+# Short smoke of each fuzz target beyond its checked-in corpus; CI's fuzz
+# job runs it on every push and pull request.
 fuzz:
 	$(GO) test -fuzz FuzzSchemaPlaceRemove -fuzztime 10s ./internal/replication
 	$(GO) test -fuzz FuzzReadGraph -fuzztime 10s ./internal/topology
@@ -145,6 +146,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 10s ./internal/trace
 	$(GO) test -fuzz FuzzReadCLF -fuzztime 10s ./internal/trace
 	$(GO) test -fuzz FuzzDeltasDecoder -fuzztime 10s ./internal/server
+	$(GO) test -fuzz FuzzDecodeDeltas -fuzztime 10s ./internal/online
 	$(GO) test -fuzz FuzzCompactRoundTrip -fuzztime 10s ./internal/online
 	$(GO) test -fuzz FuzzNewFromState -fuzztime 10s ./internal/online
 	$(GO) test -fuzz FuzzFrameDecode -fuzztime 10s ./internal/frame

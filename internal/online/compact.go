@@ -214,7 +214,8 @@ func (r *CompactRegion) CarryToLocal(matrix [][]int32) [][]int32 {
 
 // MatrixToGlobal translates a regional placement matrix back to global
 // coordinates over n global objects. Objects outside the mapping get nil
-// rows — the caller unions rows across regions.
+// rows — the caller unions rows across regions — and server indices outside
+// the region are dropped.
 func (r *CompactRegion) MatrixToGlobal(local [][]int32, n int) [][]int32 {
 	out := make([][]int32, n)
 	for l, row := range local {
@@ -224,7 +225,7 @@ func (r *CompactRegion) MatrixToGlobal(local [][]int32, n int) [][]int32 {
 		g := r.Objects[l]
 		grow := make([]int32, 0, len(row))
 		for _, ls := range row {
-			if int(ls) < len(r.Servers) {
+			if ls >= 0 && int(ls) < len(r.Servers) {
 				grow = append(grow, r.Servers[ls])
 			}
 		}

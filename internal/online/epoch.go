@@ -101,6 +101,10 @@ func (ps *PlacementSnapshot) Validate() error {
 				return fmt.Errorf("online: object %d replica set unsorted in snapshot", k)
 			}
 		}
+		// Sorted, so the ends bound the set.
+		if first, last := ps.Replicas[lo], ps.Replicas[hi-1]; first < 0 || int(last) >= ps.Servers {
+			return fmt.Errorf("online: object %d has a replica outside servers [0,%d) in snapshot", k, ps.Servers)
+		}
 	}
 	if int(ps.Offsets[ps.Objects]) != len(ps.Replicas) {
 		return fmt.Errorf("online: snapshot replica array length %d != final offset %d",

@@ -465,6 +465,17 @@ func TestCompactFullMembershipIdentity(t *testing.T) {
 // the cluster merge depends on: a regional solve over a compacted
 // sub-instance translates to global coordinates and back without losing or
 // inventing a single replica or payment unit.
+// TestMatrixToGlobalDropsOutOfRangeServers feeds the translation a shard
+// placement row holding server indices outside the region, negative ones
+// included: they are dropped, so a hostile reply cannot panic the merge.
+func TestMatrixToGlobalDropsOutOfRangeServers(t *testing.T) {
+	comp := &CompactRegion{Servers: []int32{4, 7}, Objects: []int32{2}}
+	got := comp.MatrixToGlobal([][]int32{{-1, 0, 1, 2, -1 << 31}}, 3)
+	if want := [][]int32{nil, nil, {4, 7}}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("MatrixToGlobal = %v, want %v", got, want)
+	}
+}
+
 func TestCompactRoundTripPlacementsAndPayments(t *testing.T) {
 	testutil.LeakCheck(t)
 	p := testutil.MustBuild(testutil.Small(53))

@@ -104,13 +104,19 @@ func (c *Client) Route(server int, object int32) (int32, error) {
 // Apply folds one stream element into the client's state. Terminal updates
 // are a no-op (the caller decides to stop). Snapshots replace the state;
 // diffs must chain exactly onto the current version or Apply returns
-// ErrStale and leaves the state untouched.
+// ErrStale and leaves the state untouched. An update whose servers the cost
+// oracle does not cover, or that places a replica outside its servers, is
+// an error and leaves the state untouched too, so Route never indexes past
+// the oracle.
 func (c *Client) Apply(u *online.Update) error {
 	switch {
 	case u.Terminal:
 		return nil
 	case u.Snapshot != nil:
 		if err := u.Snapshot.Validate(); err != nil {
+			return err
+		}
+		if err := c.covers(u.Snapshot.Servers); err != nil {
 			return err
 		}
 		if c.state.Load() != nil {
@@ -124,6 +130,9 @@ func (c *Client) Apply(u *online.Update) error {
 			c.stales.Add(1)
 			return ErrStale
 		}
+		if err := c.covers(u.Diff.Servers); err != nil {
+			return err
+		}
 		next, err := cur.applyDiff(u.Version, u.Diff)
 		if err != nil {
 			c.stales.Add(1)
@@ -135,6 +144,15 @@ func (c *Client) Apply(u *online.Update) error {
 	default:
 		return fmt.Errorf("routing: update %d carries neither snapshot nor diff", u.Version)
 	}
+}
+
+// covers rejects a system of more servers than the client's cost oracle
+// spans.
+func (c *Client) covers(servers int) error {
+	if n := c.cost.N(); servers > n {
+		return fmt.Errorf("routing: update spans %d servers, the cost oracle %d", servers, n)
+	}
+	return nil
 }
 
 func tableFromSnapshot(version uint64, ps *online.PlacementSnapshot) *table {
@@ -158,6 +176,9 @@ func (t *table) applyDiff(version uint64, d *online.Diff) (*table, error) {
 	for _, om := range d.NewObjects {
 		if int(om.Object) != len(nr) {
 			return nil, fmt.Errorf("routing: new object %d out of order (have %d objects)", om.Object, len(nr))
+		}
+		if om.Primary < 0 || int(om.Primary) >= d.Servers {
+			return nil, fmt.Errorf("routing: new object %d has primary %d outside [0,%d)", om.Object, om.Primary, d.Servers)
 		}
 		nr = append(nr, []int32{om.Primary})
 	}
@@ -184,6 +205,9 @@ func (t *table) applyDiff(version uint64, d *online.Diff) (*table, error) {
 		nr[ref.Object] = append(r[:idx], r[idx+1:]...)
 	}
 	for _, ref := range d.Place {
+		if ref.Server < 0 || int(ref.Server) >= d.Servers {
+			return nil, fmt.Errorf("routing: diff places object %d on server %d outside [0,%d)", ref.Object, ref.Server, d.Servers)
+		}
 		r, err := mutable(ref.Object)
 		if err != nil {
 			return nil, err

@@ -181,6 +181,56 @@ func TestClientStaleDetection(t *testing.T) {
 	}
 }
 
+// TestClientRejectsOutOfRangeUpdates applies updates that would let Route
+// index past the cost oracle: a replica or a new object's primary outside
+// the system's servers, or a system larger than the oracle. Each is an
+// error that leaves the previous table serving, and Route stays in range.
+func TestClientRejectsOutOfRangeUpdates(t *testing.T) {
+	ctrl := newController(t, 3, online.Config{})
+	defer ctrl.Close()
+	e := ctrl.Current()
+	m, v := e.Problem.M, e.Version
+	c := NewClient(e.Problem.Cost)
+	if err := c.Apply(e.SnapshotUpdate()); err != nil {
+		t.Fatal(err)
+	}
+	// snap copies the controller's snapshot with its last replica moved to
+	// server m and the system resized to servers.
+	snap := func(servers int) *online.Update {
+		ps := *e.SnapshotUpdate().Snapshot
+		ps.Replicas = append([]int32(nil), ps.Replicas...)
+		ps.Replicas[len(ps.Replicas)-1] = int32(m)
+		ps.Servers = servers
+		return &online.Update{Version: v + 1, Snapshot: &ps}
+	}
+	diff := func(d online.Diff) *online.Update {
+		d.From = v
+		return &online.Update{Version: v + 1, Diff: &d}
+	}
+	for _, tc := range []struct {
+		name string
+		u    *online.Update
+	}{
+		{"diff places on server 99,999", diff(online.Diff{Servers: m, Place: []online.ReplicaRef{{Object: 0, Server: 99999}}})},
+		{"diff places on server -1", diff(online.Diff{Servers: m, Place: []online.ReplicaRef{{Object: 0, Server: -1}}})},
+		{"diff places on server m", diff(online.Diff{Servers: m, Place: []online.ReplicaRef{{Object: 0, Server: int32(m)}}})},
+		{"new object's primary outside", diff(online.Diff{Servers: m, NewObjects: []online.ObjectMeta{{Object: int32(e.Problem.N), Primary: 99999, Size: 1}}})},
+		{"diff beyond the oracle", diff(online.Diff{Servers: m + 1, Place: []online.ReplicaRef{{Object: 0, Server: int32(m)}}})},
+		{"snapshot replica outside", snap(m)},
+		{"snapshot beyond the oracle", snap(m + 1)},
+	} {
+		if err := c.Apply(tc.u); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
+		// Every object, a new one included: an accepted out-of-range
+		// replica panics here.
+		for k := int32(0); int(k) <= e.Problem.N; k++ {
+			_, _ = c.Route(0, k)
+		}
+		checkBitIdentical(t, ctrl, c)
+	}
+}
+
 // TestFollowResubscribesAfterEviction forces the slow-subscriber path: a
 // client whose subscription buffer is one update deep follows a controller
 // publishing bursts. Evictions close its stream mid-ride; Follow must

@@ -6,6 +6,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -224,7 +225,8 @@ func (s *Server) handlePlacement(w http.ResponseWriter, r *http.Request) {
 
 // handleDeltas applies one atomic batch. Three encodings:
 //
-//   - JSON (default): a single JSON array of delta objects.
+//   - JSON (default): a single JSON array of delta objects, read whole and
+//     decoded by online.DecodeDeltas.
 //   - binary trace ("WCTR"): Content-Type application/octet-stream or
 //     ?format=trace — a trace.WriteBinary stream, aggregated into demand
 //     deltas with the client-mod-M mapping.
@@ -274,13 +276,19 @@ func (s *Server) decodeDeltas(body io.Reader, r *http.Request) ([]online.Delta, 
 		}
 		return online.DeltasFromEvents(l.Events, nil, s.ctrl.Current().Problem.M)
 	case "", "json":
-		dec := json.NewDecoder(body)
-		var ds []online.Delta
-		if err := dec.Decode(&ds); err != nil {
+		// One read into one buffer, sized by a declared Content-Length; the
+		// spare bytes.MinRead lets the read that meets EOF land without
+		// growing it.
+		var buf bytes.Buffer
+		if n := r.ContentLength; n > 0 && n <= maxBody {
+			buf.Grow(int(n) + bytes.MinRead)
+		}
+		if _, err := buf.ReadFrom(body); err != nil {
 			return nil, fmt.Errorf("decode JSON deltas: %w", err)
 		}
-		if err := dec.Decode(new(json.RawMessage)); !errors.Is(err, io.EOF) {
-			return nil, errors.New("trailing data after delta array")
+		ds, err := online.DecodeDeltas(buf.Bytes())
+		if err != nil {
+			return nil, fmt.Errorf("decode JSON deltas: %w", err)
 		}
 		return ds, nil
 	default:

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -135,6 +136,66 @@ func TestDeltasJSONAndSolve(t *testing.T) {
 	}
 	if got := ctrl.Metrics().Version; got != before {
 		t.Fatalf("rejected batch advanced the version %d -> %d", before, got)
+	}
+}
+
+// TestDeltasJSONBody drives the JSON body through the handler's read: a
+// chunked body with no Content-Length decodes, a body past maxBody is a 400
+// that leaves the epoch alone, and neither the read nor the decode
+// allocates more for more deltas.
+func TestDeltasJSONBody(t *testing.T) {
+	ctrl, ts := newTestServer(t, 3, online.Config{})
+	body := `[{"kind":"demand","server":1,"object":4,"reads":9000}]`
+	// A reader net/http cannot measure: the client sends it chunked.
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/deltas", struct{ io.Reader }{strings.NewReader(body)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var applied online.Applied
+	if err := json.NewDecoder(resp.Body).Decode(&applied); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if req.ContentLength != 0 || resp.StatusCode != http.StatusOK || applied.Applied != 1 {
+		t.Fatalf("chunked body: content length %d, status %d, applied %+v", req.ContentLength, resp.StatusCode, applied)
+	}
+
+	// A valid batch padded past the limit.
+	before := ctrl.Metrics().Version
+	big := body[:len(body)-1] + strings.Repeat(" ", maxBody) + "]"
+	s := New(ctrl)
+	rr := httptest.NewRecorder()
+	s.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/deltas", strings.NewReader(big)))
+	if rr.Code != http.StatusBadRequest || !strings.Contains(rr.Body.String(), "decode JSON deltas:") {
+		t.Fatalf("over-limit body: status %d, body %s", rr.Code, rr.Body)
+	}
+	if got := ctrl.Metrics().Version; got != before {
+		t.Fatalf("over-limit body advanced the version %d -> %d", before, got)
+	}
+
+	var allocs []float64
+	for _, n := range []int{10, 10000} {
+		ds := make([]online.Delta, n)
+		for i := range ds {
+			ds[i] = online.Delta{Kind: online.KindDemand, Server: i % 16, Object: int32(i % 60), Reads: 1}
+		}
+		b, err := json.Marshal(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req := httptest.NewRequest(http.MethodPost, "/deltas", bytes.NewReader(b))
+		allocs = append(allocs, testing.AllocsPerRun(10, func() {
+			if _, err := s.decodeDeltas(bytes.NewReader(b), req); err != nil {
+				t.Fatal(err)
+			}
+		}))
+	}
+	if allocs[1] > allocs[0] {
+		t.Fatalf("decoding allocates %v times for 10 deltas but %v for 10,000", allocs[0], allocs[1])
 	}
 }
 
