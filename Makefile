@@ -126,8 +126,8 @@ scenarios:
 # (partition/ship/regional-solve/merge, wire bytes per assignment), parsed
 # into CLUSTER_JSON. 5 iterations so the steady state dominates the cold
 # first merge: every solve after the first re-solves the regions onto the
-# same placements, so the merge memo's content gate returns the installed
-# report, and the pooled frames are warm.
+# same placements, so the merge memo's content gate publishes nothing, and
+# the pooled frames are warm.
 cluster:
 	$(GO) test -race -count=2 ./internal/cluster
 	$(GO) test -race -count=2 -run 'TestTopFails|TestFailedRegions|TestAllRegionsFailed|TestCancelledDuringDegraded' ./internal/hierarchy
@@ -150,6 +150,7 @@ fuzz:
 	$(GO) test -fuzz FuzzCompactRoundTrip -fuzztime 10s ./internal/online
 	$(GO) test -fuzz FuzzNewFromState -fuzztime 10s ./internal/online
 	$(GO) test -fuzz FuzzFrameDecode -fuzztime 10s ./internal/frame
+	$(GO) test -fuzz FuzzSolveReply -fuzztime 10s ./internal/cluster
 
 # The benchmark harness is a Go module of its own (perfbench/go.mod), so the
 # root `go test ./...` and `make race` never build it. This vets it and runs

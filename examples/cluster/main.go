@@ -97,8 +97,9 @@ func main() {
 	fmt.Printf("delegate game winner: shard %d\n\n", lastWinner(co, ctx))
 
 	// --- 4. Live traffic: deltas hit the coordinator, which forwards each
-	// to the shard that owns the target server; a re-merge folds the
-	// regional reactions back into the global placement.
+	// to the shard that owns the target server; a re-solve runs every
+	// region's game on its updated demand and merges the outcomes back into
+	// the global placement.
 	fmt.Println("applying a read flash crowd on objects 0..9...")
 	var ds []online.Delta
 	for k := int32(0); k < 10; k++ {
@@ -109,12 +110,11 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("  applied %d deltas -> epoch %d, drift %.2f\n", a.Applied, a.Version, a.Drift)
-	rep, err := co.MergeNow(ctx)
-	if err != nil {
+	if err := co.SolveNow(ctx); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  re-merge: %d regions, winner shard %d pays %d, %.2f%% savings\n\n",
-		rep.Regions, rep.Winner, rep.Payment, rep.Savings)
+	fmt.Printf("  re-solve -> epoch %d, winner shard %d, %.2f%% savings\n\n",
+		co.Current().Version, lastWinner(co, ctx), co.Metrics().Savings)
 
 	// Routing answers come from the merged placement — the coordinator and
 	// every shard agree on where server 3 reads object 0.

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -262,15 +263,14 @@ func TestMultiShardClusterInvariants(t *testing.T) {
 	if e.Schema.TotalCost() > e.Schema.BaseCost() {
 		t.Fatalf("merged OTC %d exceeds base %d", e.Schema.TotalCost(), e.Schema.BaseCost())
 	}
-	rep, err := co.MergeNow(ctx)
-	if err != nil {
-		t.Fatal(err)
+	co.mu.Lock()
+	regions, winner := len(co.lastMerge.replies), co.lastWinner
+	co.mu.Unlock()
+	if regions != shards {
+		t.Fatalf("merge saw %d regions, want %d", regions, shards)
 	}
-	if rep.Regions != shards {
-		t.Fatalf("merge saw %d regions, want %d", rep.Regions, shards)
-	}
-	if rep.Winner < 0 || rep.Winner >= shards {
-		t.Fatalf("delegate game winner %d out of range", rep.Winner)
+	if winner < 0 || winner >= shards {
+		t.Fatalf("delegate game winner %d out of range", winner)
 	}
 }
 
@@ -520,10 +520,12 @@ func TestShardRejectsForeignAndMembershipDeltas(t *testing.T) {
 	}
 }
 
-// TestClusterSolveCountsForwardErrors pins the forward-error accounting on
-// the solve path: a shard that dies after assignment fails its solve RPC
-// (and its placement pull), and each failure must show in forward_errors
-// even though the surviving shard solved and the cluster solve succeeds.
+// TestClusterSolveCountsForwardErrors pins the solve path's failure
+// semantics: a shard that dies after assignment fails its solve RPC, and the
+// failure must show in forward_errors even though the surviving shard solved
+// and the cluster solve succeeds. The dead region contributes nothing to the
+// merge: the surplus replicas it held dissolve, and every route still
+// answers from a server that holds the object.
 func TestClusterSolveCountsForwardErrors(t *testing.T) {
 	testutil.LeakCheck(t)
 	p := testutil.MustBuild(testutil.Small(29))
@@ -544,6 +546,29 @@ func TestClusterSolveCountsForwardErrors(t *testing.T) {
 	if err := co.AssignNow(ctx); err != nil {
 		t.Fatal(err)
 	}
+	if err := co.SolveNow(ctx); err != nil {
+		t.Fatal(err)
+	}
+	sh1.mu.Lock()
+	dead := append([]int32(nil), sh1.members...)
+	sh1.mu.Unlock()
+	// surplus counts the merged placement's non-primary replicas on the dead
+	// shard's members.
+	surplus := func() int {
+		n := 0
+		for k, row := range co.Current().Schema.Matrix() {
+			for _, s := range row {
+				if s != p.Work.Primary[k] && slices.Contains(dead, s) {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if surplus() == 0 {
+		t.Fatal("the first merge placed no surplus replica on shard 1's members; the check below would be vacuous")
+	}
+
 	sh1.Close()
 	if err := co.SolveNow(ctx); err != nil {
 		t.Fatalf("solve with one live shard: %v", err)
@@ -551,13 +576,28 @@ func TestClusterSolveCountsForwardErrors(t *testing.T) {
 	if got := co.Status(ctx).ForwardErrors; got < 1 {
 		t.Fatalf("forward_errors = %d after a shard failed its solve", got)
 	}
+	if n := surplus(); n != 0 {
+		t.Fatalf("merged placement keeps %d surplus replicas on the dead shard's members", n)
+	}
+	matrix := co.Current().Schema.Matrix()
+	for server := 0; server < p.M; server++ {
+		for k := int32(0); k < int32(p.N); k++ {
+			from, err := co.Route(server, k)
+			if err != nil {
+				t.Fatalf("route(%d,%d) after the failed solve: %v", server, k, err)
+			}
+			if !slices.Contains(matrix[k], from) {
+				t.Fatalf("route(%d,%d) = %d, which holds no replica", server, k, from)
+			}
+		}
+	}
 }
 
 // TestClusterMergeMemo pins the merge memo's contract on a 2-shard cluster:
 // with no deltas in between, a re-solve lands on the same regional
-// placements, so the merge returns the previous report and publishes no
-// mirror epoch; a bare MergeNow does the same; a delta batch moves the
-// mirror, and the next merge installs afresh.
+// outcomes, so the merge publishes no mirror epoch, however often it
+// repeats; a delta batch moves the mirror, and the next solve installs
+// afresh.
 func TestClusterMergeMemo(t *testing.T) {
 	testutil.LeakCheck(t)
 	p := testutil.MustBuild(testutil.Small(31))
@@ -583,33 +623,24 @@ func TestClusterMergeMemo(t *testing.T) {
 		t.Fatal(err)
 	}
 	first := co.Current().Version
-	rep, err := co.MergeNow(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Version != first || rep.Regions != 2 || rep.OTC != co.Current().Schema.TotalCost() {
-		t.Fatalf("merge report %+v does not describe the installed epoch %d", rep, first)
+	co.mu.Lock()
+	memo := co.lastMerge
+	co.mu.Unlock()
+	if memo == nil || memo.mirrorVer != first || len(memo.replies) != 2 {
+		t.Fatalf("merge memo %+v does not describe the installed 2-region epoch %d", memo, first)
 	}
 
-	merges := co.Phases().Merges
-	if err := co.SolveNow(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if got := co.Current().Version; got != first {
-		t.Fatalf("re-solve with no deltas published epoch %d after %d", got, first)
-	}
-	if got := co.Phases().Merges; got != merges+1 {
-		t.Fatalf("re-solve ran %d merges, want 1", got-merges)
-	}
-	again, err := co.MergeNow(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(again, rep) {
-		t.Fatalf("memoized merge report changed:\nfirst %+v\nagain %+v", rep, again)
-	}
-	if got := co.Current().Version; got != first {
-		t.Fatalf("memoized merge published epoch %d after %d", got, first)
+	for i := 0; i < 2; i++ {
+		merges := co.Phases().Merges
+		if err := co.SolveNow(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := co.Current().Version; got != first {
+			t.Fatalf("re-solve %d with no deltas published epoch %d after %d", i, got, first)
+		}
+		if got := co.Phases().Merges; got != merges+1 {
+			t.Fatalf("re-solve %d ran %d merges, want 1", i, got-merges)
+		}
 	}
 
 	if _, err := co.ApplyDeltas(demandTrace(p, 37, 1, 4)[0]); err != nil {
@@ -619,12 +650,11 @@ func TestClusterMergeMemo(t *testing.T) {
 	if moved <= first {
 		t.Fatalf("delta batch left the mirror at version %d", moved)
 	}
-	fresh, err := co.MergeNow(ctx)
-	if err != nil {
+	if err := co.SolveNow(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if fresh.Version != moved+1 || co.Current().Version != moved+1 {
-		t.Fatalf("merge after deltas installed version %d (mirror %d), want %d", fresh.Version, co.Current().Version, moved+1)
+	if got := co.Current().Version; got != moved+1 {
+		t.Fatalf("solve after deltas installed version %d, want %d", got, moved+1)
 	}
 }
 
@@ -656,10 +686,9 @@ func TestExchangeBordersManyRegions(t *testing.T) {
 	merged := [][]int32{{0}}
 	for s := int32(1); s <= regions; s++ {
 		parts = append(parts, regionPart{
-			shard:   int(s),
-			members: []int32{s},
-			matrix:  [][]int32{{0, s}},
-			border:  []globalAd{{object: 0, server: s, gain: 5}},
+			shard:  int(s),
+			matrix: [][]int32{{0, s}},
+			border: []globalAd{{object: 0, server: s, gain: 5}},
 		})
 		merged[0] = append(merged[0], s)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -28,38 +29,13 @@ type CoordinatorConfig struct {
 	ProbeTimeout   time.Duration
 	DeathThreshold int
 	// ForwardTimeout bounds every forwarded RPC (assign, deltas, solve,
-	// placement, metrics); default 30s — regional solves run inside it.
+	// metrics); default 30s — regional solves run inside it.
 	ForwardTimeout time.Duration
 	// Payment is the top-level delegate game's payment rule (default
 	// second-price, the paper's truthful choice).
 	Payment mechanism.PaymentRule
 	// Dial overrides the dialer per shard (fault injection).
 	Dial func(peer Peer) DialFunc
-}
-
-// MergeReport summarizes one top-level merge.
-type MergeReport struct {
-	// Version is the mirror epoch the merged placement was published as.
-	Version uint64 `json:"version"`
-	// Regions is how many regional placements contributed.
-	Regions int `json:"regions"`
-	// Winner is the delegate game's winning shard (-1 when no region bid).
-	Winner int `json:"winner"`
-	// Payment is the winner's second-price payment (the best runner-up
-	// region's saved OTC).
-	Payment int64 `json:"payment"`
-	// Dropped counts merged replicas infeasible on the mirror instance.
-	Dropped int `json:"dropped"`
-	// BorderDropped and BorderPlaced count the boundary exchange's moves:
-	// advertised replicas that priced below zero against the merged global
-	// placement and were dropped, and replicas placed into the capacity that
-	// freed. Recovered is the OTC the exchange recovered (≥ 0).
-	BorderDropped int   `json:"border_dropped"`
-	BorderPlaced  int   `json:"border_placed"`
-	Recovered     int64 `json:"recovered"`
-	// OTC and Savings are the merged placement's economics.
-	OTC     int64   `json:"otc"`
-	Savings float64 `json:"savings_percent"`
 }
 
 // PhaseStats breaks the coordinator's cluster operations into phases for the
@@ -75,14 +51,15 @@ type PhaseStats struct {
 	ShipNs      int64 `json:"ship_ns"`
 	AssignBytes int64 `json:"assign_bytes"`
 	// Solves counts cluster solves; SolveNs is the regional-solve fan-out
-	// (slowest shard, including RPC), RegionSolveNs the shard-side solve
-	// alone.
+	// (slowest shard, including RPC and the shard building its reply),
+	// RegionSolveNs the shard-side solve alone.
 	Solves        int64 `json:"solves"`
 	SolveNs       int64 `json:"solve_ns"`
 	RegionSolveNs int64 `json:"region_solve_ns"`
-	// Merges counts top-level merges; MergeNs covers placement pulls, the
-	// delegate game, translate-and-union, the boundary exchange and the
-	// mirror install.
+	// Merges counts top-level merges; MergeNs covers what the coordinator
+	// does with the solve replies: payments, the memo check, the delegate
+	// game, translate-and-union, the boundary exchange and the mirror
+	// install.
 	Merges  int64 `json:"merges"`
 	MergeNs int64 `json:"merge_ns"`
 }
@@ -266,9 +243,9 @@ func (co *Coordinator) noteErr(err error) {
 	co.mu.Unlock()
 }
 
-// liveAssigned snapshots the assignment generation, its region mappings and
-// the shards, ascending, that are both alive and hold a region.
-func (co *Coordinator) liveAssigned() ([]int, uint64, map[int]*online.CompactRegion) {
+// liveAssigned snapshots the assignment generation and the shards,
+// ascending, that are both alive and hold a region.
+func (co *Coordinator) liveAssigned() ([]int, uint64) {
 	alive := co.membership.Alive()
 	co.mu.Lock()
 	defer co.mu.Unlock()
@@ -278,7 +255,7 @@ func (co *Coordinator) liveAssigned() ([]int, uint64, map[int]*online.CompactReg
 			live = append(live, id)
 		}
 	}
-	return live, co.assignVer, co.mappings
+	return live, co.assignVer
 }
 
 // forward calls method on every listed shard concurrently under
@@ -490,32 +467,28 @@ func (co *Coordinator) ApplyDeltas(ds []online.Delta) (online.Applied, error) {
 	return a, nil
 }
 
-// SolveNow runs one cluster-wide solve: every live region's game in
-// parallel, then the top-level merge. Implements server.Backend's solve, so
-// POST /solve on the coordinator solves the whole cluster.
+// SolveNow runs one cluster-wide solve: one fan-out in which every live
+// region runs its game and answers with its outcome, then the top-level
+// merge over those replies. Implements server.Backend's solve, so POST
+// /solve on the coordinator solves the whole cluster.
 func (co *Coordinator) SolveNow(ctx context.Context) error {
 	co.opMu.Lock()
 	defer co.opMu.Unlock()
-	return co.solveLocked(ctx)
-}
-
-func (co *Coordinator) solveLocked(ctx context.Context) error {
-	live, ver, mappings := co.liveAssigned()
+	live, ver := co.liveAssigned()
 	if len(live) == 0 {
 		return errors.New("cluster: no live assigned shards to solve")
 	}
 	t0 := time.Now()
 	reps, errs := forward[SolveReply](ctx, co, live, MethodSolve, func(int) any { return &SolveRequest{} })
 	solveNs := time.Since(t0).Nanoseconds()
-	payments := make([]int64, co.mirror.Current().Problem.M)
-	solved := 0
+	var replies []regionReply
 	var regionNs int64
 	var firstErr error
 	for i, id := range live {
 		err := errs[i]
 		if err == nil && reps[i].Assign != ver {
-			// The shard solved under a different assignment: its payment
-			// indexes mean nothing against this mapping. Re-sync it.
+			// The shard solved under a different assignment: its indexes mean
+			// nothing against this mapping. Re-sync it.
 			co.kick(co.reassignKick)
 			err = fmt.Errorf("ran assignment %d, coordinator at %d", reps[i].Assign, ver)
 		}
@@ -525,115 +498,92 @@ func (co *Coordinator) solveLocked(ctx context.Context) error {
 			}
 			continue
 		}
-		solved++
-		mappings[id].PaymentsToGlobal(reps[i].Payments, payments)
+		replies = append(replies, regionReply{shard: id, rep: &reps[i]})
 		regionNs = max(regionNs, reps[i].ElapsedNs)
 	}
-	if solved == 0 {
+	if len(replies) == 0 {
 		return firstErr
 	}
 	co.mu.Lock()
-	co.lastPayments = payments
 	co.phase.Solves++
 	co.phase.SolveNs += solveNs
 	co.phase.RegionSolveNs = regionNs
 	co.mu.Unlock()
-	_, err := co.mergeLocked(ctx)
-	return err
+	co.merge(ver, replies)
+	return nil
 }
 
-// MergeNow pulls every live region's placement, runs the top-level delegate
-// game over the regional savings bids, and installs the union on the mirror
-// as the next merged epoch. When the pulled placements and the mirror are
-// those of the previous multi-region merge, it returns that merge's report
-// and publishes nothing.
-func (co *Coordinator) MergeNow(ctx context.Context) (MergeReport, error) {
-	co.opMu.Lock()
-	defer co.opMu.Unlock()
-	return co.mergeLocked(ctx)
-}
-
-// pull is one region's placement reply, as a merge consumed it.
-type pull struct {
+// regionReply is one region's solve reply, as a merge consumed it.
+type regionReply struct {
 	shard int
-	rep   *PlacementReply
+	rep   *SolveReply
 }
 
-// mergeMemo keys a multi-region merge's report by everything the merge is
-// deterministic in: the assignment generation, the mirror's epoch version
-// and the pulled regional placements.
+// mergeMemo keys a multi-region merge by everything it is deterministic in:
+// the assignment generation, the mirror's epoch version and the regional
+// outcomes.
 type mergeMemo struct {
 	assign, mirrorVer uint64
-	pulls             []pull
-	report            MergeReport
+	replies           []regionReply
 }
 
-// hit reports whether merging pulls under generation assign at mirror
-// version mirrorVer would reproduce the memoized merge. Pulls arrive in
+// hit reports whether merging replies under generation assign at mirror
+// version mirrorVer would reproduce the memoized merge. Replies arrive in
 // ascending shard order, so the comparison is positional.
-func (m *mergeMemo) hit(assign, mirrorVer uint64, pulls []pull) bool {
-	if m == nil || m.assign != assign || m.mirrorVer != mirrorVer || len(m.pulls) != len(pulls) {
+func (m *mergeMemo) hit(assign, mirrorVer uint64, replies []regionReply) bool {
+	if m == nil || m.assign != assign || m.mirrorVer != mirrorVer || len(m.replies) != len(replies) {
 		return false
 	}
-	for i := range pulls {
-		if pulls[i].shard != m.pulls[i].shard || !placementEqual(pulls[i].rep, m.pulls[i].rep) {
+	for i := range replies {
+		if replies[i].shard != m.replies[i].shard || !outcomeEqual(replies[i].rep, m.replies[i].rep) {
 			return false
 		}
 	}
 	return true
 }
 
-func (co *Coordinator) mergeLocked(ctx context.Context) (MergeReport, error) {
-	live, ver, mappings := co.liveAssigned()
-	if len(live) == 0 {
-		return MergeReport{}, errors.New("cluster: no live assigned shards to merge")
-	}
+// merge is the top level of a cluster solve, run under opMu over the replies
+// of the regions that solved under generation ver: it sums their payments,
+// runs the delegate game over their savings bids and installs the union of
+// their placements on the mirror as the next merged epoch. When the replies
+// and the mirror are those of the previous multi-region merge, it publishes
+// nothing.
+func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 	t0 := time.Now()
-	reps, errs := forward[PlacementReply](ctx, co, live, MethodPlacement, func(int) any { return &PlacementRequest{} })
-	var pulls []pull
-	for i, id := range live {
-		if errs[i] != nil {
-			continue
-		}
-		if reps[i].Assign != ver {
-			// A different generation's placement is in the wrong coordinate
-			// system; drop it and re-sync the shard.
-			co.kick(co.reassignKick)
-			continue
-		}
-		pulls = append(pulls, pull{shard: id, rep: &reps[i]})
-	}
-	if len(pulls) == 0 {
-		return MergeReport{}, errors.New("cluster: every placement pull failed")
-	}
-
-	// The memo gate, on content: a regional re-solve publishes a fresh epoch
-	// even when it lands on the same placement, but if every pulled
-	// placement (matrix, bid, ads) equals what the last merge consumed and
-	// the mirror has not moved, the translate + carry + exchange pipeline
-	// would reproduce the installed placement exactly.
 	e := co.mirror.Current()
 	co.mu.Lock()
-	memo := co.lastMerge
+	regionOf, mappings, memo := co.regionOf, co.mappings, co.lastMerge
 	co.mu.Unlock()
-	if memo.hit(ver, e.Version, pulls) {
+	payments := make([]int64, e.Problem.M)
+	for _, r := range replies {
+		mappings[r.shard].PaymentsToGlobal(r.rep.Payments, payments)
+	}
+	co.mu.Lock()
+	co.lastPayments = payments
+	co.mu.Unlock()
+
+	// The memo gate, on content: a regional re-solve publishes a fresh epoch
+	// even when it lands on the same placement, but if every region's
+	// outcome (matrix, bid, ads) equals what the last merge consumed and the
+	// mirror has not moved, the translate + carry + exchange pipeline would
+	// reproduce the installed placement exactly.
+	if memo.hit(ver, e.Version, replies) {
 		co.mu.Lock()
 		co.phase.Merges++
 		co.phase.MergeNs += time.Since(t0).Nanoseconds()
 		co.mu.Unlock()
-		return memo.report, nil
+		return
 	}
 
-	parts := make([]regionPart, 0, len(pulls))
-	for _, pl := range pulls {
-		mapping := mappings[pl.shard]
+	parts := make([]regionPart, 0, len(replies))
+	for _, r := range replies {
+		mapping := mappings[r.shard]
 		pt := regionPart{
-			shard:   pl.shard,
-			members: pl.rep.Members,
-			matrix:  mapping.MatrixToGlobal(pl.rep.Matrix, e.Problem.N),
-			saved:   pl.rep.SavedOTC,
+			shard:  r.shard,
+			matrix: mapping.MatrixToGlobal(r.rep.Matrix, e.Problem.N),
+			saved:  r.rep.SavedOTC,
 		}
-		for _, ad := range pl.rep.Border {
+		for _, ad := range r.rep.Border {
 			gk, okK := mapping.GlobalObject(ad.Object)
 			gs, okS := mapping.GlobalServer(int(ad.Server))
 			if okK && okS {
@@ -653,19 +603,15 @@ func (co *Coordinator) mergeLocked(ctx context.Context) (MergeReport, error) {
 	for _, pt := range parts {
 		bids = append(bids, mechanism.Bid{Agent: pt.shard, Value: pt.saved})
 	}
-	winner, payment := -1, int64(0)
 	if round, ok := mechanism.RunRound(bids, co.cfg.Payment); ok {
-		winner, payment = round.Winner.Agent, round.Payment
 		co.mu.Lock()
 		co.topDecisions++
-		co.delegatePayments[winner] += payment
-		co.lastWinner = winner
+		co.delegatePayments[round.Winner.Agent] += round.Payment
+		co.lastWinner = round.Winner.Agent
 		co.mu.Unlock()
 	}
 
-	carried, dropped := e.Problem.CarryOver(mergeParts(e.Problem.N, e.Problem.M, e.Problem.Work.Primary, parts))
-	var recovered int64
-	borderDropped, borderPlaced := 0, 0
+	carried, dropped := e.Problem.CarryOver(mergeParts(e.Problem.N, e.Problem.Work.Primary, regionOf, parts))
 	if len(parts) > 1 {
 		// Boundary-replica exchange: each region priced its surplus replicas
 		// in isolation; against the merged placement some are redundant — a
@@ -676,23 +622,11 @@ func (co *Coordinator) mergeLocked(ctx context.Context) (MergeReport, error) {
 		// the cross-region coordination a masked merge structurally could
 		// not do. The single-region case skips the exchange entirely, which
 		// keeps the 1-shard cluster bit-identical to the single daemon.
-		recovered, borderDropped, borderPlaced = exchangeBorders(carried, e.Problem, parts)
+		exchangeBorders(carried, e.Problem, parts)
 	}
-	dropped = co.mirror.InstallSchema(carried, dropped)
+	co.mirror.InstallSchema(carried, dropped)
 	mergeNs := time.Since(t0).Nanoseconds()
-	cur := co.mirror.Current()
-	report := MergeReport{
-		Version:       cur.Version,
-		Regions:       len(parts),
-		Winner:        winner,
-		Payment:       payment,
-		Dropped:       dropped,
-		BorderDropped: borderDropped,
-		BorderPlaced:  borderPlaced,
-		Recovered:     recovered,
-		OTC:           cur.Schema.TotalCost(),
-		Savings:       cur.Schema.Savings(),
-	}
+	installed := co.mirror.Current().Version
 	co.mu.Lock()
 	co.phase.Merges++
 	co.phase.MergeNs += mergeNs
@@ -701,53 +635,26 @@ func (co *Coordinator) mergeLocked(ctx context.Context) (MergeReport, error) {
 	// the single daemon's.
 	co.lastMerge = nil
 	if len(parts) > 1 {
-		co.lastMerge = &mergeMemo{assign: ver, mirrorVer: cur.Version, pulls: pulls, report: report}
+		co.lastMerge = &mergeMemo{assign: ver, mirrorVer: installed, replies: replies}
 	}
 	co.mu.Unlock()
-	return report, nil
 }
 
-// placementEqual reports whether two placement replies describe the same
-// regional outcome. Version is deliberately ignored: a re-solve that lands
-// on the identical placement publishes a fresh epoch but changes nothing
-// the merge consumes.
-func placementEqual(a, b *PlacementReply) bool {
-	if a.OTC != b.OTC || a.BaseOTC != b.BaseOTC || a.SavedOTC != b.SavedOTC ||
-		len(a.Members) != len(b.Members) || len(a.Matrix) != len(b.Matrix) || len(a.Border) != len(b.Border) {
-		return false
-	}
-	for i := range a.Members {
-		if a.Members[i] != b.Members[i] {
-			return false
-		}
-	}
-	for i := range a.Matrix {
-		ra, rb := a.Matrix[i], b.Matrix[i]
-		if len(ra) != len(rb) {
-			return false
-		}
-		for j := range ra {
-			if ra[j] != rb[j] {
-				return false
-			}
-		}
-	}
-	for i := range a.Border {
-		if a.Border[i] != b.Border[i] {
-			return false
-		}
-	}
-	return true
+// outcomeEqual reports whether two solve replies describe the same regional
+// outcome. Payments and ElapsedNs are deliberately ignored: the merge's
+// placement does not depend on them.
+func outcomeEqual(a, b *SolveReply) bool {
+	return a.OTC == b.OTC && a.BaseOTC == b.BaseOTC && a.SavedOTC == b.SavedOTC &&
+		slices.EqualFunc(a.Matrix, b.Matrix, slices.Equal[[]int32]) && slices.Equal(a.Border, b.Border)
 }
 
 // regionPart is one region's contribution to a merge, already translated
 // into global coordinates.
 type regionPart struct {
-	shard   int
-	members []int32
-	matrix  [][]int32
-	saved   int64
-	border  []globalAd
+	shard  int
+	matrix [][]int32
+	saved  int64
+	border []globalAd
 }
 
 // globalAd is a BorderAd translated to global coordinates.
@@ -758,35 +665,25 @@ type globalAd struct {
 }
 
 // mergeParts unions the regional placements: object k's merged replica set
-// is its primary plus every member-owned replica each region placed.
-// Replicas a region reports on servers outside its member set (it cannot
-// create them — boundary capacity forbids it — but a stale carry might
-// still list them) are ignored, as are replicas on regions that did not
-// report (their servers' surplus replicas dissolve, the eviction
-// semantics). Regional rows arrive sorted and regions own disjoint member
-// sets, so the union stays allocation-light: one row per object, one sort.
-func mergeParts(n, m int, primary []int32, parts []regionPart) [][]int32 {
-	ownerOf := make([]int32, m)
-	for i := range ownerOf {
-		ownerOf[i] = -1
-	}
-	for i, pt := range parts {
-		for _, s := range pt.members {
-			if s >= 0 && int(s) < m {
-				ownerOf[s] = int32(i)
-			}
-		}
-	}
+// is its primary plus every replica each region placed on a server the
+// assignment gave it (regionOf maps server to shard id). Replicas a region
+// reports elsewhere (it cannot create them — boundary capacity forbids it —
+// but a stale carry might still list them) are ignored, as are replicas on
+// regions that did not reply (their servers' surplus replicas dissolve, the
+// eviction semantics). Regional rows arrive sorted and regions own disjoint
+// server sets, so the union stays allocation-light: one row per object, one
+// sort.
+func mergeParts(n int, primary, regionOf []int32, parts []regionPart) [][]int32 {
 	out := make([][]int32, n)
 	for k := 0; k < n; k++ {
 		row := make([]int32, 1, 4)
 		row[0] = primary[k]
-		for i, pt := range parts {
+		for _, pt := range parts {
 			if k >= len(pt.matrix) || pt.matrix[k] == nil {
 				continue
 			}
 			for _, s := range pt.matrix[k] {
-				if int(s) < m && ownerOf[s] == int32(i) && s != primary[k] {
+				if int(s) < len(regionOf) && regionOf[s] == int32(pt.shard) && s != primary[k] {
 					row = append(row, s)
 				}
 			}

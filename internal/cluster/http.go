@@ -174,10 +174,7 @@ func (b shardBackend) ApplyDeltas(ds []online.Delta) (online.Applied, error) {
 	return b.s.applyGuarded(0, ds)
 }
 
-func (b shardBackend) SolveNow(ctx context.Context) error {
-	_, err := b.s.SolveNow(ctx)
-	return err
-}
+func (b shardBackend) SolveNow(ctx context.Context) error { return b.s.SolveNow(ctx) }
 
 func (b shardBackend) Metrics() online.Metrics {
 	ctrl := b.s.controller()

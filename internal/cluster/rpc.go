@@ -22,7 +22,7 @@
 //     failure threshold (Alive → Suspect → Dead, probes recover the peer),
 //     and fanOut, the one "call each listed peer concurrently under a
 //     timeout, then collect in peer order" helper: probes, assignments,
-//     delta forwards, solves, placement pulls and status pulls all run on it.
+//     delta forwards, solves and status pulls all run on it.
 //   - shard.go: one regional game. Holds an online.Controller over the
 //     compacted sub-instance the coordinator assigned (arena, kernel and
 //     oracle rows all sized to the region), translates global ids at the RPC
@@ -31,18 +31,21 @@
 //   - coordinator.go: membership + partition + compaction + mapping-aware
 //     delta forwarding + the fan-out solve and translate-then-union merge,
 //     behind the same server.Backend interface the single daemon serves
-//     HTTP from. Every shard RPC goes through forward, one failure policy:
-//     a failed call is counted as a forward error, reported to the failure
-//     detector and re-synced by a re-partition. A multi-region merge whose
-//     pulled placements equal the previous merge's, with the mirror
-//     unmoved, returns the previous report instead of installing again.
+//     HTTP from. A cluster solve is one round trip per shard: the solve
+//     reply carries the region's placement, delegate bid, border ads and
+//     payments, and the merge runs on the replies. Every shard RPC goes
+//     through forward, one failure policy: a failed call is counted as a
+//     forward error, reported to the failure detector and re-synced by a
+//     re-partition, and a region whose solve failed contributes nothing to
+//     that merge. A multi-region merge whose replies equal the previous
+//     merge's, with the mirror unmoved, publishes nothing.
 //
 // Determinism boundary: regional games are deterministic in (sub-instance,
 // seed) exactly like the single daemon; the merge — including the boundary
 // exchange's sorted ad ordering — is deterministic in the set of regional
 // placements. Membership timing (when a probe declares a peer dead) is
 // wall-clock and therefore not deterministic — tests pin it by calling
-// ProbeOnce/AssignNow/MergeNow explicitly instead of running the background
+// ProbeOnce/AssignNow/SolveNow explicitly instead of running the background
 // loops.
 package cluster
 

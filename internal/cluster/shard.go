@@ -48,16 +48,14 @@ type Shard struct {
 	cfg  ShardConfig
 	ep   *Endpoint
 
-	mu         sync.Mutex
-	ctrl       *online.Controller
-	region     *online.CompactRegion // guarded by mu, swapped with ctrl
-	members    []int32
-	memberOf   []bool // indexed by global server id
-	assignVer  uint64
-	mode       hierarchy.Mode
-	assigns    int64
-	selfSolves int64
-	closed     bool
+	mu        sync.Mutex
+	ctrl      *online.Controller
+	region    *online.CompactRegion // guarded by mu, swapped with ctrl
+	members   []int32
+	memberOf  []bool // indexed by global server id
+	assignVer uint64
+	mode      hierarchy.Mode
+	closed    bool
 
 	coord *Membership // probes the coordinator; nil when standalone
 
@@ -104,9 +102,7 @@ func NewShard(id int, cost replication.CostFn, cfg ShardConfig) *Shard {
 	HandleFunc(s.ep, MethodAssign, s.handleAssign)
 	HandleFunc(s.ep, MethodDeltas, s.handleDeltas)
 	HandleFunc(s.ep, MethodSolve, s.handleSolve)
-	HandleFunc(s.ep, MethodPlacement, s.handlePlacement)
 	HandleFunc(s.ep, MethodMetrics, s.handleMetrics)
-	HandleFunc(s.ep, MethodRoute, s.handleRoute)
 	return s
 }
 
@@ -136,7 +132,7 @@ func (s *Shard) Start(ctx context.Context, probeInterval time.Duration) {
 				return
 			case <-s.solveKick:
 			}
-			if _, err := s.SolveNow(ctx); err != nil && ctx.Err() != nil {
+			if err := s.SolveNow(ctx); err != nil && ctx.Err() != nil {
 				return
 			}
 		}
@@ -236,7 +232,6 @@ func (s *Shard) handleAssign(ctx context.Context, req *AssignRequest) (any, erro
 	s.assignVer = req.Version
 	s.members = append([]int32(nil), req.Members...)
 	s.memberOf = memberOf
-	s.assigns++
 	s.mu.Unlock()
 	if old != nil {
 		// Drains the old controller's epoch subscribers; HTTP streamers get a
@@ -320,10 +315,21 @@ func (s *Shard) handleDeltas(ctx context.Context, req *DeltasRequest) (any, erro
 	return &a, nil
 }
 
-// SolveNow runs the regional game synchronously and reports it. Payments
-// come back in region coordinates together with the assignment generation
-// they are valid under; ElapsedNs isolates the solve itself from RPC time.
-func (s *Shard) SolveNow(ctx context.Context) (*SolveReply, error) {
+// SolveNow runs the regional game synchronously: the autonomous self-solve
+// and a POST /solve sent to the shard itself.
+func (s *Shard) SolveNow(ctx context.Context) error {
+	ctrl := s.controller()
+	if ctrl == nil {
+		return ErrUnassigned
+	}
+	return ctrl.SolveNow(ctx)
+}
+
+// handleSolve runs the regional game for the coordinator and answers with
+// the region's outcome — placement, delegate bid, border ads and payments,
+// in region coordinates — under the assignment generation it ran. ElapsedNs
+// times the solve alone, not the reply building.
+func (s *Shard) handleSolve(ctx context.Context, req *SolveRequest) (any, error) {
 	s.mu.Lock()
 	ctrl, ver := s.ctrl, s.assignVer
 	s.mu.Unlock()
@@ -335,38 +341,16 @@ func (s *Shard) SolveNow(ctx context.Context) (*SolveReply, error) {
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	s.mu.Lock()
-	s.selfSolves++
-	s.mu.Unlock()
-	m := ctrl.Metrics()
+	sch := ctrl.Current().Schema
 	return &SolveReply{
-		Assign: ver, Version: m.Version, OTC: m.OTC, BaseOTC: m.BaseOTC, Savings: m.Savings,
-		Work: m.SolverWork, ElapsedNs: elapsed.Nanoseconds(), Payments: ctrl.LastSolvePayments(),
-	}, nil
-}
-
-func (s *Shard) handleSolve(ctx context.Context, req *SolveRequest) (any, error) {
-	return s.SolveNow(ctx)
-}
-
-func (s *Shard) handlePlacement(ctx context.Context, req *PlacementRequest) (any, error) {
-	s.mu.Lock()
-	ctrl, members, ver := s.ctrl, s.members, s.assignVer
-	s.mu.Unlock()
-	if ctrl == nil {
-		return nil, ErrUnassigned
-	}
-	e := ctrl.Current()
-	return &PlacementReply{
-		Assign:   ver,
-		Version:  e.Version,
-		Members:  append([]int32(nil), members...),
-		Matrix:   e.Schema.Matrix(),
-		OTC:      e.Schema.TotalCost(),
-		BaseOTC:  e.Schema.BaseCost(),
-		Savings:  e.Schema.Savings(),
-		SavedOTC: e.Schema.BaseCost() - e.Schema.TotalCost(),
-		Border:   borderAds(e.Schema),
+		Assign:    ver,
+		Matrix:    sch.Matrix(),
+		OTC:       sch.TotalCost(),
+		BaseOTC:   sch.BaseCost(),
+		SavedOTC:  sch.BaseCost() - sch.TotalCost(),
+		Border:    borderAds(sch),
+		Payments:  ctrl.LastSolvePayments(),
+		ElapsedNs: elapsed.Nanoseconds(),
 	}, nil
 }
 
@@ -437,14 +421,6 @@ func (s *Shard) routeGlobal(server int, object int32) (int32, error) {
 		return 0, fmt.Errorf("cluster: route answer %d is outside shard %d's region", from, s.id)
 	}
 	return int32(g), nil
-}
-
-func (s *Shard) handleRoute(ctx context.Context, req *RouteRequest) (any, error) {
-	from, err := s.routeGlobal(req.Server, req.Object)
-	if err != nil {
-		return nil, err
-	}
-	return &RouteReply{ReadFrom: from}, nil
 }
 
 // Close tears the shard down: RPC endpoint first (no new work), then the

@@ -7,13 +7,11 @@ import (
 // The RPC vocabulary. Every daemon answers "ping"; shards additionally serve
 // the regional-game methods the coordinator drives.
 const (
-	MethodPing      = "ping"
-	MethodAssign    = "assign"
-	MethodDeltas    = "deltas"
-	MethodSolve     = "solve"
-	MethodPlacement = "placement"
-	MethodMetrics   = "metrics"
-	MethodRoute     = "route"
+	MethodPing    = "ping"
+	MethodAssign  = "assign"
+	MethodDeltas  = "deltas"
+	MethodSolve   = "solve"
+	MethodMetrics = "metrics"
 )
 
 // PingRequest is the health probe; PingReply identifies the peer.
@@ -70,26 +68,31 @@ type DeltasRequest struct {
 // SolveRequest asks a shard to run its regional game now.
 type SolveRequest struct{}
 
-// SolveReply reports the regional solve. Payments are indexed by regional
-// server — the coordinator translates them through the assignment's mapping.
+// SolveReply is a region's outcome: everything the coordinator's merge
+// consumes, in region-local coordinates, which the coordinator translates
+// through the assignment's mapping.
 type SolveReply struct {
 	// Assign is the assignment generation the solve ran under; the
 	// coordinator discards replies from a different generation (their
-	// payment indexes would be meaningless against its mapping).
-	Assign  uint64  `json:"assign"`
-	Version uint64  `json:"version"`
-	OTC     int64   `json:"otc"`
-	BaseOTC int64   `json:"base_otc"`
-	Savings float64 `json:"savings_percent"`
-	Work    int64   `json:"work"`
+	// indexes would be meaningless against its mapping).
+	Assign uint64 `json:"assign"`
+	// Matrix is the regional placement: one replica list per regional object.
+	Matrix  [][]int32 `json:"matrix"`
+	OTC     int64     `json:"otc"`
+	BaseOTC int64     `json:"base_otc"`
+	// SavedOTC = BaseOTC - OTC: the transfer cost the regional game saved,
+	// which is the region delegate's sealed bid in the top-level game.
+	SavedOTC int64 `json:"saved_otc"`
+	// Border lists the region's surplus replicas with reserve prices for
+	// the merge's boundary exchange.
+	Border []BorderAd `json:"border,omitempty"`
+	// Payments are the regional game's payments, indexed by regional server.
+	Payments []int64 `json:"payments,omitempty"`
 	// ElapsedNs is the wall-clock the regional solve took shard-side — the
-	// per-phase benchmark's regional-solve component, free of RPC overhead.
-	ElapsedNs int64   `json:"elapsed_ns"`
-	Payments  []int64 `json:"payments,omitempty"`
+	// per-phase benchmark's regional-solve component, free of RPC overhead
+	// and of building this reply.
+	ElapsedNs int64 `json:"elapsed_ns"`
 }
-
-// PlacementRequest pulls a shard's regional placement for the merge.
-type PlacementRequest struct{}
 
 // BorderAd advertises one surplus replica a region placed, with the
 // region's reserve price for it: Gain is the regional cost increase if the
@@ -102,24 +105,6 @@ type BorderAd struct {
 	Object int32 `json:"object"`
 	Server int32 `json:"server"`
 	Gain   int64 `json:"gain"`
-}
-
-// PlacementReply carries the regional placement — in region-local
-// coordinates — and the region's delegate bid for the top-level game.
-type PlacementReply struct {
-	Assign  uint64    `json:"assign"`
-	Version uint64    `json:"version"`
-	Members []int32   `json:"members"`
-	Matrix  [][]int32 `json:"matrix"`
-	OTC     int64     `json:"otc"`
-	BaseOTC int64     `json:"base_otc"`
-	Savings float64   `json:"savings_percent"`
-	// SavedOTC = BaseOTC - OTC: the transfer cost the regional game saved,
-	// which is the region delegate's sealed bid in the top-level game.
-	SavedOTC int64 `json:"saved_otc"`
-	// Border lists the region's surplus replicas with reserve prices for
-	// the merge's boundary exchange.
-	Border []BorderAd `json:"border,omitempty"`
 }
 
 // MetricsRequest pulls a shard's controller metrics for aggregation.
@@ -136,16 +121,4 @@ type MetricsReply struct {
 	RegionServers int            `json:"region_servers"`
 	RegionObjects int            `json:"region_objects"`
 	Metrics       online.Metrics `json:"metrics"`
-}
-
-// RouteRequest asks a shard for a nearest-replica answer from its regional
-// placement.
-type RouteRequest struct {
-	Server int   `json:"server"`
-	Object int32 `json:"object"`
-}
-
-// RouteReply is the answer.
-type RouteReply struct {
-	ReadFrom int32 `json:"read_from"`
 }

@@ -174,7 +174,7 @@ func (c *Controller) InstallPlacement(matrix [][]int32) int {
 // serializes installs with delta application; if the problem moved anyway,
 // the matrix is re-carried as InstallPlacement would. dropped is the
 // carry's drop count, folded into the controller's accounting.
-func (c *Controller) InstallSchema(sch *replication.Schema, dropped int) int {
+func (c *Controller) InstallSchema(sch *replication.Schema, dropped int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur := c.epoch.Load()
@@ -186,5 +186,4 @@ func (c *Controller) InstallSchema(sch *replication.Schema, dropped int) int {
 	c.carriedDrops += int64(dropped)
 	c.solvedSavings = sch.Savings()
 	c.drift = 0
-	return dropped
 }
