@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"net/http"
 	"strings"
 	"time"
 
@@ -20,6 +19,7 @@ type clusterArgs struct {
 	role          string // "coordinator" | "shard"
 	rpcAddr       string // cluster-plane listen address
 	httpAddr      string // HTTP API listen address
+	pprof         bool   // serve net/http/pprof beside the API
 	shardID       int
 	peers         string // coordinator: comma-separated shard RPC addresses
 	coordinator   string // shard: the coordinator's RPC address
@@ -95,7 +95,7 @@ func runCoordinator(ctx context.Context, p *replication.Problem, ccfg online.Con
 
 	api := server.New(co)
 	api.Extend("GET /cluster", co.HTTPHandler())
-	return serveHTTP(ctx, a.httpAddr, api, "coordinator")
+	return serveHTTP(ctx, a.httpAddr, api, "coordinator", a.pprof)
 }
 
 func runShard(ctx context.Context, p *replication.Problem, ccfg online.Config, a clusterArgs) error {
@@ -119,56 +119,5 @@ func runShard(ctx context.Context, p *replication.Problem, ccfg online.Config, a
 
 	api := server.New(sh.Backend())
 	api.Extend("GET /cluster", sh.HTTPHandler())
-	return serveHTTP(ctx, a.httpAddr, api, fmt.Sprintf("shard %d", a.shardID))
-}
-
-// driveScenario replays the generator's delta schedule against apply, one
-// batch per tick — the same in-process load generator the single daemon
-// runs, here feeding the coordinator's forwarding plane.
-func driveScenario(ctx context.Context, g sim.Generator, tick time.Duration, apply func([]online.Delta) (online.Applied, error)) {
-	logf("driving scenario %s: %d ticks every %s", g.Name(), g.Ticks(), tick)
-	go func() {
-		t := time.NewTicker(tick)
-		defer t.Stop()
-		for i := 0; i < g.Ticks(); i++ {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.C:
-			}
-			ds := g.Batch(i)
-			if len(ds) == 0 {
-				continue
-			}
-			if a, err := apply(ds); err != nil {
-				logf("scenario %s tick %d: %v", g.Name(), i, err)
-			} else {
-				logf("scenario %s tick %d/%d: %d deltas -> epoch %d (drift %.2f)",
-					g.Name(), i+1, g.Ticks(), len(ds), a.Version, a.Drift)
-			}
-		}
-		logf("scenario %s complete", g.Name())
-	}()
-}
-
-// serveHTTP runs the API server until ctx cancels, then drains the epoch
-// stream and shuts down — the same lifecycle as the single daemon.
-func serveHTTP(ctx context.Context, addr string, api *server.Server, role string) error {
-	httpSrv := &http.Server{Addr: addr, Handler: api}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	logf("%s HTTP API on %s", role, addr)
-	select {
-	case <-ctx.Done():
-		logf("shutting down...")
-	case err := <-errc:
-		return err
-	}
-	api.Drain()
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		logf("shutdown: %v", err)
-	}
-	return nil
+	return serveHTTP(ctx, a.httpAddr, api, fmt.Sprintf("shard %d", a.shardID), a.pprof)
 }

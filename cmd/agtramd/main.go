@@ -140,6 +140,7 @@ func main() {
 			role:          *clusterRole,
 			rpcAddr:       *rpcAddr,
 			httpAddr:      *addr,
+			pprof:         *debug,
 			shardID:       *shardID,
 			peers:         *peers,
 			coordinator:   *coordAddr,
@@ -189,74 +190,11 @@ func main() {
 		logf("solved: OTC %d, %.2f%% savings, %d replicas", m.OTC, m.Savings, m.Replicas)
 	}
 	ctrl.Start(ctx)
-
-	// The scenario driver feeds the generator's delta schedule through the
-	// live controller one batch per interval — the same POST /deltas path,
-	// in-process — so drift-triggered re-solves, the epoch stream and
-	// routing clients can be exercised against a reproducible adversarial
-	// workload without an external load generator.
 	if scenario != nil {
-		logf("driving scenario %s: %d ticks every %s", scenario.Name(), scenario.Ticks(), *scenarioTick)
-		go func() {
-			tick := time.NewTicker(*scenarioTick)
-			defer tick.Stop()
-			for t := 0; t < scenario.Ticks(); t++ {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-				}
-				ds := scenario.Batch(t)
-				if len(ds) == 0 {
-					continue
-				}
-				if a, err := ctrl.ApplyDeltas(ds); err != nil {
-					logf("scenario %s tick %d: %v", scenario.Name(), t, err)
-				} else {
-					logf("scenario %s tick %d/%d: %d deltas -> epoch %d (drift %.2f)",
-						scenario.Name(), t+1, scenario.Ticks(), len(ds), a.Version, a.Drift)
-				}
-			}
-			logf("scenario %s complete", scenario.Name())
-		}()
+		driveScenario(ctx, scenario, *scenarioTick, ctrl.ApplyDeltas)
 	}
-
-	// The pprof endpoints are opt-in and share the service listener: a mux
-	// claims /debug/pprof/ and hands everything else to the API handler.
-	api := server.New(ctrl)
-	var handler http.Handler = api
-	if *debug {
-		mux := http.NewServeMux()
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		mux.Handle("/", handler)
-		handler = mux
-		logf("pprof endpoints enabled under /debug/pprof/")
-	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
-	logf("listening on %s (drift threshold %.2f, debounce %s)", *addr, *drift, *debounce)
-
-	select {
-	case <-ctx.Done():
-		logf("shutting down...")
-	case err := <-errc:
+	if err := serveHTTP(ctx, *addr, server.New(ctrl), "daemon", *debug); err != nil {
 		fatal(err)
-	}
-
-	// Drain the epoch stream first: Shutdown only waits for idle
-	// connections, and a long-poll or SSE subscriber is never idle until its
-	// stream ends with a terminal event. Draining inside the same window
-	// turns those handlers into completed requests instead of casualties.
-	api.Drain()
-	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		logf("shutdown: %v", err)
 	}
 	ctrl.Close()
 
@@ -267,6 +205,81 @@ func main() {
 		}
 		logf("persisted placement to %s (OTC %d, %d servers, %d objects)", *snapshot, rep.OTC, rep.Servers, rep.Objects)
 	}
+}
+
+// driveScenario replays the generator's delta schedule against apply, one
+// batch per tick — the same POST /deltas path, in-process — so
+// drift-triggered re-solves, the epoch stream and routing clients can be
+// exercised against a reproducible adversarial workload without an external
+// load generator. apply is the single daemon's controller or the
+// coordinator's forwarding plane.
+func driveScenario(ctx context.Context, g sim.Generator, tick time.Duration, apply func([]online.Delta) (online.Applied, error)) {
+	logf("driving scenario %s: %d ticks every %s", g.Name(), g.Ticks(), tick)
+	go func() {
+		t := time.NewTicker(tick)
+		defer t.Stop()
+		for i := 0; i < g.Ticks(); i++ {
+			select {
+			case <-ctx.Done():
+				return
+			case <-t.C:
+			}
+			ds := g.Batch(i)
+			if len(ds) == 0 {
+				continue
+			}
+			if a, err := apply(ds); err != nil {
+				logf("scenario %s tick %d: %v", g.Name(), i, err)
+			} else {
+				logf("scenario %s tick %d/%d: %d deltas -> epoch %d (drift %.2f)",
+					g.Name(), i+1, g.Ticks(), len(ds), a.Version, a.Drift)
+			}
+		}
+		logf("scenario %s complete", g.Name())
+	}()
+}
+
+// serveHTTP runs the API server until ctx cancels, then drains the epoch
+// stream and shuts down: the one HTTP lifecycle of every role. Shutdown only
+// waits for idle connections, and a long-poll or SSE subscriber is never
+// idle until its stream ends with a terminal event, so the drain runs inside
+// the same window and turns those handlers into completed requests instead
+// of casualties.
+func serveHTTP(ctx context.Context, addr string, api *server.Server, role string, pprofOn bool) error {
+	httpSrv := &http.Server{Addr: addr, Handler: withPprof(api, pprofOn)}
+	errc := make(chan error, 1)
+	go func() { errc <- httpSrv.ListenAndServe() }()
+	logf("%s HTTP API on %s", role, addr)
+	select {
+	case <-ctx.Done():
+		logf("shutting down...")
+	case err := <-errc:
+		return err
+	}
+	api.Drain()
+	shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := httpSrv.Shutdown(shutCtx); err != nil {
+		logf("shutdown: %v", err)
+	}
+	return nil
+}
+
+// withPprof shares the service listener with the opt-in pprof endpoints: a
+// mux claims /debug/pprof/ and hands everything else to the API handler.
+func withPprof(api http.Handler, on bool) http.Handler {
+	if !on {
+		return api
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/", api)
+	logf("pprof endpoints enabled under /debug/pprof/")
+	return mux
 }
 
 // writeFileAtomic replaces path with what write produces. It writes a

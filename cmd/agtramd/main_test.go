@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -54,5 +57,27 @@ func TestWriteFileAtomicKeepsPreviousOnFailure(t *testing.T) {
 	}
 	if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, next) {
 		t.Fatalf("after a successful write the snapshot reads %q (%v), want %q", got, err, next)
+	}
+}
+
+// TestWithPprofSharesListener: every role serves through withPprof, so -pprof
+// adds /debug/pprof/ beside the API for the single daemon and both cluster
+// roles alike, and without it the API answers every path.
+func TestWithPprofSharesListener(t *testing.T) {
+	api := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) { io.WriteString(w, "api") })
+	get := func(h http.Handler, path string) string {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec.Body.String()
+	}
+	on := withPprof(api, true)
+	if body := get(on, "/debug/pprof/"); !strings.Contains(body, "goroutine") {
+		t.Fatalf("pprof index with -pprof: %.80q", body)
+	}
+	if body := get(on, "/healthz"); body != "api" {
+		t.Fatalf("API path with -pprof answered %q", body)
+	}
+	if body := get(withPprof(api, false), "/debug/pprof/"); body != "api" {
+		t.Fatalf("without -pprof /debug/pprof/ answered %.80q, want the API", body)
 	}
 }

@@ -78,7 +78,7 @@ func main() {
 	co.Serve(coLis)
 
 	// --- 3. Form the cluster: partition servers into regions, ship the
-	// masked assignments, run the regional games, merge the winners.
+	// compacted assignments, run the regional games, merge the winners.
 	if err := co.AssignNow(ctx); err != nil {
 		log.Fatal(err)
 	}
@@ -97,7 +97,8 @@ func main() {
 	fmt.Printf("delegate game winner: shard %d\n\n", lastWinner(co, ctx))
 
 	// --- 4. Live traffic: deltas hit the coordinator, which forwards each
-	// to the shard that owns the target server; a re-solve runs every
+	// to the shard that owns the target server (or re-assigns, when the
+	// owner's region does not hold the object); a re-solve runs every
 	// region's game on its updated demand and merges the outcomes back into
 	// the global placement.
 	fmt.Println("applying a read flash crowd on objects 0..9...")
@@ -116,13 +117,16 @@ func main() {
 	fmt.Printf("  re-solve -> epoch %d, winner shard %d, %.2f%% savings\n\n",
 		co.Current().Version, lastWinner(co, ctx), co.Metrics().Savings)
 
-	// Routing answers come from the merged placement — the coordinator and
-	// every shard agree on where server 3 reads object 0.
+	// Routing answers come from the merged placement, which only the
+	// coordinator serves. A shard answers from its own regional placement:
+	// the merge's boundary exchange moves replicas across regions without
+	// writing them back, so a shard's answer can differ. Clients route
+	// against the coordinator.
 	from, _ := co.Route(3, 0)
-	fmt.Printf("route(server 3, object 0) = server %d (coordinator)\n", from)
+	fmt.Printf("route(server 3, object 0) = server %d (coordinator, merged placement)\n", from)
 	for i := 0; i < shards; i++ {
 		if f, err := shs[i].Backend().Route(3, 0); err == nil {
-			fmt.Printf("route(server 3, object 0) = server %d (shard %d)\n", f, i)
+			fmt.Printf("route(server 3, object 0) = server %d (shard %d, regional placement)\n", f, i)
 		}
 	}
 

@@ -144,9 +144,9 @@ func TestOneShardClusterBitIdentical(t *testing.T) {
 	}
 
 	// Membership churn: a server leaves and later rejoins. On the cluster
-	// side this forces a re-partition (the coordinator ships fresh masked
-	// state); the mirror must stay in lockstep with the single daemon
-	// through both the eviction and the cold re-solve.
+	// side both deltas are forwarded to the shard that owns the server, with
+	// no re-partition; the mirror must stay in lockstep with the single
+	// daemon through both the eviction and the cold re-solve.
 	victim := 3
 	leave := []online.Delta{{Kind: online.KindServerLeave, Server: victim}}
 	if _, err := single.ApplyDeltas(leave); err != nil {
@@ -155,8 +155,8 @@ func TestOneShardClusterBitIdentical(t *testing.T) {
 	if _, err := co.ApplyDeltas(leave); err != nil {
 		t.Fatal(err)
 	}
-	if got := co.AssignVersion(); got < 2 {
-		t.Fatalf("membership delta did not re-partition: assign version %d", got)
+	if got := co.AssignVersion(); got != 1 {
+		t.Fatalf("membership delta re-partitioned: assign version %d", got)
 	}
 	compare("server leave")
 	solveBoth("post-leave solve")

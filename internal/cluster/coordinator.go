@@ -31,9 +31,6 @@ type CoordinatorConfig struct {
 	// ForwardTimeout bounds every forwarded RPC (assign, deltas, solve,
 	// metrics); default 30s — regional solves run inside it.
 	ForwardTimeout time.Duration
-	// Payment is the top-level delegate game's payment rule (default
-	// second-price, the paper's truthful choice).
-	Payment mechanism.PaymentRule
 	// Dial overrides the dialer per shard (fault injection).
 	Dial func(peer Peer) DialFunc
 }
@@ -88,10 +85,9 @@ type Coordinator struct {
 	assignVer uint64
 	regionOf  []int32 // server -> shard id, -1 unassigned
 	// mappings holds the coordinator's copy of each live region's index
-	// mapping; its keys are the shards that hold a region. Contents are only
-	// read and extended under opMu (routing appends objects in lockstep with
-	// the owning shard); the map itself is swapped under both locks on
-	// re-assignment.
+	// mapping; its keys are the shards that hold a region. A mapping never
+	// changes after its assignment; its lazy reverse index is built under
+	// opMu, and the map itself is swapped under both locks on re-assignment.
 	mappings map[int]*online.CompactRegion
 	// lastMerge memoizes the most recent multi-region merge; nil after a
 	// single-region one.
@@ -153,7 +149,7 @@ func NewCoordinator(p *replication.Problem, shardAddrs []string, cfg Coordinator
 			// re-partitions; until then the generation check keeps stale
 			// shards from absorbing misrouted work.
 			if to == Dead || to == Alive {
-				co.kick(co.reassignKick)
+				kick(co.reassignKick)
 			}
 		},
 	})
@@ -163,10 +159,38 @@ func NewCoordinator(p *replication.Problem, shardAddrs []string, cfg Coordinator
 	return co, nil
 }
 
-func (co *Coordinator) kick(ch chan struct{}) {
+// kick queues a wake-up for a worker; a wake-up already pending is enough.
+func kick(ch chan struct{}) {
 	select {
 	case ch <- struct{}{}:
 	default:
+	}
+}
+
+// solveWorker is the cluster's one debounced solve loop, the coordinator's
+// drift-triggered cluster solve and a shard's autonomous self-solve alike:
+// it runs solve once per kick, at least debounce after the previous run
+// started, exactly like the single daemon's controller loop. Kicks that
+// arrive while it waits or solves coalesce into one further run.
+func solveWorker(ctx context.Context, kicks <-chan struct{}, debounce time.Duration, solve func(context.Context)) {
+	var last time.Time
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-kicks:
+		}
+		if wait := debounce - time.Since(last); wait > 0 {
+			t := time.NewTimer(wait)
+			select {
+			case <-ctx.Done():
+				t.Stop()
+				return
+			case <-t.C:
+			}
+		}
+		last = time.Now()
+		solve(ctx)
 	}
 }
 
@@ -213,27 +237,11 @@ func (co *Coordinator) Start(ctx context.Context, probeInterval time.Duration) {
 	}()
 	go func() {
 		defer co.wg.Done()
-		var lastSolve time.Time
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-co.solveKick:
-			}
-			if wait := co.cfg.Controller.SolveDebounce - time.Since(lastSolve); wait > 0 {
-				t := time.NewTimer(wait)
-				select {
-				case <-ctx.Done():
-					t.Stop()
-					return
-				case <-t.C:
-				}
-			}
-			lastSolve = time.Now()
+		solveWorker(ctx, co.solveKick, co.cfg.Controller.SolveDebounce, func(ctx context.Context) {
 			if err := co.SolveNow(ctx); err != nil {
 				co.noteErr(err)
 			}
-		}
+		})
 	}()
 }
 
@@ -277,7 +285,7 @@ func forward[Rep any](ctx context.Context, co *Coordinator, ids []int, method st
 		co.mu.Lock()
 		co.forwardErrors += failed
 		co.mu.Unlock()
-		co.kick(co.reassignKick)
+		kick(co.reassignKick)
 	}
 	return reps, errs
 }
@@ -405,20 +413,19 @@ func (co *Coordinator) LastSolvePayments() []int64 {
 	return append([]int64(nil), co.lastPayments...)
 }
 
-// ApplyDeltas applies a batch to the global mirror, then fans it out through
-// the region mappings: demand deltas go to the owning shard, add-object
-// deltas — stamped with their freshly allocated global id — to the primary's
-// shard (whose mapping extends in lockstep on both sides), remove-object
-// deltas to every shard that maps the object, and membership deltas trigger
-// a full re-partition (no piecemeal forwarding — the partition itself
-// changed). A batch the live mappings cannot express (demand for an object
-// outside its owner's region) also re-partitions: the fresh sub-instances
-// include it. A shard that fails its forward is reported to the failure
-// detector and re-synced by the next assignment; the mirror remains the
-// source of truth either way.
+// ApplyDeltas applies a batch to the global mirror, then fans it out under
+// one rule (online.RouteDeltasCompact): a delta is forwarded when its owner
+// region's mapping already holds its server and, for demand, its object.
+// Demand, server-join and server-leave go to the region that owns the
+// server, remove-object to every region that maps the object. Anything the
+// mappings cannot express — add-object, a new server id, demand for an
+// object outside its owner's region — re-partitions instead, and the fresh
+// sub-instances include it. A region's mapping therefore never changes
+// between assignments. A shard that fails its forward is reported to the
+// failure detector and re-synced by the next assignment; the mirror remains
+// the source of truth either way.
 func (co *Coordinator) ApplyDeltas(ds []online.Delta) (online.Applied, error) {
 	co.opMu.Lock()
-	preN := int32(co.mirror.Current().Problem.N)
 	a, err := co.mirror.ApplyDeltas(ds)
 	if err != nil {
 		co.opMu.Unlock()
@@ -431,18 +438,17 @@ func (co *Coordinator) ApplyDeltas(ds []online.Delta) (online.Applied, error) {
 	ver := co.assignVer
 	co.mu.Unlock()
 
-	perShard, reassign, rerr := online.RouteDeltasCompact(ds, func(server int) int {
+	perShard, forwardable := online.RouteDeltasCompact(ds, func(server int) int {
 		if server < 0 || server >= len(regionOf) {
 			return -1
 		}
 		return int(regionOf[server])
-	}, mappings, preN)
+	}, mappings)
 
-	if ver == 0 || reassign || rerr != nil {
-		// Unformed cluster, membership change, a server outside the live
-		// assignment (it joined since), or demand the compaction does not
-		// cover: re-partition from fresh state, which ships the new shape
-		// inside the sub-instances.
+	if ver == 0 || !forwardable {
+		// Unformed cluster, or a batch the live mappings cannot express:
+		// re-partition from fresh state, which ships the new shape inside
+		// the sub-instances.
 		co.opMu.Unlock()
 		if aerr := co.AssignNow(context.Background()); aerr != nil {
 			co.noteErr(aerr)
@@ -462,7 +468,7 @@ func (co *Coordinator) ApplyDeltas(ds []online.Delta) (online.Applied, error) {
 	}
 
 	if a.SolveScheduled {
-		co.kick(co.solveKick)
+		kick(co.solveKick)
 	}
 	return a, nil
 }
@@ -489,7 +495,7 @@ func (co *Coordinator) SolveNow(ctx context.Context) error {
 		if err == nil && reps[i].Assign != ver {
 			// The shard solved under a different assignment: its indexes mean
 			// nothing against this mapping. Re-sync it.
-			co.kick(co.reassignKick)
+			kick(co.reassignKick)
 			err = fmt.Errorf("ran assignment %d, coordinator at %d", reps[i].Assign, ver)
 		}
 		if err != nil {
@@ -603,7 +609,7 @@ func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 	for _, pt := range parts {
 		bids = append(bids, mechanism.Bid{Agent: pt.shard, Value: pt.saved})
 	}
-	if round, ok := mechanism.RunRound(bids, co.cfg.Payment); ok {
+	if round, ok := mechanism.RunRound(bids, mechanism.SecondPrice); ok {
 		co.mu.Lock()
 		co.topDecisions++
 		co.delegatePayments[round.Winner.Agent] += round.Payment

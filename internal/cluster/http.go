@@ -155,11 +155,13 @@ func writeStatus(w http.ResponseWriter, st ClusterStatus) {
 // assignment's index mapping; the epoch stream (Current/Subscribe) is the
 // regional controller's and therefore in region-local coordinates — for a
 // 1-shard cluster the mapping is the identity, so epoch clients see exactly
-// the single daemon's stream. Deltas posted directly to a shard pass the
-// same ownership guard as forwarded ones (add-object is coordinator-only:
-// global object ids are allocated by the mirror); solves run the regional
-// game. The daemon waits for the first assignment (WaitAssigned) before
-// serving HTTP, so the controller is always live here.
+// the single daemon's stream. Routes answer from the regional placement, not
+// the merged one the coordinator serves, so with several shards the answers
+// can differ and clients route against the coordinator. Deltas posted
+// directly to a shard pass the same ownership guard as forwarded ones;
+// membership deltas and add-object are coordinator-only. Solves run the
+// regional game. The daemon waits for the first assignment (WaitAssigned)
+// before serving HTTP, so the controller is always live here.
 func (s *Shard) Backend() server.Backend { return shardBackend{s} }
 
 type shardBackend struct{ s *Shard }

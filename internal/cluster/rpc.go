@@ -26,19 +26,25 @@
 //   - shard.go: one regional game. Holds an online.Controller over the
 //     compacted sub-instance the coordinator assigned (arena, kernel and
 //     oracle rows all sized to the region), translates global ids at the RPC
-//     boundary, degrades to autonomous self-solves when the coordinator
-//     stops answering probes.
-//   - coordinator.go: membership + partition + compaction + mapping-aware
-//     delta forwarding + the fan-out solve and translate-then-union merge,
+//     boundary through a mapping that never changes between assignments,
+//     degrades to autonomous self-solves when the coordinator stops
+//     answering probes. The self-solves wait out SolveDebounce on the same
+//     worker as the coordinator's drift-triggered solves (solveWorker).
+//   - coordinator.go: membership + partition + compaction + delta
+//     forwarding + the fan-out solve and translate-then-union merge,
 //     behind the same server.Backend interface the single daemon serves
-//     HTTP from. A cluster solve is one round trip per shard: the solve
-//     reply carries the region's placement, delegate bid, border ads and
-//     payments, and the merge runs on the replies. Every shard RPC goes
-//     through forward, one failure policy: a failed call is counted as a
-//     forward error, reported to the failure detector and re-synced by a
-//     re-partition, and a region whose solve failed contributes nothing to
-//     that merge. A multi-region merge whose replies equal the previous
-//     merge's, with the mirror unmoved, publishes nothing.
+//     HTTP from. Forwarding follows one rule: a delta goes to its owner
+//     region when that region's mapping already holds its server and, for
+//     demand, its object; anything else (add-object, a new server id,
+//     demand outside the owner's mapping) re-partitions. A cluster solve is
+//     one round trip per shard: the solve reply carries the region's
+//     placement, delegate bid, border ads and payments, and the merge runs
+//     on the replies. Every shard RPC goes through forward, one failure
+//     policy: a failed call is counted as a forward error, reported to the
+//     failure detector and re-synced by a re-partition, and a region whose
+//     solve failed contributes nothing to that merge. A multi-region merge
+//     whose replies equal the previous merge's, with the mirror unmoved,
+//     publishes nothing.
 //
 // Determinism boundary: regional games are deterministic in (sub-instance,
 // seed) exactly like the single daemon; the merge — including the boundary

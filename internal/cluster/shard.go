@@ -19,7 +19,8 @@ type ShardConfig struct {
 	Codec Codec
 	// Controller configures the regional online controller rebuilt on every
 	// assignment: method, engine, seed, drift threshold, Glauber sweeps —
-	// the same vocabulary as the single daemon.
+	// the same vocabulary as the single daemon. Its SolveDebounce spaces the
+	// autonomous self-solves.
 	Controller online.Config
 	// Coordinator is the coordinator's RPC address. Empty runs the shard
 	// standalone-autonomous from the start (no probes, no degradation
@@ -116,7 +117,8 @@ func (s *Shard) Serve(lis net.Listener) { s.ep.Serve(lis) }
 func (s *Shard) Addr() string { return s.ep.Addr() }
 
 // Start launches the background loops: the coordinator failure detector
-// (when configured) and the autonomous self-solve worker.
+// (when configured) and the autonomous self-solve worker, debounced like the
+// single daemon's.
 func (s *Shard) Start(ctx context.Context, probeInterval time.Duration) {
 	ctx, cancel := context.WithCancel(ctx)
 	s.loopCancel = cancel
@@ -126,16 +128,9 @@ func (s *Shard) Start(ctx context.Context, probeInterval time.Duration) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-s.solveKick:
-			}
-			if err := s.SolveNow(ctx); err != nil && ctx.Err() != nil {
-				return
-			}
-		}
+		solveWorker(ctx, s.solveKick, s.cfg.Controller.SolveDebounce, func(ctx context.Context) {
+			_ = s.SolveNow(ctx) // a failed self-solve leaves the region's placement as it was
+		})
 	}()
 }
 
@@ -244,13 +239,12 @@ func (s *Shard) handleAssign(ctx context.Context, req *AssignRequest) (any, erro
 // applyGuarded is the shared delta path for the RPC handler and the HTTP
 // backend. Deltas arrive in global coordinates; the guards (generation,
 // ownership, kind) run on them first, then the batch is translated through
-// the region mapping and applied. Add-object deltas extend the object
-// mapping, but the extension is committed only after the controller accepted
-// the batch — and only if this is still the same assignment — so a rejected
-// batch cannot desynchronize mapping and state. Direct posts (assign 0, the
-// HTTP backend) may not add objects: global object ids are allocated by the
-// coordinator's mirror, which also means concurrent mapping extensions can
-// only come from the coordinator's serialized forwarding path.
+// the region mapping, which never changes between assignments, and applied.
+// Demand must name a member server. Server-join and server-leave of a member
+// come only from the coordinator (assign ≠ 0), which forwards a membership
+// delta to the region that owns the server. Add-object never reaches a
+// shard: global object ids are allocated by the coordinator's mirror, which
+// re-assigns to grow the catalogue.
 func (s *Shard) applyGuarded(assign uint64, ds []online.Delta) (online.Applied, error) {
 	s.mu.Lock()
 	ctrl, region, memberOf, ver, mode := s.ctrl, s.region, s.memberOf, s.assignVer, s.mode
@@ -265,44 +259,31 @@ func (s *Shard) applyGuarded(assign uint64, ds []online.Delta) (online.Applied, 
 	for i, d := range ds {
 		switch d.Kind {
 		case online.KindServerJoin, online.KindServerLeave:
-			s.mu.Unlock()
-			return online.Applied{}, fmt.Errorf("cluster: delta %d: membership changes go through the coordinator", i)
+			if assign == 0 {
+				s.mu.Unlock()
+				return online.Applied{}, fmt.Errorf("cluster: delta %d: membership changes go through the coordinator", i)
+			}
+			fallthrough
 		case online.KindDemand:
 			if d.Server < 0 || d.Server >= len(memberOf) || !memberOf[d.Server] {
 				s.mu.Unlock()
 				return online.Applied{}, fmt.Errorf("cluster: delta %d: server %d is not a member of shard %d", i, d.Server, s.id)
 			}
 		case online.KindAddObject:
-			if assign == 0 {
-				s.mu.Unlock()
-				return online.Applied{}, fmt.Errorf("cluster: delta %d: object ids are allocated by the coordinator; add-object goes through it", i)
-			}
-			if d.Primary < 0 || d.Primary >= len(memberOf) || !memberOf[d.Primary] {
-				s.mu.Unlock()
-				return online.Applied{}, fmt.Errorf("cluster: delta %d: add-object primary %d is not a member of shard %d", i, d.Primary, s.id)
-			}
+			s.mu.Unlock()
+			return online.Applied{}, fmt.Errorf("cluster: delta %d: object ids are allocated by the coordinator; add-object goes through it", i)
 		}
 	}
-	local, commit, terr := region.TranslateDeltas(ds)
+	local, terr := region.TranslateDeltas(ds)
 	s.mu.Unlock()
 	if terr != nil {
 		return online.Applied{}, terr
 	}
 	a, err := ctrl.ApplyDeltas(local)
-	if err == nil {
-		s.mu.Lock()
-		if s.region == region {
-			commit()
-		}
-		s.mu.Unlock()
-	}
 	if err == nil && a.SolveScheduled && mode == hierarchy.Autonomous {
 		// Degraded: nobody will call solve for us. Kick the self-solve
 		// worker, like the single daemon's drift loop.
-		select {
-		case s.solveKick <- struct{}{}:
-		default:
-		}
+		kick(s.solveKick)
 	}
 	return a, err
 }

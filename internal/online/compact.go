@@ -2,7 +2,6 @@ package online
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/replication"
 )
@@ -27,12 +26,24 @@ import (
 // are the identity mappings and State is a deep copy of the input snapshot.
 // That property is what keeps a 1-shard cluster bit-identical to the single
 // daemon, and is pinned by the property tests and fuzzer in export_test.go.
+//
+// A region's mapping never changes after Compact. The coordinator forwards
+// only the deltas it can express (RouteDeltasCompact) and re-assigns for the
+// rest, so between assignments a shard's region differs from a fresh
+// compaction of the mirror in two ways only: it keeps objects no member
+// demands any more (a forwarded leave or a demand delta down to zero drops
+// demand, never a mapped object), and it keeps boundary servers a fresh
+// compaction would drop or carry as departed, each still clamped to its
+// primary load. Neither changes a cold regional solve — the mappings stay
+// monotone and every tie-break is by ascending id, so the game places the
+// same replicas up to renaming the ids.
 
 // CompactRegion is one regional sub-instance on the wire: the compacted
 // snapshot plus the dense index mapping back to global coordinates.
 // Servers[i'] is the global id of regional server i'; Objects[k'] likewise
-// for objects. Both are strictly ascending at construction; AppendObject
-// extends Objects as the coordinator allocates new global ids.
+// for objects. Both are strictly ascending and never change after Compact:
+// a delta the mapping cannot express (add-object, a new server id, demand
+// for an object outside the region) re-assigns instead of extending it.
 //
 // The reverse indexes are built lazily and are not shipped. A CompactRegion
 // is not safe for concurrent use — each owner (coordinator, shard) guards
@@ -174,18 +185,6 @@ func (r *CompactRegion) GlobalObject(local int32) (int32, bool) {
 	return r.Objects[local], true
 }
 
-// AppendObject extends the object mapping with a newly allocated global id
-// (the regional instance appends objects densely, so the new local id is the
-// current N'). Both coordinator and shard apply the same extension as
-// add-object deltas flow, keeping their copies aligned.
-func (r *CompactRegion) AppendObject(global int32) int32 {
-	r.ensureIndex()
-	l := int32(len(r.Objects))
-	r.Objects = append(r.Objects, global)
-	r.objectOf[global] = l
-	return l
-}
-
 // CarryToLocal translates a global placement matrix (rows per global object,
 // replica lists of global server ids) into the region: one row per regional
 // object, replicas restricted to mapped servers. Replicas on boundary
@@ -248,126 +247,81 @@ func (r *CompactRegion) PaymentsToGlobal(local []int64, into []int64) {
 }
 
 // TranslateDeltas converts a coordinator-forwarded batch from global to
-// region-local coordinates. Demand and remove-object deltas must reference
-// mapped servers/objects; add-object deltas carry the coordinator-stamped
-// global id in Object and extend the mapping. The extension is *not* applied
-// immediately: the returned commit func applies it, and the caller invokes
-// it only after the local batch was accepted by the controller — a rejected
-// batch must leave the mapping exactly as it was.
-func (r *CompactRegion) TranslateDeltas(ds []Delta) (local []Delta, commit func(), err error) {
+// region-local coordinates. The mapping never changes after Compact, so every
+// delta must name servers and objects the region already maps: demand needs
+// its server and object, server-join and server-leave their server,
+// remove-object its object. Anything else — add-object included — is an
+// error; the coordinator re-assigns instead of forwarding it
+// (RouteDeltasCompact).
+func (r *CompactRegion) TranslateDeltas(ds []Delta) ([]Delta, error) {
 	r.ensureIndex()
-	var pending []int32 // global ids of objects appended by this batch
-	lookupObject := func(g int32) (int32, bool) {
-		if l, ok := r.objectOf[g]; ok {
-			return l, true
-		}
-		for i, pg := range pending {
-			if pg == g {
-				return int32(len(r.Objects) + i), true
-			}
-		}
-		return 0, false
-	}
-	local = make([]Delta, 0, len(ds))
+	local := make([]Delta, 0, len(ds))
 	for i, d := range ds {
 		switch d.Kind {
-		case KindDemand:
+		case KindDemand, KindServerJoin, KindServerLeave:
 			ls, ok := r.serverOf[int32(d.Server)]
 			if !ok {
-				return nil, nil, fmt.Errorf("online: delta %d: server %d is not in the region", i, d.Server)
+				return nil, fmt.Errorf("online: delta %d: server %d is not in the region", i, d.Server)
 			}
-			lk, ok := lookupObject(d.Object)
-			if !ok {
-				return nil, nil, fmt.Errorf("online: delta %d: object %d is not in the region", i, d.Object)
-			}
-			d.Server, d.Object = int(ls), lk
-			local = append(local, d)
-		case KindAddObject:
-			lp, ok := r.serverOf[int32(d.Primary)]
-			if !ok {
-				return nil, nil, fmt.Errorf("online: delta %d: add-object primary %d is not in the region", i, d.Primary)
-			}
-			pending = append(pending, d.Object)
-			d.Primary = int(lp)
-			d.Object = int32(len(r.Objects) + len(pending) - 1) // informational: apply() assigns ids densely
-			local = append(local, d)
+			d.Server = int(ls)
 		case KindRemoveObject:
-			lk, ok := lookupObject(d.Object)
+		default:
+			return nil, fmt.Errorf("online: delta %d: %s deltas cannot be translated into a region", i, d.Kind)
+		}
+		if d.Kind == KindDemand || d.Kind == KindRemoveObject {
+			lk, ok := r.objectOf[d.Object]
 			if !ok {
-				return nil, nil, fmt.Errorf("online: delta %d: object %d is not in the region", i, d.Object)
+				return nil, fmt.Errorf("online: delta %d: object %d is not in the region", i, d.Object)
 			}
 			d.Object = lk
-			local = append(local, d)
-		default:
-			return nil, nil, fmt.Errorf("online: delta %d: %s deltas cannot be translated into a region", i, d.Kind)
 		}
+		local = append(local, d)
 	}
-	commit = func() {
-		for _, g := range pending {
-			r.AppendObject(g)
-		}
-	}
-	return local, commit, nil
+	return local, nil
 }
 
 // RouteDeltasCompact splits a global batch into per-region batches keyed by
-// shard id, consults each region's mapping, and decides when forwarding is
-// impossible and the caller must re-assign from fresh state instead:
-//
-//   - membership deltas change the partition itself;
-//   - a demand delta for an object outside the owner's region means the
-//     compaction no longer covers the live demand pattern — the region must
-//     be rebuilt to include the object and its boundary primary.
-//
-// Add-object deltas are stamped with their freshly allocated global object
-// id (ids are dense: nextObject is the mirror's N before the batch) and
-// routed only to the primary's region, whose mapping is extended in place —
-// the receiving shard applies the same extension, keeping the two aligned.
-// Remove-object deltas go to every region that maps the object. When
-// reassign or err is returned no forwarding may happen at all; the fresh
-// assignment snapshot already reflects the whole batch.
-func RouteDeltasCompact(ds []Delta, regionOf func(server int) int, regions map[int]*CompactRegion, nextObject int32) (perRegion map[int][]Delta, reassign bool, err error) {
-	ids := make([]int, 0, len(regions))
-	for id := range regions {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
+// shard id under one rule: a delta is forwarded when its owner region's
+// mapping already holds its server and, for demand, its object. The owner of
+// a demand, server-join or server-leave delta is regionOf(server); a
+// remove-object goes to every region that maps the object. Anything else
+// returns ok false — add-object, a server no live region owns (a new id, or
+// one whose shard missed the assignment), demand for an object outside its
+// owner's mapping — and then no forwarding may happen at all: the caller
+// re-assigns from fresh state, which already reflects the whole batch.
+func RouteDeltasCompact(ds []Delta, regionOf func(server int) int, regions map[int]*CompactRegion) (perRegion map[int][]Delta, ok bool) {
 	perRegion = make(map[int][]Delta, len(regions))
-	for i, d := range ds {
+	for _, d := range ds {
 		switch d.Kind {
-		case KindServerJoin, KindServerLeave:
-			return nil, true, nil
-		case KindDemand:
-			r := regionOf(d.Server)
-			reg := regions[r]
-			if r < 0 || reg == nil {
-				return nil, false, fmt.Errorf("online: delta %d: server %d maps to unknown region %d", i, d.Server, r)
-			}
-			if _, ok := reg.LocalObject(d.Object); !ok {
-				return nil, true, nil
-			}
-			perRegion[r] = append(perRegion[r], d)
-		case KindAddObject:
-			r := regionOf(d.Primary)
-			reg := regions[r]
-			if r < 0 || reg == nil {
-				return nil, false, fmt.Errorf("online: delta %d: add-object primary %d maps to unknown region %d", i, d.Primary, r)
-			}
-			d.Object = nextObject
-			nextObject++
-			reg.AppendObject(d.Object)
-			perRegion[r] = append(perRegion[r], d)
 		case KindRemoveObject:
-			for _, r := range ids {
-				if _, ok := regions[r].LocalObject(d.Object); ok {
+			// Each region's batch keeps the input order whatever order the
+			// regions are visited in.
+			for r, reg := range regions {
+				if _, ok := reg.LocalObject(d.Object); ok {
 					perRegion[r] = append(perRegion[r], d)
 				}
 			}
+			continue
+		case KindDemand, KindServerJoin, KindServerLeave:
 		default:
-			return nil, false, fmt.Errorf("online: delta %d: unknown kind %q", i, d.Kind)
+			return nil, false
 		}
+		r := regionOf(d.Server)
+		reg := regions[r]
+		if reg == nil {
+			return nil, false
+		}
+		if _, ok := reg.LocalServer(d.Server); !ok {
+			return nil, false
+		}
+		if d.Kind == KindDemand {
+			if _, ok := reg.LocalObject(d.Object); !ok {
+				return nil, false
+			}
+		}
+		perRegion[r] = append(perRegion[r], d)
 	}
-	return perRegion, false, nil
+	return perRegion, true
 }
 
 // NewFromCompact builds a regional controller from a compacted sub-instance:

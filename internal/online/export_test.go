@@ -248,11 +248,14 @@ func TestInstallPlacementPublishesMerge(t *testing.T) {
 	}
 }
 
-// TestRouteDeltasSplitsByRegion pins the coordinator's forwarding table:
-// demand goes to the owner's region, an add-object is stamped with the next
-// global id and extends only its primary's mapping, a remove-object reaches
-// every region that maps the object, and anything the mappings cannot
-// express asks for re-assignment or fails.
+// TestRouteDeltasSplitsByRegion pins the coordinator's one forwarding rule:
+// a delta goes to its owner region when that region's mapping already holds
+// its server and, for demand, its object — demand and membership deltas to
+// the server's region, a remove-object to every region that maps the
+// object — and anything else (add-object, a new server id, demand outside
+// the owner's mapping, a server no region owns) asks for re-assignment.
+// Routing never changes a mapping, and the owner translates a forwarded
+// leave to its local server id.
 func TestRouteDeltasSplitsByRegion(t *testing.T) {
 	snap := &StateSnapshot{
 		Capacity: []int64{9, 9, 9, 9, 9, 9, 9, 9},
@@ -268,7 +271,10 @@ func TestRouteDeltasSplitsByRegion(t *testing.T) {
 		},
 	}
 	regionOf := func(server int) int {
-		if server < 4 {
+		switch {
+		case server < 0 || server >= 8:
+			return -1
+		case server < 4:
 			return 0
 		}
 		return 1
@@ -277,40 +283,50 @@ func TestRouteDeltasSplitsByRegion(t *testing.T) {
 		0: snap.Compact([]int32{0, 1, 2, 3}), // objects 0, 2, 3
 		1: snap.Compact([]int32{4, 5, 6, 7}), // objects 1, 3
 	}
+	objects := map[int]int{0: len(regions[0].Objects), 1: len(regions[1].Objects)}
 	ds := []Delta{
 		{Kind: KindDemand, Server: 1, Object: 0, Reads: 1},
 		{Kind: KindDemand, Server: 5, Object: 1, Reads: 1},
-		{Kind: KindAddObject, Size: 4, Primary: 0},
+		{Kind: KindServerLeave, Server: 6},
+		{Kind: KindServerJoin, Server: 3, Capacity: 9},
 		{Kind: KindRemoveObject, Object: 3},
 	}
-	per, reassign, err := RouteDeltasCompact(ds, regionOf, regions, 4)
-	if err != nil || reassign {
-		t.Fatalf("forwardable batch: reassign=%v err=%v", reassign, err)
+	per, ok := RouteDeltasCompact(ds, regionOf, regions)
+	if !ok {
+		t.Fatal("forwardable batch asked for re-assignment")
 	}
-	stamped := ds[2]
-	stamped.Object = 4
 	want := map[int][]Delta{
-		0: {ds[0], stamped, ds[3]},
-		1: {ds[1], ds[3]},
+		0: {ds[0], ds[3], ds[4]},
+		1: {ds[1], ds[2], ds[4]},
 	}
 	if !reflect.DeepEqual(per, want) {
 		t.Fatalf("split = %+v, want %+v", per, want)
 	}
-	if l, ok := regions[0].LocalObject(4); !ok || l != 3 {
-		t.Fatalf("add-object did not extend the primary's mapping: local %d, %v", l, ok)
+	local, err := regions[1].TranslateDeltas(per[1])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := regions[1].LocalObject(4); ok {
-		t.Fatal("add-object extended a foreign region's mapping")
+	if l, _ := regions[1].LocalServer(6); local[1].Server != l {
+		t.Fatalf("forwarded leave translated to local server %d, want %d", local[1].Server, l)
 	}
 
-	if _, reassign, _ = RouteDeltasCompact([]Delta{{Kind: KindServerLeave, Server: 1}}, regionOf, regions, 5); !reassign {
-		t.Fatal("leave delta did not ask for re-assignment")
+	for name, d := range map[string]Delta{
+		"add-object":                 {Kind: KindAddObject, Size: 4, Primary: 0},
+		"join of a new server id":    {Kind: KindServerJoin, Server: 8, Capacity: 9},
+		"demand outside the mapping": {Kind: KindDemand, Server: 1, Object: 1, Reads: 1},
+		"server no region owns":      {Kind: KindDemand, Server: -1, Object: 0, Reads: 1},
+	} {
+		if _, ok := RouteDeltasCompact([]Delta{ds[0], d}, regionOf, regions); ok {
+			t.Errorf("%s did not ask for re-assignment", name)
+		}
 	}
-	if _, reassign, _ = RouteDeltasCompact([]Delta{{Kind: KindDemand, Server: 1, Object: 1, Reads: 1}}, regionOf, regions, 5); !reassign {
-		t.Fatal("demand outside the owner's mapping did not ask for re-assignment")
+	if _, err := regions[0].TranslateDeltas([]Delta{{Kind: KindAddObject, Size: 4, Primary: 0}}); err == nil {
+		t.Error("add-object translated into a region")
 	}
-	if _, _, err = RouteDeltasCompact([]Delta{{Kind: KindDemand, Server: 2, Object: 0, Reads: 1}}, func(int) int { return -1 }, regions, 5); err == nil {
-		t.Fatal("unmapped server routed without error")
+	for id, n := range objects {
+		if got := len(regions[id].Objects); got != n {
+			t.Fatalf("routing changed region %d's mapping: %d objects, want %d", id, got, n)
+		}
 	}
 }
 

@@ -246,7 +246,11 @@ func TestEpochsSSEDrain(t *testing.T) {
 			}
 			events <- &u
 		}
-		scanErr <- sc.Err()
+		// A clean end of stream is the closed events channel; sending its
+		// nil error too would race the terminal event in next's select.
+		if err := sc.Err(); err != nil {
+			scanErr <- err
+		}
 	}()
 
 	next := func() *online.Update {
