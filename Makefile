@@ -151,6 +151,8 @@ fuzz:
 	$(GO) test -fuzz FuzzNewFromState -fuzztime 10s ./internal/online
 	$(GO) test -fuzz FuzzFrameDecode -fuzztime 10s ./internal/frame
 	$(GO) test -fuzz FuzzSolveReply -fuzztime 10s ./internal/cluster
+	$(GO) test -fuzz FuzzAssign -fuzztime 10s ./internal/cluster
+	$(GO) test -fuzz FuzzEpochsClient -fuzztime 10s ./internal/routing
 
 # The benchmark harness is a Go module of its own (perfbench/go.mod), so the
 # root `go test ./...` and `make race` never build it. This vets it and runs

@@ -67,14 +67,15 @@ func runCoordinator(ctx context.Context, p *replication.Problem, ccfg online.Con
 	co.Serve(lis)
 	logf("coordinator RPC on %s, %d shard(s): %s", co.Addr(), len(addrs), strings.Join(addrs, ", "))
 
-	// Shards may still be starting: retry the first assignment with backoff
-	// until every region lands (daemon start order must not matter).
+	// Shards may still be starting: retry the first formation every second
+	// until every configured shard holds a region (daemon start order must
+	// not matter).
 	for {
-		if err := co.AssignNow(ctx); err == nil {
+		err := co.Form(ctx)
+		if err == nil {
 			break
-		} else {
-			logf("waiting for shards: %v", err)
 		}
+		logf("waiting for shards: %v", err)
 		select {
 		case <-ctx.Done():
 			return ctx.Err()

@@ -159,25 +159,9 @@ func main() {
 		fatal(err)
 	}
 
-	// A snapshot written after shape-changing deltas (add-object,
-	// server-join growth) no longer fits a fresh instance built from the
-	// same flags, so an unusable snapshot falls back to a cold solve
-	// instead of refusing to start.
 	restored := false
 	if *snapshot != "" {
-		if f, err := os.Open(*snapshot); err == nil {
-			rep, rerr := replication.ReadPlacement(f)
-			f.Close()
-			if rerr == nil {
-				rerr = ctrl.RestorePlacement(rep)
-			}
-			if rerr != nil {
-				logf("ignoring snapshot %s, solving cold: %v", *snapshot, rerr)
-			} else {
-				restored = true
-				logf("restored placement from %s (OTC %d, %.2f%% savings)", *snapshot, rep.OTC, rep.Savings)
-			}
-		} else if !errors.Is(err, os.ErrNotExist) {
+		if restored, err = restore(ctrl, *snapshot); err != nil {
 			fatal(err)
 		}
 	}
@@ -205,6 +189,36 @@ func main() {
 		}
 		logf("persisted placement to %s (OTC %d, %d servers, %d objects)", *snapshot, rep.OTC, rep.Servers, rep.Objects)
 	}
+}
+
+// restore installs the placement persisted at path on ctrl and logs the
+// OTC and savings the restored epoch serves, which differ from the file's
+// when the instance the flags build is not the one that wrote it. It
+// reports false for a missing file, and logs and reports false for a
+// snapshot that does not fit the instance (one written after
+// shape-changing deltas such as add-object or server-join growth), so the
+// daemon solves cold instead of refusing to start. Any other error opening
+// the file is returned.
+func restore(ctrl *online.Controller, path string) (bool, error) {
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return false, nil
+	}
+	if err != nil {
+		return false, err
+	}
+	rep, err := replication.ReadPlacement(f)
+	f.Close()
+	if err == nil {
+		err = ctrl.RestorePlacement(rep)
+	}
+	if err != nil {
+		logf("ignoring snapshot %s, solving cold: %v", path, err)
+		return false, nil
+	}
+	sch := ctrl.Current().Schema
+	logf("restored placement from %s (OTC %d, %.2f%% savings)", path, sch.TotalCost(), sch.Savings())
+	return true, nil
 }
 
 // driveScenario replays the generator's delta schedule against apply, one
@@ -321,8 +335,11 @@ func engineOpt(method, engine string) string {
 	return ""
 }
 
+// logOut receives the daemon's log lines.
+var logOut io.Writer = os.Stderr
+
 func logf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "agtramd: "+format+"\n", args...)
+	fmt.Fprintf(logOut, "agtramd: "+format+"\n", args...)
 }
 
 func fatal(err error) {

@@ -206,7 +206,7 @@ func TestMultiShardClusterInvariants(t *testing.T) {
 	total := 0
 	for _, sh := range shs {
 		sh.mu.Lock()
-		members := append([]int32(nil), sh.members...)
+		members := append([]int32(nil), sh.region.Members...)
 		sh.mu.Unlock()
 		for _, s := range members {
 			seen[s]++
@@ -412,7 +412,7 @@ func TestClusterShardEvictionRepartitions(t *testing.T) {
 	}
 	// Remember a server shard 1 owns, to target deltas at after the crash.
 	sh1.mu.Lock()
-	orphan := int(sh1.members[0])
+	orphan := int(sh1.region.Members[0])
 	sh1.mu.Unlock()
 
 	// Crash shard 1 for real: its endpoint closes, every future dial is
@@ -449,7 +449,7 @@ func TestClusterShardEvictionRepartitions(t *testing.T) {
 		t.Fatalf("survivor still on generation %d after re-partition", got)
 	}
 	sh0.mu.Lock()
-	members := len(sh0.members)
+	members := len(sh0.region.Members)
 	sh0.mu.Unlock()
 	if members != p.M {
 		t.Fatalf("survivor owns %d of %d servers after eviction", members, p.M)
@@ -505,7 +505,7 @@ func TestShardRejectsForeignAndMembershipDeltas(t *testing.T) {
 	}
 
 	sh1.mu.Lock()
-	foreign := int(sh1.members[0])
+	foreign := int(sh1.region.Members[0])
 	sh1.mu.Unlock()
 
 	if _, err := sh0.applyGuarded(0, []online.Delta{
@@ -550,7 +550,7 @@ func TestClusterSolveCountsForwardErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	sh1.mu.Lock()
-	dead := append([]int32(nil), sh1.members...)
+	dead := append([]int32(nil), sh1.region.Members...)
 	sh1.mu.Unlock()
 	// surplus counts the merged placement's non-primary replicas on the dead
 	// shard's members.
@@ -703,5 +703,87 @@ func TestExchangeBordersManyRegions(t *testing.T) {
 	}
 	if recovered <= 0 || before-carried.TotalCost() != recovered {
 		t.Fatalf("recovered %d, OTC fell from %d to %d", recovered, before, carried.TotalCost())
+	}
+}
+
+// TestShardRefusesDirectRemoveObject: a remove-object posted straight to a
+// shard would retire the object in its region while the coordinator's
+// mirror never hears of it, and the coordinator's next forward of demand
+// for that object would fail on the shard. The shard refuses it, as it
+// refuses add-object, and the forward then lands.
+func TestShardRefusesDirectRemoveObject(t *testing.T) {
+	testutil.LeakCheck(t)
+	p := testutil.MustBuild(testutil.Small(5))
+	co, shs := newTestCluster(t, p, online.Config{Seed: 3}, 2)
+	sh := shs[0]
+	sh.mu.Lock()
+	server, object := int(sh.region.Members[0]), sh.region.Objects[0]
+	sh.mu.Unlock()
+
+	if _, err := sh.Backend().ApplyDeltas([]online.Delta{{Kind: online.KindRemoveObject, Object: object}}); err == nil {
+		t.Fatalf("shard accepted a remove-object of object %d posted to it directly", object)
+	}
+	gen := co.AssignVersion()
+	if _, err := co.ApplyDeltas([]online.Delta{{Kind: online.KindDemand, Server: server, Object: object, Reads: 5}}); err != nil {
+		t.Fatal(err)
+	}
+	if got := co.AssignVersion(); got != gen {
+		t.Fatalf("demand for a mapped object re-assigned (generation %d -> %d)", gen, got)
+	}
+	if got := co.Status(context.Background()).ForwardErrors; got != 0 {
+		t.Fatalf("forwarding demand for object %d counted %d forward errors", object, got)
+	}
+}
+
+// TestShardRefusesBadRegions: a region arrives over RPC, and the shard maps
+// ids into it by binary search, so an assignment whose servers, objects or
+// members are out of order, or whose member is not one of its servers, is
+// refused with an error that wraps online.ErrInvalidState, and the shard
+// keeps the assignment it runs.
+func TestShardRefusesBadRegions(t *testing.T) {
+	testutil.LeakCheck(t)
+	p := testutil.MustBuild(testutil.Small(17))
+	sh := NewShard(0, p.Cost, ShardConfig{Codec: CodecGob, Controller: online.Config{Seed: 1}})
+	defer sh.Close()
+	mirror, err := online.New(p.Cost, p.Work, p.Capacity, online.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mirror.Close()
+	full := mirror.ExportState()
+	half := hierarchy.PartitionBalanced(mirror.Current().Problem, 2)[0]
+	ctx := context.Background()
+	if _, err := sh.handleAssign(ctx, &AssignRequest{Version: 1, Region: full.Compact(half)}); err != nil {
+		t.Fatal(err)
+	}
+	sh.mu.Lock()
+	ctrl, region := sh.ctrl, sh.region
+	sh.mu.Unlock()
+
+	swap := func(ids []int32) { ids[0], ids[1] = ids[1], ids[0] }
+	for _, c := range []struct {
+		name   string
+		mutate func(r *online.CompactRegion)
+	}{
+		{"member not a server", func(r *online.CompactRegion) { r.Members = append(r.Members, int32(p.M)) }},
+		{"servers out of order", func(r *online.CompactRegion) { swap(r.Servers) }},
+		{"objects out of order", func(r *online.CompactRegion) { swap(r.Objects) }},
+		{"members out of order", func(r *online.CompactRegion) { swap(r.Members) }},
+	} {
+		reg := full.Compact(half)
+		c.mutate(reg)
+		_, err := sh.handleAssign(ctx, &AssignRequest{Version: 2, Region: reg})
+		if !errors.Is(err, online.ErrInvalidState) {
+			t.Fatalf("%s: assign answered %v, want an error wrapping online.ErrInvalidState", c.name, err)
+		}
+		sh.mu.Lock()
+		kept := sh.ctrl == ctrl && sh.region == region && sh.assignVer == 1
+		sh.mu.Unlock()
+		if !kept {
+			t.Fatalf("%s: the refused assignment replaced generation 1", c.name)
+		}
+	}
+	if _, err := sh.handleAssign(ctx, &AssignRequest{Version: 2, Region: full.Compact(half)}); err != nil {
+		t.Fatalf("a well-formed region after the refusals: %v", err)
 	}
 }

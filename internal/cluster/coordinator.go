@@ -84,10 +84,9 @@ type Coordinator struct {
 	mu        sync.Mutex
 	assignVer uint64
 	regionOf  []int32 // server -> shard id, -1 unassigned
-	// mappings holds the coordinator's copy of each live region's index
-	// mapping; its keys are the shards that hold a region. A mapping never
-	// changes after its assignment; its lazy reverse index is built under
-	// opMu, and the map itself is swapped under both locks on re-assignment.
+	// mappings holds the coordinator's copy of each live region; its keys
+	// are the shards that hold a region. A region never changes after its
+	// assignment; the map itself is swapped on re-assignment.
 	mappings map[int]*online.CompactRegion
 	// lastMerge memoizes the most recent multi-region merge; nil after a
 	// single-region one.
@@ -149,7 +148,7 @@ func NewCoordinator(p *replication.Problem, shardAddrs []string, cfg Coordinator
 			// re-partitions; until then the generation check keeps stale
 			// shards from absorbing misrouted work.
 			if to == Dead || to == Alive {
-				kick(co.reassignKick)
+				online.Kick(co.reassignKick)
 			}
 		},
 	})
@@ -157,41 +156,6 @@ func NewCoordinator(p *replication.Problem, shardAddrs []string, cfg Coordinator
 		return &PingReply{Role: "coordinator", Assign: co.AssignVersion(), Version: co.mirror.Current().Version}, nil
 	})
 	return co, nil
-}
-
-// kick queues a wake-up for a worker; a wake-up already pending is enough.
-func kick(ch chan struct{}) {
-	select {
-	case ch <- struct{}{}:
-	default:
-	}
-}
-
-// solveWorker is the cluster's one debounced solve loop, the coordinator's
-// drift-triggered cluster solve and a shard's autonomous self-solve alike:
-// it runs solve once per kick, at least debounce after the previous run
-// started, exactly like the single daemon's controller loop. Kicks that
-// arrive while it waits or solves coalesce into one further run.
-func solveWorker(ctx context.Context, kicks <-chan struct{}, debounce time.Duration, solve func(context.Context)) {
-	var last time.Time
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-kicks:
-		}
-		if wait := debounce - time.Since(last); wait > 0 {
-			t := time.NewTimer(wait)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				return
-			case <-t.C:
-			}
-		}
-		last = time.Now()
-		solve(ctx)
-	}
 }
 
 // Serve starts answering RPC probes on lis.
@@ -215,34 +179,25 @@ func (co *Coordinator) Phases() PhaseStats {
 }
 
 // Start launches the background loops: shard probes, the re-partition
-// worker, and the drift-triggered cluster solve worker (debounced like the
-// single daemon's).
+// (undebounced) and the drift-triggered cluster solve (spaced by
+// SolveDebounce), both on online.SolveLoop like the single daemon's solves.
 func (co *Coordinator) Start(ctx context.Context, probeInterval time.Duration) {
 	ctx, cancel := context.WithCancel(ctx)
 	co.loopCancel = cancel
 	co.membership.Start(ctx, probeInterval)
-	co.wg.Add(2)
-	go func() {
-		defer co.wg.Done()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-co.reassignKick:
-			}
-			if err := co.AssignNow(ctx); err != nil {
-				co.noteErr(err)
-			}
-		}
-	}()
-	go func() {
-		defer co.wg.Done()
-		solveWorker(ctx, co.solveKick, co.cfg.Controller.SolveDebounce, func(ctx context.Context) {
-			if err := co.SolveNow(ctx); err != nil {
-				co.noteErr(err)
-			}
-		})
-	}()
+	spawn := func(kicks chan struct{}, debounce time.Duration, run func(context.Context) error) {
+		co.wg.Add(1)
+		go func() {
+			defer co.wg.Done()
+			online.SolveLoop(ctx, kicks, debounce, func(ctx context.Context) {
+				if err := run(ctx); err != nil {
+					co.noteErr(err)
+				}
+			})
+		}()
+	}
+	spawn(co.reassignKick, 0, co.AssignNow)
+	spawn(co.solveKick, co.cfg.Controller.SolveDebounce, co.SolveNow)
 }
 
 func (co *Coordinator) noteErr(err error) {
@@ -285,18 +240,18 @@ func forward[Rep any](ctx context.Context, co *Coordinator, ids []int, method st
 		co.mu.Lock()
 		co.forwardErrors += failed
 		co.mu.Unlock()
-		kick(co.reassignKick)
+		online.Kick(co.reassignKick)
 	}
 	return reps, errs
 }
 
 // AssignNow re-partitions the servers over the live shards and ships every
-// region as a compacted M'×N' sub-instance with its index mapping, plus the
-// current merged placement — translated into region coordinates — as carry.
-// The coordinator keeps its own copy of each mapping: delta routing and the
-// merge translate through it. Shards on a dead list keep their stale
-// generation and are fenced out by the generation check until they rejoin
-// and get a fresh region.
+// region as a compacted M'×N' sub-instance with its index mapping and
+// members, plus the current merged placement — translated into region
+// coordinates — as carry. The coordinator keeps its own copy of each
+// region: delta routing and the merge translate through it. Shards on a
+// dead list keep their stale generation and are fenced out by the
+// generation check until they rejoin and get a fresh region.
 func (co *Coordinator) AssignNow(ctx context.Context) error {
 	co.opMu.Lock()
 	defer co.opMu.Unlock()
@@ -322,10 +277,7 @@ func (co *Coordinator) AssignNow(ctx context.Context) error {
 	regions := make([]*online.CompactRegion, len(live))
 	_, errs := forward[AssignReply](ctx, co, live, MethodAssign, func(j int) any {
 		regions[j] = full.Compact(parts[j])
-		return &AssignRequest{
-			Version: ver, Members: parts[j], Region: regions[j],
-			Carry: regions[j].CarryToLocal(carry),
-		}
+		return &AssignRequest{Version: ver, Region: regions[j], Carry: regions[j].CarryToLocal(carry)}
 	})
 	shipNs := time.Since(t1).Nanoseconds()
 	assignBytes := co.wireBytes(live) - bytesBefore
@@ -344,7 +296,7 @@ func (co *Coordinator) AssignNow(ctx context.Context) error {
 			continue
 		}
 		mappings[id] = regions[j]
-		for _, srv := range parts[j] {
+		for _, srv := range regions[j].Members {
 			regionOf[srv] = int32(id)
 		}
 	}
@@ -358,6 +310,40 @@ func (co *Coordinator) AssignNow(ctx context.Context) error {
 	co.mu.Unlock()
 	if len(mappings) == 0 {
 		return firstErr
+	}
+	return nil
+}
+
+// Form is one attempt at the cluster's first formation. AssignNow alone is
+// satisfied once any live shard holds a region, and a shard whose
+// assignment failed DeathThreshold times is Dead, so the next AssignNow
+// partitions over the others; before the background probes start nothing
+// would bring it back. So Form probes the shards first, assigns only when
+// every configured shard answered that probe, and returns nil only when
+// every one of them holds a region of this generation. Otherwise it
+// returns why, and the caller retries.
+func (co *Coordinator) Form(ctx context.Context) error {
+	co.membership.ProbeOnce(ctx)
+	for _, id := range co.membership.ids {
+		if co.membership.State(id) != Alive {
+			return fmt.Errorf("cluster: shard %d does not answer", id)
+		}
+	}
+	if err := co.AssignNow(ctx); err != nil {
+		return err
+	}
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	for _, id := range co.membership.ids {
+		if _, ok := co.mappings[id]; !ok {
+			return fmt.Errorf("cluster: shard %d holds no region", id)
+		}
+	}
+	// Every shard holds a region: a re-partition that the probes' Dead
+	// and Alive verdicts queued would only rebuild what is in place.
+	select {
+	case <-co.reassignKick:
+	default:
 	}
 	return nil
 }
@@ -468,7 +454,7 @@ func (co *Coordinator) ApplyDeltas(ds []online.Delta) (online.Applied, error) {
 	}
 
 	if a.SolveScheduled {
-		kick(co.solveKick)
+		online.Kick(co.solveKick)
 	}
 	return a, nil
 }
@@ -495,7 +481,7 @@ func (co *Coordinator) SolveNow(ctx context.Context) error {
 		if err == nil && reps[i].Assign != ver {
 			// The shard solved under a different assignment: its indexes mean
 			// nothing against this mapping. Re-sync it.
-			kick(co.reassignKick)
+			online.Kick(co.reassignKick)
 			err = fmt.Errorf("ran assignment %d, coordinator at %d", reps[i].Assign, ver)
 		}
 		if err != nil {

@@ -1,9 +1,12 @@
 package cluster
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/hierarchy"
+	"repro/internal/online"
 	"repro/internal/testutil"
 )
 
@@ -132,6 +135,123 @@ func FuzzSolveReply(f *testing.F) {
 		co.merge(ver, replies)
 		if len(replies) > 1 && co.Current().Version != e.Version {
 			t.Fatalf("merging the same replies again published epoch %d after %d", co.Current().Version, e.Version)
+		}
+	})
+}
+
+// FuzzAssign drives a shard's assign handler with no network: each input
+// starts from a shard running generation 1 and ships one assignment whose
+// version, members and carry the fuzzer picks, and whose region it then
+// edits — ids swapped out of order, overwritten with negative, huge or
+// foreign values, members appended, state rows truncated. Every input ends
+// in one of two outcomes, never a panic: a typed error (online.ErrInvalidState
+// or ErrStaleAssign) with generation 1 still in place, or an accepted
+// assignment whose route answers are always servers of the region. Run with
+// `go test -fuzz=FuzzAssign ./internal/cluster` to explore; the seed corpus
+// runs on every plain `go test`.
+func FuzzAssign(f *testing.F) {
+	p := testutil.MustBuild(testutil.Small(47))
+	mirror, err := online.New(p.Cost, p.Work, p.Capacity, online.Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	full := mirror.ExportState()
+	mirror.Close()
+	all := make([]int32, p.M)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	f.Add(uint64(2), uint16(0x00ff), []byte{})
+	f.Add(uint64(1), uint16(0xffff), []byte{})
+	f.Add(uint64(3), uint16(0x0f0f), []byte{0, 0, 1, 1, 1, 2, 2, 0x80, 0x7f, 0xff, 0xff, 0xff})
+	f.Add(uint64(2), uint16(0x00f0), []byte{3, 0, 0x80, 0x80, 0, 0, 0, 4, 5, 6, 1, 2, 3, 7, 7, 0xfe, 1, 9})
+
+	f.Fuzz(func(t *testing.T, version uint64, memberBits uint16, ops []byte) {
+		sh := NewShard(0, p.Cost, ShardConfig{Controller: online.Config{Seed: 1}})
+		defer sh.Close()
+		ctx := context.Background()
+		if _, err := sh.handleAssign(ctx, &AssignRequest{Version: 1, Region: full.Compact(all)}); err != nil {
+			t.Fatal(err)
+		}
+		sh.mu.Lock()
+		prevCtrl, prevRegion := sh.ctrl, sh.region
+		sh.mu.Unlock()
+
+		var members []int32
+		for i := 0; i < p.M; i++ {
+			if memberBits>>(i%16)&1 == 1 {
+				members = append(members, int32(i))
+			}
+		}
+		reg := full.Compact(members)
+		var carry [][]int32
+		in := replyBytes(ops)
+		at := func(ids []int32) int { return int(in.next()) % max(len(ids), 1) }
+		for len(in) > 0 {
+			switch in.next() % 8 {
+			case 0:
+				if len(reg.Servers) > 0 {
+					i, j := at(reg.Servers), at(reg.Servers)
+					reg.Servers[i], reg.Servers[j] = reg.Servers[j], reg.Servers[i]
+				}
+			case 1:
+				if len(reg.Objects) > 0 {
+					i, j := at(reg.Objects), at(reg.Objects)
+					reg.Objects[i], reg.Objects[j] = reg.Objects[j], reg.Objects[i]
+				}
+			case 2:
+				reg.Members = append(reg.Members, in.index())
+			case 3:
+				if len(reg.Servers) > 0 {
+					reg.Servers[at(reg.Servers)] = in.index()
+				}
+			case 4:
+				if len(reg.Objects) > 0 {
+					reg.Objects[at(reg.Objects)] = in.index()
+				}
+			case 5:
+				if len(reg.Members) > 0 {
+					reg.Members[at(reg.Members)] = in.index()
+				}
+			case 6:
+				if n := len(reg.State.Capacity); n > 0 {
+					reg.State.Capacity = reg.State.Capacity[:n-1]
+				}
+			case 7:
+				row := make([]int32, in.next()%4)
+				for i := range row {
+					row[i] = in.index()
+				}
+				carry = append(carry, row)
+			}
+		}
+
+		_, err := sh.handleAssign(ctx, &AssignRequest{Version: version, Region: reg, Carry: carry})
+		sh.mu.Lock()
+		ctrl, region, ver := sh.ctrl, sh.region, sh.assignVer
+		sh.mu.Unlock()
+		if err != nil {
+			if !errors.Is(err, online.ErrInvalidState) && !errors.Is(err, ErrStaleAssign) {
+				t.Fatalf("assign refused with an untyped error: %v", err)
+			}
+			if ctrl != prevCtrl || region != prevRegion || ver != 1 {
+				t.Fatalf("refused assignment (%v) replaced generation 1 with %d", err, ver)
+			}
+			return
+		}
+		if ver != version || region != reg {
+			t.Fatalf("accepted assignment runs generation %d, want %d", ver, version)
+		}
+		for server := -1; server <= p.M; server++ {
+			for k := int32(-1); k <= int32(p.N); k++ {
+				from, err := sh.routeGlobal(server, k)
+				if err != nil {
+					continue
+				}
+				if _, ok := reg.LocalServer(int(from)); !ok {
+					t.Fatalf("route(%d,%d) = %d, which is not a server of the region", server, k, from)
+				}
+			}
 		}
 	})
 }

@@ -159,8 +159,8 @@ func writeStatus(w http.ResponseWriter, st ClusterStatus) {
 // the merged one the coordinator serves, so with several shards the answers
 // can differ and clients route against the coordinator. Deltas posted
 // directly to a shard pass the same ownership guard as forwarded ones;
-// membership deltas and add-object are coordinator-only. Solves run the
-// regional game. The daemon waits for the first assignment (WaitAssigned)
+// membership deltas, add-object and remove-object are coordinator-only.
+// Solves run the regional game. The daemon waits for the first assignment (WaitAssigned)
 // before serving HTTP, so the controller is always live here.
 func (s *Shard) Backend() server.Backend { return shardBackend{s} }
 

@@ -25,11 +25,13 @@
 //     delta forwards, solves and status pulls all run on it.
 //   - shard.go: one regional game. Holds an online.Controller over the
 //     compacted sub-instance the coordinator assigned (arena, kernel and
-//     oracle rows all sized to the region), translates global ids at the RPC
-//     boundary through a mapping that never changes between assignments,
-//     degrades to autonomous self-solves when the coordinator stops
-//     answering probes. The self-solves wait out SolveDebounce on the same
-//     worker as the coordinator's drift-triggered solves (solveWorker).
+//     oracle rows all sized to the region) beside the region itself, an
+//     immutable value that carries its members and translates global ids at
+//     the RPC boundary; installs the assignment's carry on the fresh
+//     controller before publishing it; degrades to autonomous self-solves
+//     when the coordinator stops answering probes. The self-solves run on
+//     online.SolveLoop, like the coordinator's drift-triggered solves and
+//     re-partitions and the single daemon's solves.
 //   - coordinator.go: membership + partition + compaction + delta
 //     forwarding + the fan-out solve and translate-then-union merge,
 //     behind the same server.Backend interface the single daemon serves

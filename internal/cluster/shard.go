@@ -51,9 +51,7 @@ type Shard struct {
 
 	mu        sync.Mutex
 	ctrl      *online.Controller
-	region    *online.CompactRegion // guarded by mu, swapped with ctrl
-	members   []int32
-	memberOf  []bool // indexed by global server id
+	region    *online.CompactRegion // immutable; the pointer is swapped with ctrl under mu
 	assignVer uint64
 	mode      hierarchy.Mode
 	closed    bool
@@ -128,7 +126,7 @@ func (s *Shard) Start(ctx context.Context, probeInterval time.Duration) {
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
-		solveWorker(ctx, s.solveKick, s.cfg.Controller.SolveDebounce, func(ctx context.Context) {
+		online.SolveLoop(ctx, s.solveKick, s.cfg.Controller.SolveDebounce, func(ctx context.Context) {
 			_ = s.SolveNow(ctx) // a failed self-solve leaves the region's placement as it was
 		})
 	}()
@@ -181,33 +179,26 @@ func (s *Shard) handlePing(ctx context.Context, req *PingRequest) (any, error) {
 	return rep, nil
 }
 
+// ErrStaleAssign reports an assignment whose generation does not advance
+// the one the shard runs.
+var ErrStaleAssign = errors.New("cluster: stale assignment")
+
 // handleAssign installs a new region: a fresh controller over the compacted
-// sub-instance, the shipped region-local placement carried onto it. Stale
-// generations (version at or below the current one) are rejected so a
-// delayed re-send cannot roll the shard back.
+// sub-instance (NewFromCompact refuses a malformed region), the shipped
+// region-local placement carried onto it and installed before the
+// controller is published. Stale generations (version at or below the
+// current one) are rejected so a delayed re-send cannot roll the shard
+// back. A refused assignment leaves the previous one in place.
 func (s *Shard) handleAssign(ctx context.Context, req *AssignRequest) (any, error) {
-	if req.Region == nil || req.Region.State == nil {
-		return nil, errors.New("assign without region sub-instance")
-	}
 	ctrl, err := online.NewFromCompact(s.cost, req.Region, s.cfg.Controller)
 	if err != nil {
 		return nil, fmt.Errorf("rebuild controller: %w", err)
 	}
 	dropped := 0
 	if req.Carry != nil {
-		dropped = ctrl.InstallPlacement(req.Carry)
-	}
-	maxID := -1
-	for _, i := range req.Members {
-		if int(i) > maxID {
-			maxID = int(i)
-		}
-	}
-	memberOf := make([]bool, maxID+1)
-	for _, i := range req.Members {
-		if i >= 0 {
-			memberOf[i] = true
-		}
+		var carried *replication.Schema
+		carried, dropped = ctrl.Current().Problem.CarryOver(req.Carry)
+		ctrl.InstallSchema(carried, dropped)
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -219,14 +210,12 @@ func (s *Shard) handleAssign(ctx context.Context, req *AssignRequest) (any, erro
 		cur := s.assignVer
 		s.mu.Unlock()
 		ctrl.Close()
-		return nil, fmt.Errorf("stale assignment %d (running %d)", req.Version, cur)
+		return nil, fmt.Errorf("%w: generation %d (running %d)", ErrStaleAssign, req.Version, cur)
 	}
 	old := s.ctrl
 	s.ctrl = ctrl
 	s.region = req.Region
 	s.assignVer = req.Version
-	s.members = append([]int32(nil), req.Members...)
-	s.memberOf = memberOf
 	s.mu.Unlock()
 	if old != nil {
 		// Drains the old controller's epoch subscribers; HTTP streamers get a
@@ -239,51 +228,45 @@ func (s *Shard) handleAssign(ctx context.Context, req *AssignRequest) (any, erro
 // applyGuarded is the shared delta path for the RPC handler and the HTTP
 // backend. Deltas arrive in global coordinates; the guards (generation,
 // ownership, kind) run on them first, then the batch is translated through
-// the region mapping, which never changes between assignments, and applied.
-// Demand must name a member server. Server-join and server-leave of a member
-// come only from the coordinator (assign ≠ 0), which forwards a membership
-// delta to the region that owns the server. Add-object never reaches a
-// shard: global object ids are allocated by the coordinator's mirror, which
-// re-assigns to grow the catalogue.
+// the region, which never changes between assignments, and applied. Demand
+// must name a member server. Server-join and server-leave of a member and
+// remove-object come only from the coordinator (assign ≠ 0), which forwards
+// a membership delta to the region that owns the server and a remove-object
+// to every region that maps the object, so its mirror retires the object
+// too. Add-object never reaches a shard: global object ids are allocated by
+// the coordinator's mirror, which re-assigns to grow the catalogue.
 func (s *Shard) applyGuarded(assign uint64, ds []online.Delta) (online.Applied, error) {
 	s.mu.Lock()
-	ctrl, region, memberOf, ver, mode := s.ctrl, s.region, s.memberOf, s.assignVer, s.mode
+	ctrl, region, ver, mode := s.ctrl, s.region, s.assignVer, s.mode
+	s.mu.Unlock()
 	if ctrl == nil {
-		s.mu.Unlock()
 		return online.Applied{}, ErrUnassigned
 	}
 	if assign != 0 && assign != ver {
-		s.mu.Unlock()
 		return online.Applied{}, fmt.Errorf("cluster: delta batch for assignment %d, shard runs %d", assign, ver)
 	}
 	for i, d := range ds {
 		switch d.Kind {
-		case online.KindServerJoin, online.KindServerLeave:
-			if assign == 0 {
-				s.mu.Unlock()
-				return online.Applied{}, fmt.Errorf("cluster: delta %d: membership changes go through the coordinator", i)
-			}
-			fallthrough
-		case online.KindDemand:
-			if d.Server < 0 || d.Server >= len(memberOf) || !memberOf[d.Server] {
-				s.mu.Unlock()
-				return online.Applied{}, fmt.Errorf("cluster: delta %d: server %d is not a member of shard %d", i, d.Server, s.id)
-			}
 		case online.KindAddObject:
-			s.mu.Unlock()
 			return online.Applied{}, fmt.Errorf("cluster: delta %d: object ids are allocated by the coordinator; add-object goes through it", i)
+		case online.KindServerJoin, online.KindServerLeave, online.KindRemoveObject:
+			if assign == 0 {
+				return online.Applied{}, fmt.Errorf("cluster: delta %d: %s deltas go through the coordinator", i, d.Kind)
+			}
+		}
+		if d.Kind != online.KindRemoveObject && !region.IsMember(d.Server) {
+			return online.Applied{}, fmt.Errorf("cluster: delta %d: server %d is not a member of shard %d", i, d.Server, s.id)
 		}
 	}
-	local, terr := region.TranslateDeltas(ds)
-	s.mu.Unlock()
-	if terr != nil {
-		return online.Applied{}, terr
+	local, err := region.TranslateDeltas(ds)
+	if err != nil {
+		return online.Applied{}, err
 	}
 	a, err := ctrl.ApplyDeltas(local)
 	if err == nil && a.SolveScheduled && mode == hierarchy.Autonomous {
 		// Degraded: nobody will call solve for us. Kick the self-solve
-		// worker, like the single daemon's drift loop.
-		kick(s.solveKick)
+		// loop, like the single daemon's drift loop.
+		online.Kick(s.solveKick)
 	}
 	return a, err
 }
@@ -357,19 +340,15 @@ func borderAds(sch *replication.Schema) []BorderAd {
 
 func (s *Shard) handleMetrics(ctx context.Context, req *MetricsRequest) (any, error) {
 	s.mu.Lock()
-	ctrl, region, members, ver, mode := s.ctrl, s.region, s.members, s.assignVer, s.mode
-	var regionServers, regionObjects int
-	if region != nil {
-		regionServers, regionObjects = len(region.Servers), len(region.Objects)
-	}
+	ctrl, region, ver, mode := s.ctrl, s.region, s.assignVer, s.mode
 	s.mu.Unlock()
 	if ctrl == nil {
 		return nil, ErrUnassigned
 	}
 	return &MetricsReply{
 		Shard: s.id, Assign: ver, Mode: mode.String(),
-		Members:       append([]int32(nil), members...),
-		RegionServers: regionServers, RegionObjects: regionObjects,
+		Members:       region.Members,
+		RegionServers: len(region.Servers), RegionObjects: len(region.Objects),
 		Metrics: ctrl.Metrics(),
 	}, nil
 }
@@ -380,13 +359,12 @@ func (s *Shard) handleMetrics(ctx context.Context, req *MetricsRequest) (any, er
 func (s *Shard) routeGlobal(server int, object int32) (int32, error) {
 	s.mu.Lock()
 	ctrl, region := s.ctrl, s.region
+	s.mu.Unlock()
 	if ctrl == nil {
-		s.mu.Unlock()
 		return 0, ErrUnassigned
 	}
 	ls, okS := region.LocalServer(server)
 	lk, okK := region.LocalObject(object)
-	s.mu.Unlock()
 	if !okS {
 		return 0, fmt.Errorf("cluster: server %d is not in shard %d's region", server, s.id)
 	}

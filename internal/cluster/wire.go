@@ -33,7 +33,7 @@ type PingReply struct {
 
 // AssignRequest ships a region to a shard: the compacted M'×N' sub-instance
 // with its index mapping (member servers, the objects they own or demand,
-// boundary primaries), the member set in global ids, and the current global
+// boundary primaries) and its members in global ids, and the current global
 // placement — already translated into region coordinates — to carry over (so
 // a freshly assigned shard starts from the merged placement instead of
 // primaries).
@@ -41,7 +41,6 @@ type AssignRequest struct {
 	// Version is the coordinator's assignment generation; a shard rejects
 	// versions at or below the one it already runs (stale re-sends).
 	Version uint64                `json:"version"`
-	Members []int32               `json:"members"`
 	Region  *online.CompactRegion `json:"region"`
 	// Carry is in region-local coordinates (rows per regional object,
 	// replica lists of regional server indexes).

@@ -141,23 +141,6 @@ func (c *CSRLazy) Row(i int) []int32 {
 	return dist
 }
 
-// InvalidateRow implements replication.RowInvalidator: topology deltas
-// (server join/leave) drop the affected row so the next access recomputes
-// it. Out-of-range i is a no-op. Callers that already hold the evicted
-// slice keep a consistent pre-delta view until they re-fetch.
-func (c *CSRLazy) InvalidateRow(i int) {
-	if i < 0 || i >= c.g.N() {
-		return
-	}
-	c.mu.Lock()
-	if e, ok := c.rows[int32(i)]; ok {
-		c.lru.Remove(e)
-		delete(c.rows, int32(i))
-		c.evictions++
-	}
-	c.mu.Unlock()
-}
-
 // CacheStats reports cache behavior since construction. The daemon surfaces
 // it under /metrics (controller.row_cache) and topogen prints it after
 // sampled stats, so a solve that thrashes the LRU (M far beyond the cache

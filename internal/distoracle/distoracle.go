@@ -117,8 +117,7 @@ type Options struct {
 
 // Build constructs the selected distance oracle over g. The result always
 // implements replication.CostFn; dense and CSR results additionally
-// implement replication.RowCostFn, and CSR implements
-// replication.RowInvalidator.
+// implement replication.RowCostFn.
 func Build(g *topology.Graph, opts Options) (replication.CostFn, error) {
 	mode := opts.Mode
 	if mode == ModeAuto {

@@ -202,9 +202,9 @@ func TestParseMode(t *testing.T) {
 	}
 }
 
-// Concurrent Row/At/InvalidateRow hammering with a tiny cache: exercises
-// the in-flight dedup and eviction paths under the race detector, and
-// checks every returned value stays exact.
+// Concurrent Row/At hammering with a tiny cache: exercises the in-flight
+// dedup and eviction paths under the race detector, and checks every
+// returned value stays exact.
 func TestCSRLazyConcurrent(t *testing.T) {
 	r := stats.NewRNG(9)
 	g, err := topology.Random(80, 0.1, topology.DefaultWeights, r)
@@ -222,20 +222,14 @@ func TestCSRLazyConcurrent(t *testing.T) {
 			rr := stats.NewRNG(seed)
 			for it := 0; it < 400; it++ {
 				i, j := rr.Intn(80), rr.Intn(80)
-				switch it % 3 {
-				case 0:
+				if it%2 == 0 {
 					if got := c.At(i, j); got != exact.At(i, j) {
 						errs <- "At mismatch"
 						return
 					}
-				case 1:
-					row := c.Row(i)
-					if row[j] != exact.At(i, j) {
-						errs <- "Row mismatch"
-						return
-					}
-				case 2:
-					c.InvalidateRow(i)
+				} else if row := c.Row(i); row[j] != exact.At(i, j) {
+					errs <- "Row mismatch"
+					return
 				}
 			}
 		}(int64(w))
@@ -252,27 +246,7 @@ func TestCSRLazyConcurrent(t *testing.T) {
 	if st.Misses == 0 {
 		t.Fatalf("expected misses, got %+v", st)
 	}
-}
-
-// Invalidation forces a recompute (a fresh miss) and out-of-range ids are
-// harmless no-ops.
-func TestCSRLazyInvalidate(t *testing.T) {
-	g := topology.Grid(6, 6)
-	c := NewCSRLazy(g, 16)
-	_ = c.Row(5)
-	before := c.Stats()
-	c.InvalidateRow(5)
-	c.InvalidateRow(-1)
-	c.InvalidateRow(10_000)
-	if got := c.Stats(); got.CachedRows != before.CachedRows-1 {
-		t.Fatalf("invalidate did not drop the row: %+v -> %+v", before, got)
-	}
-	_ = c.Row(5)
-	if got := c.Stats(); got.Misses != before.Misses+1 {
-		t.Fatalf("re-fetch after invalidate should miss: %+v -> %+v", before, got)
-	}
-	// The interface seam the online layer uses.
-	var _ replication.RowInvalidator = c
+	// The row seam the hot per-demander walks use.
 	var _ replication.RowCostFn = c
 }
 

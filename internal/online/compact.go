@@ -2,17 +2,20 @@ package online
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/replication"
 )
 
 // Compaction: Compact rebuilds a region's instance at M'×N' — the member
 // servers, the objects they either own (primary) or demand, and the
-// boundary servers that hold primaries of demanded objects — together with a
-// dense index mapping in each direction. Shard-side arena construction,
-// kernel rounds and distance-oracle rows are then all sized to the region;
-// placements, payments and deltas cross the RPC boundary through the
-// mapping.
+// boundary servers that hold primaries of demanded objects — together with
+// the ascending global ids of its servers, objects and members, which map
+// local to global by index and global to local by binary search. Shard-side
+// arena construction, kernel rounds and distance-oracle rows are then all
+// sized to the region; placements, payments and deltas cross the RPC
+// boundary through the mapping.
 //
 // Dropping the rest of the globe leaves the regional game unchanged: an
 // object nobody in the region demands and no member owns contributes no
@@ -27,7 +30,7 @@ import (
 // That property is what keeps a 1-shard cluster bit-identical to the single
 // daemon, and is pinned by the property tests and fuzzer in export_test.go.
 //
-// A region's mapping never changes after Compact. The coordinator forwards
+// A region never changes after Compact. The coordinator forwards
 // only the deltas it can express (RouteDeltasCompact) and re-assigns for the
 // rest, so between assignments a shard's region differs from a fresh
 // compaction of the mirror in two ways only: it keeps objects no member
@@ -39,22 +42,22 @@ import (
 // same replicas up to renaming the ids.
 
 // CompactRegion is one regional sub-instance on the wire: the compacted
-// snapshot plus the dense index mapping back to global coordinates.
-// Servers[i'] is the global id of regional server i'; Objects[k'] likewise
-// for objects. Both are strictly ascending and never change after Compact:
-// a delta the mapping cannot express (add-object, a new server id, demand
-// for an object outside the region) re-assigns instead of extending it.
+// snapshot, the dense index mapping back to global coordinates and the
+// region's member servers. Servers[i'] is the global id of regional server
+// i'; Objects[k'] likewise for objects. Members are the global ids of the
+// servers the region owns, each one of its Servers. All three are strictly
+// ascending, so a global id maps into the region by binary search.
 //
-// The reverse indexes are built lazily and are not shipped. A CompactRegion
-// is not safe for concurrent use — each owner (coordinator, shard) guards
-// its copy with its own lock.
+// A CompactRegion is an immutable value: no method writes to it after
+// Compact, so the coordinator and a shard share theirs across goroutines
+// without a lock. A delta the mapping cannot express (add-object, a new
+// server id, demand for an object outside the region) re-assigns instead
+// of extending it.
 type CompactRegion struct {
 	State   *StateSnapshot `json:"state"`
 	Servers []int32        `json:"servers"`
 	Objects []int32        `json:"objects"`
-
-	serverOf map[int32]int32 // global -> local
-	objectOf map[int32]int32 // global -> local
+	Members []int32        `json:"members"`
 }
 
 // Compact restricts the snapshot to a member subset, rebuilding it in
@@ -63,8 +66,9 @@ type CompactRegion struct {
 // storage) plus every object a member demands. Kept servers: the members
 // plus the boundary primaries of kept objects; boundary servers lose their
 // declared capacity, so they can never host a surplus replica. Member ids
-// outside the snapshot are ignored. Demand order (sorted by server, then
-// object) is preserved because both mappings are monotone.
+// outside the snapshot are ignored; the rest become the region's Members,
+// ascending. Demand order (sorted by server, then object) is preserved
+// because both mappings are monotone.
 func (s *StateSnapshot) Compact(members []int32) *CompactRegion {
 	m, n := len(s.Capacity), len(s.Sizes)
 	member := make([]bool, m)
@@ -100,6 +104,9 @@ func (s *StateSnapshot) Compact(members []int32) *CompactRegion {
 	for i, kept := range keepSrv {
 		if !kept {
 			continue
+		}
+		if member[i] {
+			r.Members = append(r.Members, int32(i))
 		}
 		srvOf[i] = int32(len(r.Servers))
 		r.Servers = append(r.Servers, int32(i))
@@ -138,35 +145,30 @@ func (s *StateSnapshot) Compact(members []int32) *CompactRegion {
 	return r
 }
 
-// ensureIndex builds the global→local reverse maps if absent. Idempotent;
-// called under the owner's lock.
-func (r *CompactRegion) ensureIndex() {
-	if r.serverOf == nil {
-		r.serverOf = make(map[int32]int32, len(r.Servers))
-		for l, g := range r.Servers {
-			r.serverOf[g] = int32(l)
-		}
+// search finds a global id in the strictly ascending ids. An id outside
+// the int32 range is in no region.
+func search(ids []int32, global int) (int, bool) {
+	if global < math.MinInt32 || global > math.MaxInt32 {
+		return 0, false
 	}
-	if r.objectOf == nil {
-		r.objectOf = make(map[int32]int32, len(r.Objects))
-		for l, g := range r.Objects {
-			r.objectOf[g] = int32(l)
-		}
-	}
+	return slices.BinarySearch(ids, int32(global))
 }
 
 // LocalServer maps a global server id into the region.
 func (r *CompactRegion) LocalServer(global int) (int, bool) {
-	r.ensureIndex()
-	l, ok := r.serverOf[int32(global)]
-	return int(l), ok
+	return search(r.Servers, global)
 }
 
 // LocalObject maps a global object id into the region.
 func (r *CompactRegion) LocalObject(global int32) (int32, bool) {
-	r.ensureIndex()
-	l, ok := r.objectOf[global]
-	return l, ok
+	l, ok := search(r.Objects, int(global))
+	return int32(l), ok
+}
+
+// IsMember reports whether the region owns global server id.
+func (r *CompactRegion) IsMember(global int) bool {
+	_, ok := search(r.Members, global)
+	return ok
 }
 
 // GlobalServer maps a regional server index back to its global id.
@@ -194,7 +196,6 @@ func (r *CompactRegion) CarryToLocal(matrix [][]int32) [][]int32 {
 	if matrix == nil {
 		return nil
 	}
-	r.ensureIndex()
 	out := make([][]int32, len(r.Objects))
 	for l, g := range r.Objects {
 		if int(g) >= len(matrix) || matrix[g] == nil {
@@ -202,8 +203,8 @@ func (r *CompactRegion) CarryToLocal(matrix [][]int32) [][]int32 {
 		}
 		row := make([]int32, 0, len(matrix[g]))
 		for _, srv := range matrix[g] {
-			if ls, ok := r.serverOf[srv]; ok {
-				row = append(row, ls)
+			if ls, ok := r.LocalServer(int(srv)); ok {
+				row = append(row, int32(ls))
 			}
 		}
 		out[l] = row
@@ -254,22 +255,21 @@ func (r *CompactRegion) PaymentsToGlobal(local []int64, into []int64) {
 // error; the coordinator re-assigns instead of forwarding it
 // (RouteDeltasCompact).
 func (r *CompactRegion) TranslateDeltas(ds []Delta) ([]Delta, error) {
-	r.ensureIndex()
 	local := make([]Delta, 0, len(ds))
 	for i, d := range ds {
 		switch d.Kind {
 		case KindDemand, KindServerJoin, KindServerLeave:
-			ls, ok := r.serverOf[int32(d.Server)]
+			ls, ok := r.LocalServer(d.Server)
 			if !ok {
 				return nil, fmt.Errorf("online: delta %d: server %d is not in the region", i, d.Server)
 			}
-			d.Server = int(ls)
+			d.Server = ls
 		case KindRemoveObject:
 		default:
 			return nil, fmt.Errorf("online: delta %d: %s deltas cannot be translated into a region", i, d.Kind)
 		}
 		if d.Kind == KindDemand || d.Kind == KindRemoveObject {
-			lk, ok := r.objectOf[d.Object]
+			lk, ok := r.LocalObject(d.Object)
 			if !ok {
 				return nil, fmt.Errorf("online: delta %d: object %d is not in the region", i, d.Object)
 			}
@@ -329,18 +329,42 @@ func RouteDeltasCompact(ds []Delta, regionOf func(server int) int, regions map[i
 // is restricted to the region's servers through the mapping. For a
 // full-membership region SubsetCost returns the oracle unchanged, so the
 // 1-shard cluster runs the very same code path as the single daemon.
+//
+// The region arrives over RPC, so it is checked before it is used: a
+// mapping that does not match the state, ids that are not strictly
+// ascending (binary search depends on it), a server outside the oracle or
+// a member that is not one of the region's servers is refused with an
+// error that wraps ErrInvalidState.
 func NewFromCompact(cost replication.CostFn, region *CompactRegion, cfg Config) (*Controller, error) {
 	if region == nil || region.State == nil {
-		return nil, fmt.Errorf("online: nil compact region")
+		return nil, fmt.Errorf("%w: nil compact region", ErrInvalidState)
 	}
 	if len(region.Servers) != len(region.State.Capacity) || len(region.Objects) != len(region.State.Sizes) {
-		return nil, fmt.Errorf("online: compact region mapping %dx%d does not match state %dx%d",
+		return nil, fmt.Errorf("%w: compact region mapping %dx%d does not match state %dx%d", ErrInvalidState,
 			len(region.Servers), len(region.Objects), len(region.State.Capacity), len(region.State.Sizes))
+	}
+	if !ascending(region.Servers) || !ascending(region.Objects) || !ascending(region.Members) {
+		return nil, fmt.Errorf("%w: compact region ids are not strictly ascending", ErrInvalidState)
 	}
 	for _, g := range region.Servers {
 		if g < 0 || int(g) >= cost.N() {
-			return nil, fmt.Errorf("online: compact region server %d outside cost oracle [0,%d)", g, cost.N())
+			return nil, fmt.Errorf("%w: compact region server %d outside cost oracle [0,%d)", ErrInvalidState, g, cost.N())
+		}
+	}
+	for _, g := range region.Members {
+		if _, ok := region.LocalServer(int(g)); !ok {
+			return nil, fmt.Errorf("%w: compact region member %d is not one of its servers", ErrInvalidState, g)
 		}
 	}
 	return NewFromState(replication.SubsetCost(cost, region.Servers), region.State, cfg)
+}
+
+// ascending reports whether ids is strictly ascending.
+func ascending(ids []int32) bool {
+	for i := 1; i < len(ids); i++ {
+		if ids[i-1] >= ids[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -51,8 +51,9 @@ type Config struct {
 	// Metrics.Drift) past which a background re-solve is scheduled.
 	// Zero or negative disables automatic solves; SolveNow still works.
 	DriftThreshold float64
-	// SolveDebounce is the minimum spacing between automatic solves, so a
-	// delta storm coalesces into one re-solve instead of one per batch.
+	// SolveDebounce is the minimum spacing between automatic solves (see
+	// SolveLoop), so a delta storm coalesces into one re-solve instead of
+	// one per batch.
 	SolveDebounce time.Duration
 	// GlauberSweeps overrides the glauber method's sweep budget (0 keeps the
 	// solver's adaptive default, which scales with the instance size).
@@ -137,7 +138,6 @@ type Controller struct {
 	draining      bool
 	solvedSavings float64
 	drift         float64
-	lastSolveAt   time.Time
 	solvesRun     int64
 	solverWork    int64
 	deltasApplied int64
@@ -187,14 +187,20 @@ func newController(st *state, cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// Start launches the background solve loop. Without Start, drift-triggered
-// solves queue a kick that is consumed on the next Start; SolveNow remains
-// available either way. Close stops the loop.
+// Start launches the background solve loop (SolveLoop, spaced by
+// SolveDebounce). Without Start, drift-triggered solves queue a kick that is
+// consumed on the next Start; SolveNow remains available either way. Close
+// stops the loop.
 func (c *Controller) Start(ctx context.Context) {
 	ctx, cancel := context.WithCancel(ctx)
 	c.cancel = cancel
 	c.wg.Add(1)
-	go c.loop(ctx)
+	go func() {
+		defer c.wg.Done()
+		SolveLoop(ctx, c.kick, c.cfg.SolveDebounce, func(ctx context.Context) {
+			_ = c.SolveNow(ctx) // a failed solve is reported through Metrics.LastSolveError
+		})
+	}()
 }
 
 // Close stops the background loop and waits for it to exit, then drains any
@@ -208,18 +214,32 @@ func (c *Controller) Close() {
 	c.DrainSubscribers()
 }
 
-func (c *Controller) loop(ctx context.Context) {
-	defer c.wg.Done()
+// Kick queues a wake-up for a SolveLoop; a wake-up already pending is
+// enough.
+func Kick(kicks chan<- struct{}) {
+	select {
+	case kicks <- struct{}{}:
+	default:
+	}
+}
+
+// SolveLoop is the one debounced solve loop: the daemon's drift-triggered
+// re-solve, the cluster coordinator's drift-triggered cluster solve and
+// re-partition, and a shard's autonomous self-solve all run on it. It runs
+// solve once per kick until ctx ends, under one spacing rule: a run starts
+// at least debounce after the previous run ended, and kicks that arrive
+// while the loop waits or runs coalesce into one more run (kicks must have
+// a buffer of one). Solves forced outside the loop (SolveNow, POST /solve)
+// do not move the window.
+func SolveLoop(ctx context.Context, kicks <-chan struct{}, debounce time.Duration, solve func(context.Context)) {
+	var ended time.Time // when the previous run ended; zero before the first
 	for {
 		select {
 		case <-ctx.Done():
 			return
-		case <-c.kick:
+		case <-kicks:
 		}
-		c.mu.Lock()
-		wait := c.cfg.SolveDebounce - time.Since(c.lastSolveAt)
-		c.mu.Unlock()
-		if wait > 0 {
+		if wait := debounce - time.Since(ended); wait > 0 {
 			t := time.NewTimer(wait)
 			select {
 			case <-ctx.Done():
@@ -228,17 +248,8 @@ func (c *Controller) loop(ctx context.Context) {
 			case <-t.C:
 			}
 		}
-		if err := c.SolveNow(ctx); err != nil && ctx.Err() != nil {
-			return
-		}
-	}
-}
-
-// kickSolve schedules a background solve; a kick already pending is enough.
-func (c *Controller) kickSolve() {
-	select {
-	case c.kick <- struct{}{}:
-	default:
+		solve(ctx)
+		ended = time.Now()
 	}
 }
 
@@ -279,18 +290,6 @@ func (c *Controller) ApplyDeltas(ds []Delta) (Applied, error) {
 			leaves++
 		}
 	}
-	// Membership changed: drop the departed/arrived server's cached
-	// distance rows (lazy oracles recompute them on next touch) instead of
-	// rebuilding the whole oracle. It runs before materialize, whose
-	// NewProblem prices c(i, P_k) from these rows. Dense matrices don't
-	// implement the capability and skip this.
-	if inv, ok := next.cost.(replication.RowInvalidator); ok {
-		for _, d := range ds {
-			if d.Kind == KindServerJoin || d.Kind == KindServerLeave {
-				inv.InvalidateRow(d.Server)
-			}
-		}
-	}
 	p, err := next.materialize()
 	if err != nil {
 		return Applied{}, err
@@ -307,7 +306,7 @@ func (c *Controller) ApplyDeltas(ds []Delta) (Applied, error) {
 	c.drift = clampDrift(c.solvedSavings - carried.Savings())
 	scheduled := c.cfg.DriftThreshold > 0 && c.drift > c.cfg.DriftThreshold
 	if scheduled {
-		c.kickSolve()
+		Kick(c.kick)
 	}
 	return Applied{
 		Applied: len(ds), Dropped: dropped, Drift: c.drift,
@@ -341,7 +340,6 @@ func (c *Controller) SolveNow(ctx context.Context) error {
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.lastSolveAt = time.Now()
 	if err != nil {
 		c.lastSolveErr = err.Error()
 		return err
@@ -369,7 +367,7 @@ func (c *Controller) SolveNow(ctx context.Context) error {
 	c.publishLocked(cur, &Epoch{Problem: cur.Problem, Schema: carried, Version: cur.Version + 1, Cause: CauseSolve})
 	c.drift = clampDrift(c.solvedSavings - carried.Savings())
 	if c.cfg.DriftThreshold > 0 && c.drift > c.cfg.DriftThreshold {
-		c.kickSolve()
+		Kick(c.kick)
 	}
 	return nil
 }

@@ -274,7 +274,7 @@ func (st *state) apply(d Delta) error {
 // stays feasible when objects were added onto a tight server. The workload
 // takes the state's rows as they are — already sorted, shared
 // copy-on-write — so only the per-object totals and primary loads are
-// computed here, one pass each.
+// computed here, one pass each. NewProblem validates the workload.
 func (st *state) materialize() (*replication.Problem, error) {
 	m, n := st.servers(), st.objects()
 	w := &workload.Workload{
@@ -295,9 +295,6 @@ func (st *state) materialize() (*replication.Problem, error) {
 			w.TotalReads[d.Object] += d.Reads
 			w.TotalWrites[d.Object] += d.Writes
 		}
-	}
-	if err := w.Validate(); err != nil {
-		return nil, fmt.Errorf("online: materialized workload invalid: %w", err)
 	}
 	caps := make([]int64, m)
 	for k, p := range st.primary {

@@ -147,41 +147,20 @@ func NewFromState(cost replication.CostFn, snap *StateSnapshot, cfg Config) (*Co
 	return newController(st, cfg)
 }
 
-// InstallPlacement carries an externally computed placement (per-object
-// replica lists, Schema.Matrix form) onto the live instance and publishes it
-// as a merge epoch: the coordinator installs the union of regional winners,
-// a shard installs the carry the coordinator shipped with its assignment.
-// Infeasible replicas are dropped by the carry-over (returned count); the
-// installed placement becomes the drift baseline, like a solve.
-func (c *Controller) InstallPlacement(matrix [][]int32) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	cur := c.epoch.Load()
-	carried, dropped := cur.Problem.CarryOver(matrix)
-	c.publishLocked(cur, &Epoch{Problem: cur.Problem, Schema: carried, Version: cur.Version + 1, Cause: CauseMerge})
-	c.carriedDrops += int64(dropped)
-	c.solvedSavings = carried.Savings()
-	c.drift = 0
-	return dropped
-}
-
-// InstallSchema publishes an externally carried schema as a merge epoch
-// without re-carrying it: the cluster merge already built the carried
-// schema (CarryOver plus the boundary exchange's refinements) against the
-// mirror's problem, and carrying its matrix a second time would repeat the
-// placement work just to reproduce the same schema. The schema must have
-// been built against the controller's current Problem — the caller
-// serializes installs with delta application; if the problem moved anyway,
-// the matrix is re-carried as InstallPlacement would. dropped is the
-// carry's drop count, folded into the controller's accounting.
+// InstallSchema publishes an externally carried schema as a merge epoch:
+// the coordinator installs the merged placement it carried (CarryOver plus
+// the boundary exchange's refinements) on its mirror, and a shard installs
+// the carry the coordinator shipped with its assignment on a controller it
+// has not yet published. The schema must have been built against the
+// controller's current Problem, so the caller serializes installs with
+// delta application: the coordinator merges under the lock that also
+// serializes every mirror delta. dropped is the carry's drop count, folded
+// into the controller's accounting; the installed placement becomes the
+// drift baseline, like a solve.
 func (c *Controller) InstallSchema(sch *replication.Schema, dropped int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	cur := c.epoch.Load()
-	if sch.Problem() != cur.Problem {
-		carried, d := cur.Problem.CarryOver(sch.Matrix())
-		sch, dropped = carried, dropped+d
-	}
 	c.publishLocked(cur, &Epoch{Problem: cur.Problem, Schema: sch, Version: cur.Version + 1, Cause: CauseMerge})
 	c.carriedDrops += int64(dropped)
 	c.solvedSavings = sch.Savings()

@@ -217,10 +217,11 @@ func FuzzNewFromState(f *testing.F) {
 	})
 }
 
-// TestInstallPlacementPublishesMerge pins the mirror path the coordinator
-// uses: installing a placement publishes exactly one epoch with CauseMerge
+// TestInstallSchemaPublishesMerge pins the install path the coordinator's
+// merge and a shard's assignment carry share: a placement carried onto the
+// live problem and installed publishes exactly one epoch with CauseMerge
 // and resets drift.
-func TestInstallPlacementPublishesMerge(t *testing.T) {
+func TestInstallSchemaPublishesMerge(t *testing.T) {
 	testutil.LeakCheck(t)
 	p := testutil.MustBuild(testutil.Small(37))
 	ctrl, err := New(p.Cost, p.Work, p.Capacity, Config{Seed: 4})
@@ -231,11 +232,13 @@ func TestInstallPlacementPublishesMerge(t *testing.T) {
 	if err := ctrl.SolveNow(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	matrix := ctrl.Current().Schema.Matrix()
-	v := ctrl.Current().Version
-	if dropped := ctrl.InstallPlacement(matrix); dropped != 0 {
+	cur := ctrl.Current()
+	v := cur.Version
+	carried, dropped := cur.Problem.CarryOver(cur.Schema.Matrix())
+	if dropped != 0 {
 		t.Fatalf("feasible placement dropped %d replicas", dropped)
 	}
+	ctrl.InstallSchema(carried, dropped)
 	e := ctrl.Current()
 	if e.Version != v+1 {
 		t.Fatalf("install published version %d, want %d", e.Version, v+1)

@@ -498,48 +498,53 @@ func TestDeltasFromEvents(t *testing.T) {
 	}
 }
 
-// recordingOracle wraps a CostFn and records row invalidations, standing in
-// for the lazy caching oracles in internal/distoracle.
-type recordingOracle struct {
-	replication.CostFn
-	invalidated []int
-}
+// TestSolveLoopSpacing pins the one spacing rule every background solve
+// runs under: kicks that arrive while a run is in progress coalesce into
+// one further run, and that run starts no sooner than the debounce after
+// the previous run ended.
+func TestSolveLoopSpacing(t *testing.T) {
+	const debounce = 60 * time.Millisecond
+	kicks := make(chan struct{}, 1)
+	started := make(chan time.Time, 8)
+	ended := make(chan time.Time, 8)
+	release := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		SolveLoop(ctx, kicks, debounce, func(ctx context.Context) {
+			started <- time.Now()
+			select {
+			case <-release:
+			case <-ctx.Done():
+			}
+			ended <- time.Now()
+		})
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
 
-func (r *recordingOracle) InvalidateRow(i int) { r.invalidated = append(r.invalidated, i) }
-
-// TestMembershipDeltasInvalidateRows: server join/leave must invalidate the
-// affected cached distance rows through the replication.RowInvalidator
-// seam, and only membership deltas may do so — demand deltas leave the
-// cache alone.
-func TestMembershipDeltasInvalidateRows(t *testing.T) {
-	p := testutil.MustBuild(testutil.Small(6))
-	rec := &recordingOracle{CostFn: p.Cost}
-	ctrl, err := New(rec, p.Work, p.Capacity, Config{})
-	if err != nil {
-		t.Fatal(err)
+	Kick(kicks)
+	<-started // the first run starts at once: no run has ended yet
+	for i := 0; i < 5; i++ {
+		Kick(kicks)
 	}
-	if _, err := ctrl.ApplyDeltas([]Delta{{Kind: KindDemand, Server: 1, Object: 0, Reads: 5}}); err != nil {
-		t.Fatal(err)
+	// A run longer than the debounce: measured from its start, the window
+	// would already be over when it ends.
+	time.Sleep(debounce)
+	release <- struct{}{}
+	end := <-ended
+	next := <-started
+	if gap := next.Sub(end); gap < debounce {
+		t.Fatalf("the coalesced run started %v after the previous run ended, want at least %v", gap, debounce)
 	}
-	if len(rec.invalidated) != 0 {
-		t.Fatalf("demand delta invalidated rows %v", rec.invalidated)
-	}
-	victim := 2
-	if _, err := ctrl.ApplyDeltas([]Delta{{Kind: KindServerLeave, Server: victim}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctrl.ApplyDeltas([]Delta{{Kind: KindServerJoin, Server: victim, Capacity: p.Capacity[victim]}}); err != nil {
-		t.Fatal(err)
-	}
-	if want := []int{victim, victim}; !reflect.DeepEqual(rec.invalidated, want) {
-		t.Fatalf("invalidations = %v, want %v", rec.invalidated, want)
-	}
-	// A rejected batch must not invalidate anything.
-	before := len(rec.invalidated)
-	if _, err := ctrl.ApplyDeltas([]Delta{{Kind: KindServerLeave, Server: victim}, {Kind: KindServerLeave, Server: victim}}); err == nil {
-		t.Fatal("double departure in one batch was accepted")
-	}
-	if len(rec.invalidated) != before {
-		t.Fatalf("rejected batch invalidated rows: %v", rec.invalidated[before:])
+	release <- struct{}{}
+	<-ended
+	select {
+	case <-started:
+		t.Fatal("five kicks during one run ran more than one further run")
+	case <-time.After(3 * debounce):
 	}
 }

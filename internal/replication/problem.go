@@ -47,17 +47,6 @@ type RowCostFn interface {
 	Row(i int) []int32
 }
 
-// RowInvalidator is an optional CostFn capability: oracles that cache
-// distance rows keyed by server (the CSR-lazy oracle in internal/distoracle)
-// expose InvalidateRow so topology deltas — a server joining or leaving —
-// can drop the affected cached rows instead of rebuilding the whole oracle.
-// Dense matrices and stateless oracles simply don't implement it.
-type RowInvalidator interface {
-	// InvalidateRow drops any cached distance row for server i. Safe to
-	// call with out-of-range i (a no-op) and concurrently with readers.
-	InvalidateRow(i int)
-}
-
 // Problem is an immutable DRP instance.
 type Problem struct {
 	M, N     int

@@ -1,15 +1,19 @@
 package routing
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
 	_ "repro/internal/agtram" // register the agt-ram solver
 	"repro/internal/online"
+	"repro/internal/replication"
 	"repro/internal/server"
 	"repro/internal/testutil"
 )
@@ -353,4 +357,62 @@ func TestHTTPSourceEndToEnd(t *testing.T) {
 		t.Fatal("Follow did not stop when the server drained")
 	}
 	ctrl.Close()
+}
+
+// bodyTransport answers every request with 200 and a fixed body, so the
+// /epochs long-poll decode runs without a socket.
+type bodyTransport []byte
+
+func (b bodyTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	return &http.Response{
+		StatusCode: http.StatusOK, Status: "200 OK", Header: http.Header{},
+		Body: io.NopCloser(bytes.NewReader(b)), Request: r,
+	}, nil
+}
+
+// FuzzEpochsClient feeds arbitrary bytes through the client side of the
+// epoch stream: HTTPSource's GET /epochs long-poll decode, then Apply for
+// each decoded update onto a client over a 12-server oracle, then Route for
+// every pair in and around the table. A body either fails to decode, or
+// each update is applied or refused with an error; whatever was applied,
+// every route answer is a replica of the object the client holds. Run with
+// `go test -fuzz=FuzzEpochsClient ./internal/routing` to explore; the seed
+// corpus runs on every plain `go test`.
+func FuzzEpochsClient(f *testing.F) {
+	const servers = 12
+	f.Add([]byte(`[{"version":2,"snapshot":{"servers":4,"objects":2,"offsets":[0,1,3],"replicas":[0,1,3]}},` +
+		`{"version":3,"diff":{"from":2,"servers":5,"new_objects":[{"object":2,"primary":4}],` +
+		`"place":[{"object":0,"server":2}],"remove":[{"object":1,"server":3}]}}]`))
+	f.Add([]byte(`[null]`))
+	f.Add([]byte(`[{"version":1,"snapshot":{"servers":99,"objects":1,"offsets":[0,1],"replicas":[98]}}]`))
+	f.Add([]byte(`[{"version":1,"snapshot":{"servers":3,"objects":1,"offsets":[0,1],"replicas":[0]}},` +
+		`{"version":2,"diff":{"from":1,"servers":3,"remove":[{"object":0,"server":0}]}},{"version":9,"terminal":true}]`))
+	f.Add([]byte(`{"version":1}`))
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		c := NewClient(replication.UniformCost{Nodes: servers, Weight: 1})
+		src := &HTTPSource{Base: "http://daemon", Client: &http.Client{Transport: bodyTransport(body)}}
+		updates, err := src.poll(context.Background(), 0)
+		if err != nil {
+			return
+		}
+		for _, u := range updates {
+			_ = c.Apply(u) // applied, or refused with an error
+		}
+		t0 := c.state.Load()
+		if t0 == nil {
+			return
+		}
+		for server := -1; server <= servers; server++ {
+			for k := int32(-1); int(k) <= len(t0.replicas); k++ {
+				from, err := c.Route(server, k)
+				if err != nil {
+					continue
+				}
+				if !slices.Contains(t0.replicas[k], from) {
+					t.Fatalf("route(%d,%d) = %d, which holds no replica of %v", server, k, from, t0.replicas[k])
+				}
+			}
+		}
+	})
 }

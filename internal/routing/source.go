@@ -3,10 +3,12 @@ package routing
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"time"
 
@@ -126,6 +128,9 @@ func (s *HTTPSource) poll(ctx context.Context, since uint64) ([]*online.Update, 
 		var updates []*online.Update
 		if err := json.NewDecoder(resp.Body).Decode(&updates); err != nil {
 			return nil, err
+		}
+		if slices.Contains(updates, nil) {
+			return nil, errors.New("routing: GET /epochs: null update")
 		}
 		return updates, nil
 	case http.StatusNoContent:
