@@ -140,6 +140,7 @@ cluster:
 # job runs it on every push and pull request.
 fuzz:
 	$(GO) test -fuzz FuzzSchemaPlaceRemove -fuzztime 10s ./internal/replication
+	$(GO) test -fuzz FuzzRestorePlacement -fuzztime 10s ./internal/replication
 	$(GO) test -fuzz FuzzReadGraph -fuzztime 10s ./internal/topology
 	$(GO) test -fuzz FuzzShortestPaths -fuzztime 10s ./internal/topology
 	$(GO) test -fuzz FuzzTreeOracleLCA -fuzztime 10s ./internal/distoracle
@@ -147,9 +148,10 @@ fuzz:
 	$(GO) test -fuzz FuzzReadCLF -fuzztime 10s ./internal/trace
 	$(GO) test -fuzz FuzzDeltasDecoder -fuzztime 10s ./internal/server
 	$(GO) test -fuzz FuzzDecodeDeltas -fuzztime 10s ./internal/online
-	$(GO) test -fuzz FuzzCompactRoundTrip -fuzztime 10s ./internal/online
+	$(GO) test -fuzz FuzzMask -fuzztime 10s ./internal/online
 	$(GO) test -fuzz FuzzNewFromState -fuzztime 10s ./internal/online
 	$(GO) test -fuzz FuzzFrameDecode -fuzztime 10s ./internal/frame
+	$(GO) test -fuzz FuzzGameMsg -fuzztime 10s ./internal/agtram
 	$(GO) test -fuzz FuzzSolveReply -fuzztime 10s ./internal/cluster
 	$(GO) test -fuzz FuzzAssign -fuzztime 10s ./internal/cluster
 	$(GO) test -fuzz FuzzEpochsClient -fuzztime 10s ./internal/routing

@@ -77,8 +77,9 @@ func main() {
 	defer co.Close()
 	co.Serve(coLis)
 
-	// --- 3. Form the cluster: partition servers into regions, ship the
-	// compacted assignments, run the regional games, merge the winners.
+	// --- 3. Form the cluster: partition servers into regions, ship each
+	// shard the mirror's state masked to its region, run the regional
+	// games, merge the winners.
 	if err := co.AssignNow(ctx); err != nil {
 		log.Fatal(err)
 	}

@@ -90,15 +90,15 @@ func Regions(ctx context.Context, cfg Config) (*Table, error) {
 		return nil, err
 	}
 	for _, regions := range []int{1, 2, 4, 8, 16} {
-		hier, err := hierarchy.Solve(ctx, base.Snapshot(), hierarchy.Config{Regions: regions})
+		hier, err := hierarchy.Solve(ctx, base, hierarchy.Config{Regions: regions})
 		if err != nil {
 			return nil, err
 		}
-		auto, err := hierarchy.Solve(ctx, base.Snapshot(), hierarchy.Config{Regions: regions, Mode: hierarchy.Autonomous})
+		auto, err := hierarchy.Solve(ctx, base, hierarchy.Config{Regions: regions, Mode: hierarchy.Autonomous})
 		if err != nil {
 			return nil, err
 		}
-		fail, err := hierarchy.Solve(ctx, base.Snapshot(), hierarchy.Config{Regions: regions, TopFailsAfter: hier.Epochs / 2})
+		fail, err := hierarchy.Solve(ctx, base, hierarchy.Config{Regions: regions, TopFailsAfter: hier.Epochs / 2})
 		if err != nil {
 			return nil, err
 		}

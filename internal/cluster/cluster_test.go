@@ -520,6 +520,43 @@ func TestShardRejectsForeignAndMembershipDeltas(t *testing.T) {
 	}
 }
 
+// TestShardAcceptsDemandForUndemandedObject: a region keeps every object,
+// so a shard posted direct demand from a member for an object no member
+// demanded applies it to its regional instance, as the single daemon
+// would.
+func TestShardAcceptsDemandForUndemandedObject(t *testing.T) {
+	testutil.LeakCheck(t)
+	p := testutil.MustBuild(testutil.Small(23))
+	_, shs := newTestCluster(t, p, online.Config{Seed: 1}, 2)
+	sh := shs[0]
+	sh.mu.Lock()
+	region := sh.region
+	sh.mu.Unlock()
+	demanded := map[int32]bool{}
+	for _, d := range region.State.Demand {
+		demanded[d.Object] = true
+	}
+	object := int32(-1)
+	for k := int32(0); int(k) < p.N; k++ {
+		if !demanded[k] {
+			object = k
+			break
+		}
+	}
+	if object < 0 {
+		t.Fatal("the region's members demand every object; the check below would be vacuous")
+	}
+	server := int(region.Members[0])
+	if _, err := sh.Backend().ApplyDeltas([]online.Delta{{Kind: online.KindDemand, Server: server, Object: object, Reads: 7}}); err != nil {
+		t.Fatalf("shard refused demand for object %d from member %d: %v", object, server, err)
+	}
+	if !slices.ContainsFunc(sh.controller().Current().Problem.Work.PerServer[server], func(d workload.Demand) bool {
+		return d.Object == object && d.Reads == 7
+	}) {
+		t.Fatalf("member %d's demand row lacks the posted cell for object %d", server, object)
+	}
+}
+
 // TestClusterSolveCountsForwardErrors pins the solve path's failure
 // semantics: a shard that dies after assignment fails its solve RPC, and the
 // failure must show in forward_errors even though the surviving shard solved
@@ -688,7 +725,7 @@ func TestExchangeBordersManyRegions(t *testing.T) {
 		parts = append(parts, regionPart{
 			shard:  int(s),
 			matrix: [][]int32{{0, s}},
-			border: []globalAd{{object: 0, server: s, gain: 5}},
+			border: []BorderAd{{Object: 0, Server: s, Gain: 5}},
 		})
 		merged[0] = append(merged[0], s)
 	}
@@ -717,8 +754,9 @@ func TestShardRefusesDirectRemoveObject(t *testing.T) {
 	co, shs := newTestCluster(t, p, online.Config{Seed: 3}, 2)
 	sh := shs[0]
 	sh.mu.Lock()
-	server, object := int(sh.region.Members[0]), sh.region.Objects[0]
+	server := int(sh.region.Members[0])
 	sh.mu.Unlock()
+	const object = 0
 
 	if _, err := sh.Backend().ApplyDeltas([]online.Delta{{Kind: online.KindRemoveObject, Object: object}}); err == nil {
 		t.Fatalf("shard accepted a remove-object of object %d posted to it directly", object)
@@ -728,18 +766,18 @@ func TestShardRefusesDirectRemoveObject(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := co.AssignVersion(); got != gen {
-		t.Fatalf("demand for a mapped object re-assigned (generation %d -> %d)", gen, got)
+		t.Fatalf("demand for a member server re-assigned (generation %d -> %d)", gen, got)
 	}
 	if got := co.Status(context.Background()).ForwardErrors; got != 0 {
 		t.Fatalf("forwarding demand for object %d counted %d forward errors", object, got)
 	}
 }
 
-// TestShardRefusesBadRegions: a region arrives over RPC, and the shard maps
-// ids into it by binary search, so an assignment whose servers, objects or
-// members are out of order, or whose member is not one of its servers, is
-// refused with an error that wraps online.ErrInvalidState, and the shard
-// keeps the assignment it runs.
+// TestShardRefusesBadRegions: a region arrives over RPC, and the shard
+// checks membership by binary search, so an assignment whose members are
+// out of order, or whose member is not a server of its state, is refused
+// with an error that wraps online.ErrInvalidState, and the shard keeps the
+// assignment it runs.
 func TestShardRefusesBadRegions(t *testing.T) {
 	testutil.LeakCheck(t)
 	p := testutil.MustBuild(testutil.Small(17))
@@ -753,7 +791,7 @@ func TestShardRefusesBadRegions(t *testing.T) {
 	full := mirror.ExportState()
 	half := hierarchy.PartitionBalanced(mirror.Current().Problem, 2)[0]
 	ctx := context.Background()
-	if _, err := sh.handleAssign(ctx, &AssignRequest{Version: 1, Region: full.Compact(half)}); err != nil {
+	if _, err := sh.handleAssign(ctx, &AssignRequest{Version: 1, Region: full.Mask(half)}); err != nil {
 		t.Fatal(err)
 	}
 	sh.mu.Lock()
@@ -763,14 +801,12 @@ func TestShardRefusesBadRegions(t *testing.T) {
 	swap := func(ids []int32) { ids[0], ids[1] = ids[1], ids[0] }
 	for _, c := range []struct {
 		name   string
-		mutate func(r *online.CompactRegion)
+		mutate func(r *online.Region)
 	}{
-		{"member not a server", func(r *online.CompactRegion) { r.Members = append(r.Members, int32(p.M)) }},
-		{"servers out of order", func(r *online.CompactRegion) { swap(r.Servers) }},
-		{"objects out of order", func(r *online.CompactRegion) { swap(r.Objects) }},
-		{"members out of order", func(r *online.CompactRegion) { swap(r.Members) }},
+		{"member not a server", func(r *online.Region) { r.Members = append(r.Members, int32(p.M)) }},
+		{"members out of order", func(r *online.Region) { swap(r.Members) }},
 	} {
-		reg := full.Compact(half)
+		reg := full.Mask(half)
 		c.mutate(reg)
 		_, err := sh.handleAssign(ctx, &AssignRequest{Version: 2, Region: reg})
 		if !errors.Is(err, online.ErrInvalidState) {
@@ -783,7 +819,7 @@ func TestShardRefusesBadRegions(t *testing.T) {
 			t.Fatalf("%s: the refused assignment replaced generation 1", c.name)
 		}
 	}
-	if _, err := sh.handleAssign(ctx, &AssignRequest{Version: 2, Region: full.Compact(half)}); err != nil {
+	if _, err := sh.handleAssign(ctx, &AssignRequest{Version: 2, Region: full.Mask(half)}); err != nil {
 		t.Fatalf("a well-formed region after the refusals: %v", err)
 	}
 }

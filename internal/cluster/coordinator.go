@@ -41,7 +41,7 @@ type CoordinatorConfig struct {
 // most recent cluster solve (the parallel critical path, free of RPC time).
 type PhaseStats struct {
 	// Assigns counts assignment fan-outs; PartitionNs is the proximity
-	// partition, ShipNs the compact-and-ship fan-out, AssignBytes the wire
+	// partition, ShipNs the mask-and-ship fan-out, AssignBytes the wire
 	// bytes (sent+received) the fan-outs moved.
 	Assigns     int64 `json:"assigns"`
 	PartitionNs int64 `json:"partition_ns"`
@@ -55,21 +55,21 @@ type PhaseStats struct {
 	RegionSolveNs int64 `json:"region_solve_ns"`
 	// Merges counts top-level merges; MergeNs covers what the coordinator
 	// does with the solve replies: payments, the memo check, the delegate
-	// game, translate-and-union, the boundary exchange and the mirror
-	// install.
+	// game, the union, the boundary exchange and the mirror install.
 	Merges  int64 `json:"merges"`
 	MergeNs int64 `json:"merge_ns"`
 }
 
 // Coordinator is the cluster's top level: it mirrors the global state (the
 // source of truth deltas apply to), partitions servers into regions by
-// communication-cost proximity, ships compacted M'×N' sub-instances to shard
-// daemons, runs their games concurrently, and merges the winners — translated
-// back through each region's index mapping — through the paper's top-level
-// delegate game, with a boundary-replica exchange recovering the cross-region
-// savings isolated regional pricing leaves on the table. It implements server.Backend, so the single
-// daemon's entire HTTP surface — /route, /epochs, /placement, /metrics —
-// serves the merged placement unchanged.
+// communication-cost proximity, ships each shard daemon the mirror's state
+// masked to its region, runs their games concurrently, and merges the
+// winners through the paper's top-level delegate game, with a
+// boundary-replica exchange recovering the cross-region savings isolated
+// regional pricing leaves on the table. Every daemon speaks the mirror's
+// ids, so nothing is translated on the way. It implements server.Backend,
+// so the single daemon's entire HTTP surface — /route, /epochs,
+// /placement, /metrics — serves the merged placement unchanged.
 type Coordinator struct {
 	cfg        CoordinatorConfig
 	mirror     *online.Controller
@@ -84,10 +84,10 @@ type Coordinator struct {
 	mu        sync.Mutex
 	assignVer uint64
 	regionOf  []int32 // server -> shard id, -1 unassigned
-	// mappings holds the coordinator's copy of each live region; its keys
-	// are the shards that hold a region. A region never changes after its
-	// assignment; the map itself is swapped on re-assignment.
-	mappings map[int]*online.CompactRegion
+	// assigned holds the shards that hold a region of generation
+	// assignVer; regionOf maps each of their members to them. Both are
+	// swapped, never written, on re-assignment.
+	assigned map[int]bool
 	// lastMerge memoizes the most recent multi-region merge; nil after a
 	// single-region one.
 	lastMerge        *mergeMemo
@@ -125,7 +125,7 @@ func NewCoordinator(p *replication.Problem, shardAddrs []string, cfg Coordinator
 		mirror:           mirror,
 		ep:               NewEndpoint(cfg.Codec),
 		regionOf:         make([]int32, p.M),
-		mappings:         map[int]*online.CompactRegion{},
+		assigned:         map[int]bool{},
 		delegatePayments: map[int]int64{},
 		lastWinner:       -1,
 		reassignKick:     make(chan struct{}, 1),
@@ -214,7 +214,7 @@ func (co *Coordinator) liveAssigned() ([]int, uint64) {
 	defer co.mu.Unlock()
 	live := make([]int, 0, len(alive))
 	for _, id := range alive {
-		if _, ok := co.mappings[id]; ok {
+		if co.assigned[id] {
 			live = append(live, id)
 		}
 	}
@@ -246,12 +246,11 @@ func forward[Rep any](ctx context.Context, co *Coordinator, ids []int, method st
 }
 
 // AssignNow re-partitions the servers over the live shards and ships every
-// region as a compacted M'×N' sub-instance with its index mapping and
-// members, plus the current merged placement — translated into region
-// coordinates — as carry. The coordinator keeps its own copy of each
-// region: delta routing and the merge translate through it. Shards on a
-// dead list keep their stale generation and are fenced out by the
-// generation check until they rejoin and get a fresh region.
+// region as the mirror's state masked to its members, plus the members'
+// share of the current merged placement as carry. The coordinator keeps
+// only which shard owns each server, for delta routing and the merge.
+// Shards on a dead list keep their stale generation and are fenced out by
+// the generation check until they rejoin and get a fresh region.
 func (co *Coordinator) AssignNow(ctx context.Context) error {
 	co.opMu.Lock()
 	defer co.opMu.Unlock()
@@ -274,15 +273,15 @@ func (co *Coordinator) AssignNow(ctx context.Context) error {
 
 	bytesBefore := co.wireBytes(live)
 	t1 := time.Now()
-	regions := make([]*online.CompactRegion, len(live))
+	masked := make([]*online.Region, len(live))
 	_, errs := forward[AssignReply](ctx, co, live, MethodAssign, func(j int) any {
-		regions[j] = full.Compact(parts[j])
-		return &AssignRequest{Version: ver, Region: regions[j], Carry: regions[j].CarryToLocal(carry)}
+		masked[j] = full.Mask(parts[j])
+		return &AssignRequest{Version: ver, Region: masked[j], Carry: masked[j].Carry(carry)}
 	})
 	shipNs := time.Since(t1).Nanoseconds()
 	assignBytes := co.wireBytes(live) - bytesBefore
 
-	mappings := make(map[int]*online.CompactRegion, len(live))
+	assigned := make(map[int]bool, len(live))
 	regionOf := make([]int32, e.Problem.M)
 	for i := range regionOf {
 		regionOf[i] = -1
@@ -295,20 +294,20 @@ func (co *Coordinator) AssignNow(ctx context.Context) error {
 			}
 			continue
 		}
-		mappings[id] = regions[j]
-		for _, srv := range regions[j].Members {
+		assigned[id] = true
+		for _, srv := range masked[j].Members {
 			regionOf[srv] = int32(id)
 		}
 	}
 	co.mu.Lock()
 	co.regionOf = regionOf
-	co.mappings = mappings
+	co.assigned = assigned
 	co.phase.Assigns++
 	co.phase.PartitionNs += partitionNs
 	co.phase.ShipNs += shipNs
 	co.phase.AssignBytes += assignBytes
 	co.mu.Unlock()
-	if len(mappings) == 0 {
+	if len(assigned) == 0 {
 		return firstErr
 	}
 	return nil
@@ -335,7 +334,7 @@ func (co *Coordinator) Form(ctx context.Context) error {
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	for _, id := range co.membership.ids {
-		if _, ok := co.mappings[id]; !ok {
+		if !co.assigned[id] {
 			return fmt.Errorf("cluster: shard %d holds no region", id)
 		}
 	}
@@ -400,13 +399,10 @@ func (co *Coordinator) LastSolvePayments() []int64 {
 }
 
 // ApplyDeltas applies a batch to the global mirror, then fans it out under
-// one rule (online.RouteDeltasCompact): a delta is forwarded when its owner
-// region's mapping already holds its server and, for demand, its object.
-// Demand, server-join and server-leave go to the region that owns the
-// server, remove-object to every region that maps the object. Anything the
-// mappings cannot express — add-object, a new server id, demand for an
-// object outside its owner's region — re-partitions instead, and the fresh
-// sub-instances include it. A region's mapping therefore never changes
+// one rule (online.RouteDeltas): demand, server-join and server-leave go to
+// the region that owns the server, remove-object to every region. What no
+// live region owns — add-object, a new server id — re-partitions instead,
+// and the fresh regions include it. A region therefore never changes
 // between assignments. A shard that fails its forward is reported to the
 // failure detector and re-synced by the next assignment; the mirror remains
 // the source of truth either way.
@@ -420,21 +416,21 @@ func (co *Coordinator) ApplyDeltas(ds []online.Delta) (online.Applied, error) {
 
 	co.mu.Lock()
 	regionOf := co.regionOf
-	mappings := co.mappings
+	assigned := co.assigned
 	ver := co.assignVer
 	co.mu.Unlock()
 
-	perShard, forwardable := online.RouteDeltasCompact(ds, func(server int) int {
+	perShard, forwardable := online.RouteDeltas(ds, func(server int) int {
 		if server < 0 || server >= len(regionOf) {
 			return -1
 		}
 		return int(regionOf[server])
-	}, mappings)
+	}, assigned)
 
 	if ver == 0 || !forwardable {
-		// Unformed cluster, or a batch the live mappings cannot express:
+		// Unformed cluster, or a batch no live region owns all of:
 		// re-partition from fresh state, which ships the new shape inside
-		// the sub-instances.
+		// the regions.
 		co.opMu.Unlock()
 		if aerr := co.AssignNow(context.Background()); aerr != nil {
 			co.noteErr(aerr)
@@ -479,8 +475,8 @@ func (co *Coordinator) SolveNow(ctx context.Context) error {
 	for i, id := range live {
 		err := errs[i]
 		if err == nil && reps[i].Assign != ver {
-			// The shard solved under a different assignment: its indexes mean
-			// nothing against this mapping. Re-sync it.
+			// The shard solved under a different assignment: its placement
+			// is of another partition. Re-sync it.
 			online.Kick(co.reassignKick)
 			err = fmt.Errorf("ran assignment %d, coordinator at %d", reps[i].Assign, ver)
 		}
@@ -544,11 +540,17 @@ func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 	t0 := time.Now()
 	e := co.mirror.Current()
 	co.mu.Lock()
-	regionOf, mappings, memo := co.regionOf, co.mappings, co.lastMerge
+	regionOf, memo := co.regionOf, co.lastMerge
 	co.mu.Unlock()
+	// Replies arrive over RPC, so the merge bounds every id they carry:
+	// payments past M, rows past N and ads outside [0, N) or off the
+	// replying region are ignored, and mergeParts counts a replica only on
+	// a server of its own region.
 	payments := make([]int64, e.Problem.M)
 	for _, r := range replies {
-		mappings[r.shard].PaymentsToGlobal(r.rep.Payments, payments)
+		for s, v := range r.rep.Payments[:min(len(r.rep.Payments), len(payments))] {
+			payments[s] += v
+		}
 	}
 	co.mu.Lock()
 	co.lastPayments = payments
@@ -557,7 +559,7 @@ func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 	// The memo gate, on content: a regional re-solve publishes a fresh epoch
 	// even when it lands on the same placement, but if every region's
 	// outcome (matrix, bid, ads) equals what the last merge consumed and the
-	// mirror has not moved, the translate + carry + exchange pipeline would
+	// mirror has not moved, the union + carry + exchange pipeline would
 	// reproduce the installed placement exactly.
 	if memo.hit(ver, e.Version, replies) {
 		co.mu.Lock()
@@ -567,19 +569,18 @@ func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 		return
 	}
 
+	n := e.Problem.N
 	parts := make([]regionPart, 0, len(replies))
 	for _, r := range replies {
-		mapping := mappings[r.shard]
 		pt := regionPart{
 			shard:  r.shard,
-			matrix: mapping.MatrixToGlobal(r.rep.Matrix, e.Problem.N),
+			matrix: r.rep.Matrix[:min(len(r.rep.Matrix), n)],
 			saved:  r.rep.SavedOTC,
 		}
 		for _, ad := range r.rep.Border {
-			gk, okK := mapping.GlobalObject(ad.Object)
-			gs, okS := mapping.GlobalServer(int(ad.Server))
-			if okK && okS {
-				pt.border = append(pt.border, globalAd{object: gk, server: int32(gs), gain: ad.Gain})
+			if ad.Object >= 0 && int(ad.Object) < n && ad.Server >= 0 && int(ad.Server) < len(regionOf) &&
+				regionOf[ad.Server] == int32(r.shard) {
+				pt.border = append(pt.border, ad)
 			}
 		}
 		parts = append(parts, pt)
@@ -603,7 +604,7 @@ func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 		co.mu.Unlock()
 	}
 
-	carried, dropped := e.Problem.CarryOver(mergeParts(e.Problem.N, e.Problem.Work.Primary, regionOf, parts))
+	carried, dropped := e.Problem.CarryOver(mergeParts(n, e.Problem.Work.Primary, regionOf, parts))
 	if len(parts) > 1 {
 		// Boundary-replica exchange: each region priced its surplus replicas
 		// in isolation; against the merged placement some are redundant — a
@@ -611,8 +612,8 @@ func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 		// removing them *reduces* global OTC (negative removal delta). Drop
 		// those, cheapest local value first, then reinvest the freed
 		// capacity where the merged placement still wants copies. This is
-		// the cross-region coordination a masked merge structurally could
-		// not do. The single-region case skips the exchange entirely, which
+		// the cross-region coordination no regional game can do on its
+		// own. The single-region case skips the exchange entirely, which
 		// keeps the 1-shard cluster bit-identical to the single daemon.
 		exchangeBorders(carried, e.Problem, parts)
 	}
@@ -640,31 +641,25 @@ func outcomeEqual(a, b *SolveReply) bool {
 		slices.EqualFunc(a.Matrix, b.Matrix, slices.Equal[[]int32]) && slices.Equal(a.Border, b.Border)
 }
 
-// regionPart is one region's contribution to a merge, already translated
-// into global coordinates.
+// regionPart is one region's contribution to a merge: its placement rows
+// (at most N), its delegate bid and its border ads, every ad on an object
+// of the instance and a server of the region.
 type regionPart struct {
 	shard  int
 	matrix [][]int32
 	saved  int64
-	border []globalAd
-}
-
-// globalAd is a BorderAd translated to global coordinates.
-type globalAd struct {
-	object int32
-	server int32
-	gain   int64
+	border []BorderAd
 }
 
 // mergeParts unions the regional placements: object k's merged replica set
 // is its primary plus every replica each region placed on a server the
 // assignment gave it (regionOf maps server to shard id). Replicas a region
-// reports elsewhere (it cannot create them — boundary capacity forbids it —
-// but a stale carry might still list them) are ignored, as are replicas on
-// regions that did not reply (their servers' surplus replicas dissolve, the
-// eviction semantics). Regional rows arrive sorted and regions own disjoint
-// server sets, so the union stays allocation-light: one row per object, one
-// sort.
+// reports elsewhere (it cannot create them — a non-member has no capacity
+// beyond its primaries — but a malformed reply might list them) are
+// ignored, as are replicas on regions that did not reply (their servers'
+// surplus replicas dissolve, the eviction semantics). Regional rows arrive
+// sorted and regions own disjoint server sets, so the union stays
+// allocation-light: one row per object, one sort.
 func mergeParts(n int, primary, regionOf []int32, parts []regionPart) [][]int32 {
 	out := make([][]int32, n)
 	for k := 0; k < n; k++ {
@@ -675,7 +670,7 @@ func mergeParts(n int, primary, regionOf []int32, parts []regionPart) [][]int32 
 				continue
 			}
 			for _, s := range pt.matrix[k] {
-				if int(s) < len(regionOf) && regionOf[s] == int32(pt.shard) && s != primary[k] {
+				if s >= 0 && int(s) < len(regionOf) && regionOf[s] == int32(pt.shard) && s != primary[k] {
 					row = append(row, s)
 				}
 			}
@@ -720,22 +715,22 @@ func exchangeBorders(carried *replication.Schema, p *replication.Problem, parts 
 			}
 		}
 	}
-	var ads []globalAd
+	var ads []BorderAd
 	for _, pt := range parts {
 		for _, ad := range pt.border {
-			if ad.gain < 0 || (int(ad.object) < p.N && contributors[ad.object] >= 2) {
+			if ad.Gain < 0 || contributors[ad.Object] >= 2 {
 				ads = append(ads, ad)
 			}
 		}
 	}
 	sort.Slice(ads, func(a, b int) bool {
-		if ads[a].gain != ads[b].gain {
-			return ads[a].gain < ads[b].gain
+		if ads[a].Gain != ads[b].Gain {
+			return ads[a].Gain < ads[b].Gain
 		}
-		if ads[a].object != ads[b].object {
-			return ads[a].object < ads[b].object
+		if ads[a].Object != ads[b].Object {
+			return ads[a].Object < ads[b].Object
 		}
-		return ads[a].server < ads[b].server
+		return ads[a].Server < ads[b].Server
 	})
 	// Pass 1 prices every ad; later passes only revisit objects whose
 	// replica set changed in the previous pass — removal and placement
@@ -750,24 +745,24 @@ func exchangeBorders(carried *replication.Schema, p *replication.Problem, parts 
 		freed := map[int]bool{}     // servers that gained residual this pass
 		moves := 0
 		for _, ad := range ads {
-			if prev != nil && !prev[ad.object] {
+			if prev != nil && !prev[ad.Object] {
 				continue
 			}
-			m := int(ad.server)
-			if !carried.HasReplica(ad.object, m) {
+			m := int(ad.Server)
+			if !carried.HasReplica(ad.Object, m) {
 				continue
 			}
-			if carried.DeltaIfRemoved(ad.object, m) >= 0 {
+			if carried.DeltaIfRemoved(ad.Object, m) >= 0 {
 				continue
 			}
-			d, err := carried.RemoveReplica(ad.object, m)
+			d, err := carried.RemoveReplica(ad.Object, m)
 			if err != nil {
 				continue
 			}
 			recovered -= d
 			borderDropped++
 			moves++
-			changed[ad.object] = true
+			changed[ad.Object] = true
 			freed[m] = true
 		}
 		placed, rec := reinvestFreed(carried, p, changed, freed)

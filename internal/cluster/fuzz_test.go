@@ -10,10 +10,10 @@ import (
 	"repro/internal/testutil"
 )
 
-// replyBytes decodes fuzz input into solve-reply contents. An index is one
-// signed byte, so negative, valid and out-of-region indexes are all a byte
-// away; the byte 0x80 escapes to a full big-endian int32. Reads past the end
-// return zeros.
+// replyBytes decodes fuzz input into solve-reply contents. An id is one
+// signed byte, so negative, valid and foreign ids are all a byte away; the
+// byte 0x80 escapes to a full big-endian int32. Reads past the end return
+// zeros.
 type replyBytes []byte
 
 func (b *replyBytes) next() byte {
@@ -46,8 +46,8 @@ func (b *replyBytes) int64() int64 {
 }
 
 // reply decodes one region's answer under assignment generation assign: up
-// to 255 matrix rows of up to 7 local server indexes, the delegate bid, up
-// to 15 border ads and up to 255 payments.
+// to 255 matrix rows of up to 7 server ids, the delegate bid, up to 15
+// border ads and up to 255 payments.
 func (b *replyBytes) reply(assign uint64) *SolveReply {
 	rep := &SolveReply{Assign: assign, Matrix: make([][]int32, b.next())}
 	for l := range rep.Matrix {
@@ -68,17 +68,18 @@ func (b *replyBytes) reply(assign uint64) *SolveReply {
 }
 
 // FuzzSolveReply drives the coordinator's handling of solve replies with no
-// network: a 2-region coordinator, its mappings compacted from the mirror
-// exactly as an assignment compacts them, merges replies whose contents the
-// fuzzer picks — matrix rows with negative, out-of-region or duplicate local
-// indexes and rows past the region's objects, border ads with bad ids and
-// extreme gains, payment vectors longer than the region. replied's low two
-// bits say which regions answered. Whatever the shards answer, the merge
-// must not panic, the installed epoch must pass the schema invariants, every
-// surplus replica must sit on a server owned by a region that replied, and
-// merging the same replies again must publish nothing when the memo covers
-// them. Run with `go test -fuzz=FuzzSolveReply ./internal/cluster` to
-// explore; the seed corpus runs on every plain `go test`.
+// network: a 2-region coordinator, its servers partitioned exactly as an
+// assignment partitions them, merges replies whose contents the fuzzer
+// picks, all in global ids — matrix rows with negative, foreign or
+// duplicate server ids and rows past the instance's N objects, border ads
+// with negative, foreign or past-N ids and extreme gains, payment vectors
+// longer than M. replied's low two bits say which regions answered.
+// Whatever the shards answer, the merge must not panic, the installed epoch
+// must pass the schema invariants, every surplus replica must sit on a
+// server owned by a region that replied, and merging the same replies again
+// must publish nothing when the memo covers them. Run with
+// `go test -fuzz=FuzzSolveReply ./internal/cluster` to explore; the seed
+// corpus runs on every plain `go test`.
 func FuzzSolveReply(f *testing.F) {
 	p := testutil.MustBuild(testutil.Small(41))
 	f.Add(uint8(3), []byte{3, 2, 0, 1, 1, 2, 3, 0, 2, 0, 0, 0, 0, 0, 0, 0, 9, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 5, 2, 3, 4,
@@ -99,9 +100,8 @@ func FuzzSolveReply(f *testing.F) {
 		defer co.Close()
 		const ver = 1
 		pr := co.Current().Problem
-		full := co.mirror.ExportState()
 		for j, part := range hierarchy.PartitionBalanced(pr, 2) {
-			co.mappings[j] = full.Compact(part)
+			co.assigned[j] = true
 			for _, s := range part {
 				co.regionOf[s] = int32(j)
 			}
@@ -142,11 +142,12 @@ func FuzzSolveReply(f *testing.F) {
 // FuzzAssign drives a shard's assign handler with no network: each input
 // starts from a shard running generation 1 and ships one assignment whose
 // version, members and carry the fuzzer picks, and whose region it then
-// edits — ids swapped out of order, overwritten with negative, huge or
-// foreign values, members appended, state rows truncated. Every input ends
-// in one of two outcomes, never a panic: a typed error (online.ErrInvalidState
-// or ErrStaleAssign) with generation 1 still in place, or an accepted
-// assignment whose route answers are always servers of the region. Run with
+// edits — members swapped out of order, overwritten with negative, huge or
+// foreign values or appended, state rows truncated, carry rows with any
+// ids. Every input ends in one of two outcomes, never a panic: a typed
+// error (online.ErrInvalidState or ErrStaleAssign) with generation 1 still
+// in place, or an accepted assignment whose route answers always come from
+// a member or the object's primary. Run with
 // `go test -fuzz=FuzzAssign ./internal/cluster` to explore; the seed corpus
 // runs on every plain `go test`.
 func FuzzAssign(f *testing.F) {
@@ -170,7 +171,7 @@ func FuzzAssign(f *testing.F) {
 		sh := NewShard(0, p.Cost, ShardConfig{Controller: online.Config{Seed: 1}})
 		defer sh.Close()
 		ctx := context.Background()
-		if _, err := sh.handleAssign(ctx, &AssignRequest{Version: 1, Region: full.Compact(all)}); err != nil {
+		if _, err := sh.handleAssign(ctx, &AssignRequest{Version: 1, Region: full.Mask(all)}); err != nil {
 			t.Fatal(err)
 		}
 		sh.mu.Lock()
@@ -183,41 +184,32 @@ func FuzzAssign(f *testing.F) {
 				members = append(members, int32(i))
 			}
 		}
-		reg := full.Compact(members)
+		reg := full.Mask(members)
 		var carry [][]int32
 		in := replyBytes(ops)
 		at := func(ids []int32) int { return int(in.next()) % max(len(ids), 1) }
 		for len(in) > 0 {
-			switch in.next() % 8 {
+			switch in.next() % 6 {
 			case 0:
-				if len(reg.Servers) > 0 {
-					i, j := at(reg.Servers), at(reg.Servers)
-					reg.Servers[i], reg.Servers[j] = reg.Servers[j], reg.Servers[i]
+				if len(reg.Members) > 0 {
+					i, j := at(reg.Members), at(reg.Members)
+					reg.Members[i], reg.Members[j] = reg.Members[j], reg.Members[i]
 				}
 			case 1:
-				if len(reg.Objects) > 0 {
-					i, j := at(reg.Objects), at(reg.Objects)
-					reg.Objects[i], reg.Objects[j] = reg.Objects[j], reg.Objects[i]
-				}
-			case 2:
 				reg.Members = append(reg.Members, in.index())
-			case 3:
-				if len(reg.Servers) > 0 {
-					reg.Servers[at(reg.Servers)] = in.index()
-				}
-			case 4:
-				if len(reg.Objects) > 0 {
-					reg.Objects[at(reg.Objects)] = in.index()
-				}
-			case 5:
+			case 2:
 				if len(reg.Members) > 0 {
 					reg.Members[at(reg.Members)] = in.index()
 				}
-			case 6:
+			case 3:
 				if n := len(reg.State.Capacity); n > 0 {
 					reg.State.Capacity = reg.State.Capacity[:n-1]
 				}
-			case 7:
+			case 4:
+				if n := len(reg.State.Sizes); n > 0 {
+					reg.State.Sizes = reg.State.Sizes[:n-1]
+				}
+			case 5:
 				row := make([]int32, in.next()%4)
 				for i := range row {
 					row[i] = in.index()
@@ -242,14 +234,15 @@ func FuzzAssign(f *testing.F) {
 		if ver != version || region != reg {
 			t.Fatalf("accepted assignment runs generation %d, want %d", ver, version)
 		}
+		primary := ctrl.Current().Problem.Work.Primary
 		for server := -1; server <= p.M; server++ {
 			for k := int32(-1); k <= int32(p.N); k++ {
-				from, err := sh.routeGlobal(server, k)
+				from, err := sh.Backend().Route(server, k)
 				if err != nil {
 					continue
 				}
-				if _, ok := reg.LocalServer(int(from)); !ok {
-					t.Fatalf("route(%d,%d) = %d, which is not a server of the region", server, k, from)
+				if from != primary[k] && !reg.IsMember(int(from)) {
+					t.Fatalf("route(%d,%d) = %d, neither a member nor the primary", server, k, from)
 				}
 			}
 		}

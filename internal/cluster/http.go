@@ -17,15 +17,11 @@ type ShardInfo struct {
 	State string `json:"state"`
 	// Assign, Mode, Members and Metrics come from the shard's metrics RPC;
 	// Error carries the RPC failure when the pull did not land.
-	Assign  uint64 `json:"assign,omitempty"`
-	Mode    string `json:"mode,omitempty"`
-	Members int    `json:"members,omitempty"`
-	// RegionServers × RegionObjects is the compacted sub-instance shape the
-	// shard actually solves (M'×N').
-	RegionServers int             `json:"region_servers,omitempty"`
-	RegionObjects int             `json:"region_objects,omitempty"`
-	Metrics       *online.Metrics `json:"metrics,omitempty"`
-	Error         string          `json:"error,omitempty"`
+	Assign  uint64          `json:"assign,omitempty"`
+	Mode    string          `json:"mode,omitempty"`
+	Members int             `json:"members,omitempty"`
+	Metrics *online.Metrics `json:"metrics,omitempty"`
+	Error   string          `json:"error,omitempty"`
 }
 
 // ClusterStatus is the GET /cluster payload: the coordinator's aggregated
@@ -75,8 +71,6 @@ func (co *Coordinator) Status(ctx context.Context) ClusterStatus {
 		rows[i].Assign = rep.Assign
 		rows[i].Mode = rep.Mode
 		rows[i].Members = len(rep.Members)
-		rows[i].RegionServers = rep.RegionServers
-		rows[i].RegionObjects = rep.RegionObjects
 		rows[i].Metrics = &rep.Metrics
 	}
 
@@ -151,17 +145,16 @@ func writeStatus(w http.ResponseWriter, st ClusterStatus) {
 
 // Backend adapts the shard to the HTTP facade: the shard daemon serves the
 // same endpoint set as the single daemon, answered from its regional
-// controller. Requests use global ids and are translated through the
-// assignment's index mapping; the epoch stream (Current/Subscribe) is the
-// regional controller's and therefore in region-local coordinates — for a
-// 1-shard cluster the mapping is the identity, so epoch clients see exactly
-// the single daemon's stream. Routes answer from the regional placement, not
-// the merged one the coordinator serves, so with several shards the answers
-// can differ and clients route against the coordinator. Deltas posted
-// directly to a shard pass the same ownership guard as forwarded ones;
-// membership deltas, add-object and remove-object are coordinator-only.
-// Solves run the regional game. The daemon waits for the first assignment (WaitAssigned)
-// before serving HTTP, so the controller is always live here.
+// controller, in the coordinator's ids: routes, /placement and the epoch
+// stream (Current/Subscribe) all speak them, and for a 1-shard cluster the
+// epoch clients see exactly the single daemon's stream. Routes answer from
+// the regional placement, not the merged one the coordinator serves, so
+// with several shards the answers can differ and clients route against the
+// coordinator. Deltas posted directly to a shard pass the same ownership
+// guard as forwarded ones; membership deltas, add-object and remove-object
+// are coordinator-only. Solves run the regional game. The daemon waits for
+// the first assignment (WaitAssigned) before serving HTTP, so the
+// controller is always live here.
 func (s *Shard) Backend() server.Backend { return shardBackend{s} }
 
 type shardBackend struct{ s *Shard }
@@ -169,7 +162,11 @@ type shardBackend struct{ s *Shard }
 func (b shardBackend) Current() *online.Epoch { return b.s.controller().Current() }
 
 func (b shardBackend) Route(server int, object int32) (int32, error) {
-	return b.s.routeGlobal(server, object)
+	ctrl := b.s.controller()
+	if ctrl == nil {
+		return 0, ErrUnassigned
+	}
+	return ctrl.Route(server, object)
 }
 
 func (b shardBackend) ApplyDeltas(ds []online.Delta) (online.Applied, error) {

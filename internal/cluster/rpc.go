@@ -1,11 +1,11 @@
 // Package cluster shards one DRP instance across daemons: a coordinator
 // partitions the servers into communication-cost regions (hierarchy's
-// partitioner), compacts each region into an M'×N' sub-instance with a dense
-// index mapping back to global ids, ships it to a shard daemon over a small
-// length-prefixed RPC transport, runs the regional AGT-RAM games
-// concurrently, and merges the regional winners — translated back through
-// their mappings — through a top-level delegate game with a boundary-replica
-// exchange: the paper's semi-distributed mechanism stretched over processes.
+// partitioner), masks its mirror's state to each region's members, ships
+// it to a shard daemon over a small length-prefixed RPC transport, runs the
+// regional AGT-RAM games concurrently, and merges the regional winners
+// through a top-level delegate game with a boundary-replica exchange: the
+// paper's semi-distributed mechanism stretched over processes. Every
+// daemon speaks the mirror's server and object ids.
 //
 // The layer cake, bottom to top:
 //
@@ -24,32 +24,31 @@
 //     timeout, then collect in peer order" helper: probes, assignments,
 //     delta forwards, solves and status pulls all run on it.
 //   - shard.go: one regional game. Holds an online.Controller over the
-//     compacted sub-instance the coordinator assigned (arena, kernel and
-//     oracle rows all sized to the region) beside the region itself, an
-//     immutable value that carries its members and translates global ids at
-//     the RPC boundary; installs the assignment's carry on the fresh
+//     masked region the coordinator assigned, reading the shared cost
+//     oracle directly, beside the region itself, an immutable value that
+//     carries its members; installs the assignment's carry on the fresh
 //     controller before publishing it; degrades to autonomous self-solves
 //     when the coordinator stops answering probes. The self-solves run on
 //     online.SolveLoop, like the coordinator's drift-triggered solves and
 //     re-partitions and the single daemon's solves.
-//   - coordinator.go: membership + partition + compaction + delta
-//     forwarding + the fan-out solve and translate-then-union merge,
-//     behind the same server.Backend interface the single daemon serves
-//     HTTP from. Forwarding follows one rule: a delta goes to its owner
-//     region when that region's mapping already holds its server and, for
-//     demand, its object; anything else (add-object, a new server id,
-//     demand outside the owner's mapping) re-partitions. A cluster solve is
-//     one round trip per shard: the solve reply carries the region's
-//     placement, delegate bid, border ads and payments, and the merge runs
-//     on the replies. Every shard RPC goes through forward, one failure
+//   - coordinator.go: membership + partition + mask + delta forwarding +
+//     the fan-out solve and the union merge, behind the same
+//     server.Backend interface the single daemon serves HTTP from.
+//     Forwarding follows one rule: demand and membership deltas go to the
+//     region that owns their server, a remove-object to every region, and
+//     what no live region owns (add-object, a new server id)
+//     re-partitions. A cluster solve is one round trip per shard: the
+//     solve reply carries the region's placement, delegate bid, border ads
+//     and payments, and the merge runs on the replies, bounding every id
+//     they carry. Every shard RPC goes through forward, one failure
 //     policy: a failed call is counted as a forward error, reported to the
 //     failure detector and re-synced by a re-partition, and a region whose
 //     solve failed contributes nothing to that merge. A multi-region merge
 //     whose replies equal the previous merge's, with the mirror unmoved,
 //     publishes nothing.
 //
-// Determinism boundary: regional games are deterministic in (sub-instance,
-// seed) exactly like the single daemon; the merge — including the boundary
+// Determinism boundary: regional games are deterministic in (region, seed)
+// exactly like the single daemon; the merge — including the boundary
 // exchange's sorted ad ordering — is deterministic in the set of regional
 // placements. Membership timing (when a probe declares a peer dead) is
 // wall-clock and therefore not deterministic — tests pin it by calling

@@ -35,12 +35,12 @@ type ShardConfig struct {
 }
 
 // Shard runs one regional AGT-RAM game: an online controller over the
-// compacted M'×N' sub-instance the coordinator assigned, exposed over the
-// RPC endpoint. The controller, its arenas and the distance-oracle view are
-// all sized to the region; RPC requests and replies carry global ids and are
-// translated through the assignment's index mapping at this boundary. In
-// hierarchical mode the coordinator decides when to solve; when the
-// coordinator stops answering probes the shard degrades to autonomous mode
+// masked region the coordinator assigned, exposed over the RPC endpoint.
+// The region keeps the mirror's ids and the controller reads the shared
+// cost oracle directly, so RPC requests and replies, the HTTP API and the
+// epoch stream all speak the coordinator's ids. In hierarchical mode the
+// coordinator decides when to solve; when the coordinator stops answering
+// probes the shard degrades to autonomous mode
 // — the paper's failure story — and re-solves itself on drift, exactly like
 // a single daemon, until the coordinator comes back and re-assigns.
 type Shard struct {
@@ -51,7 +51,7 @@ type Shard struct {
 
 	mu        sync.Mutex
 	ctrl      *online.Controller
-	region    *online.CompactRegion // immutable; the pointer is swapped with ctrl under mu
+	region    *online.Region // immutable; the pointer is swapped with ctrl under mu
 	assignVer uint64
 	mode      hierarchy.Mode
 	closed    bool
@@ -183,14 +183,14 @@ func (s *Shard) handlePing(ctx context.Context, req *PingRequest) (any, error) {
 // the one the shard runs.
 var ErrStaleAssign = errors.New("cluster: stale assignment")
 
-// handleAssign installs a new region: a fresh controller over the compacted
-// sub-instance (NewFromCompact refuses a malformed region), the shipped
-// region-local placement carried onto it and installed before the
-// controller is published. Stale generations (version at or below the
-// current one) are rejected so a delayed re-send cannot roll the shard
-// back. A refused assignment leaves the previous one in place.
+// handleAssign installs a new region: a fresh controller over the masked
+// region (NewFromRegion refuses a malformed one), the shipped carry carried
+// onto it and installed before the controller is published. Stale
+// generations (version at or below the current one) are rejected so a
+// delayed re-send cannot roll the shard back. A refused assignment leaves
+// the previous one in place.
 func (s *Shard) handleAssign(ctx context.Context, req *AssignRequest) (any, error) {
-	ctrl, err := online.NewFromCompact(s.cost, req.Region, s.cfg.Controller)
+	ctrl, err := online.NewFromRegion(s.cost, req.Region, s.cfg.Controller)
 	if err != nil {
 		return nil, fmt.Errorf("rebuild controller: %w", err)
 	}
@@ -226,15 +226,14 @@ func (s *Shard) handleAssign(ctx context.Context, req *AssignRequest) (any, erro
 }
 
 // applyGuarded is the shared delta path for the RPC handler and the HTTP
-// backend. Deltas arrive in global coordinates; the guards (generation,
-// ownership, kind) run on them first, then the batch is translated through
-// the region, which never changes between assignments, and applied. Demand
-// must name a member server. Server-join and server-leave of a member and
-// remove-object come only from the coordinator (assign ≠ 0), which forwards
-// a membership delta to the region that owns the server and a remove-object
-// to every region that maps the object, so its mirror retires the object
-// too. Add-object never reaches a shard: global object ids are allocated by
-// the coordinator's mirror, which re-assigns to grow the catalogue.
+// backend. The guards (generation, kind, ownership) run first, then the
+// batch is applied as it came: the region speaks the coordinator's ids.
+// Demand must name a member server. Server-join and server-leave of a
+// member and remove-object come only from the coordinator (assign ≠ 0),
+// which forwards a membership delta to the region that owns the server and
+// a remove-object to every region, so its mirror retires the object too.
+// Add-object never reaches a shard: global object ids are allocated by the
+// coordinator's mirror, which re-assigns to grow the catalogue.
 func (s *Shard) applyGuarded(assign uint64, ds []online.Delta) (online.Applied, error) {
 	s.mu.Lock()
 	ctrl, region, ver, mode := s.ctrl, s.region, s.assignVer, s.mode
@@ -258,11 +257,7 @@ func (s *Shard) applyGuarded(assign uint64, ds []online.Delta) (online.Applied, 
 			return online.Applied{}, fmt.Errorf("cluster: delta %d: server %d is not a member of shard %d", i, d.Server, s.id)
 		}
 	}
-	local, err := region.TranslateDeltas(ds)
-	if err != nil {
-		return online.Applied{}, err
-	}
-	a, err := ctrl.ApplyDeltas(local)
+	a, err := ctrl.ApplyDeltas(ds)
 	if err == nil && a.SolveScheduled && mode == hierarchy.Autonomous {
 		// Degraded: nobody will call solve for us. Kick the self-solve
 		// loop, like the single daemon's drift loop.
@@ -290,9 +285,9 @@ func (s *Shard) SolveNow(ctx context.Context) error {
 }
 
 // handleSolve runs the regional game for the coordinator and answers with
-// the region's outcome — placement, delegate bid, border ads and payments,
-// in region coordinates — under the assignment generation it ran. ElapsedNs
-// times the solve alone, not the reply building.
+// the region's outcome — placement, delegate bid, border ads and payments —
+// under the assignment generation it ran. ElapsedNs times the solve alone,
+// not the reply building.
 func (s *Shard) handleSolve(ctx context.Context, req *SolveRequest) (any, error) {
 	s.mu.Lock()
 	ctrl, ver := s.ctrl, s.assignVer
@@ -347,39 +342,9 @@ func (s *Shard) handleMetrics(ctx context.Context, req *MetricsRequest) (any, er
 	}
 	return &MetricsReply{
 		Shard: s.id, Assign: ver, Mode: mode.String(),
-		Members:       region.Members,
-		RegionServers: len(region.Servers), RegionObjects: len(region.Objects),
+		Members: region.Members,
 		Metrics: ctrl.Metrics(),
 	}, nil
-}
-
-// routeGlobal answers a nearest-replica query in global coordinates: the
-// query is translated into the region, the regional placement answers, and
-// the answer is translated back.
-func (s *Shard) routeGlobal(server int, object int32) (int32, error) {
-	s.mu.Lock()
-	ctrl, region := s.ctrl, s.region
-	s.mu.Unlock()
-	if ctrl == nil {
-		return 0, ErrUnassigned
-	}
-	ls, okS := region.LocalServer(server)
-	lk, okK := region.LocalObject(object)
-	if !okS {
-		return 0, fmt.Errorf("cluster: server %d is not in shard %d's region", server, s.id)
-	}
-	if !okK {
-		return 0, fmt.Errorf("cluster: object %d is not in shard %d's region", object, s.id)
-	}
-	from, err := ctrl.Route(ls, lk)
-	if err != nil {
-		return 0, err
-	}
-	g, ok := region.GlobalServer(int(from))
-	if !ok {
-		return 0, fmt.Errorf("cluster: route answer %d is outside shard %d's region", from, s.id)
-	}
-	return int32(g), nil
 }
 
 // Close tears the shard down: RPC endpoint first (no new work), then the

@@ -31,19 +31,17 @@ type PingReply struct {
 	Version uint64 `json:"version"`
 }
 
-// AssignRequest ships a region to a shard: the compacted M'×N' sub-instance
-// with its index mapping (member servers, the objects they own or demand,
-// boundary primaries) and its members in global ids, and the current global
-// placement — already translated into region coordinates — to carry over (so
-// a freshly assigned shard starts from the merged placement instead of
-// primaries).
+// AssignRequest ships a region to a shard: the mirror's state masked to the
+// region's members, and the members' share of the current merged placement
+// to carry over (so a freshly assigned shard starts from the merged
+// placement instead of primaries). Every id is the mirror's.
 type AssignRequest struct {
 	// Version is the coordinator's assignment generation; a shard rejects
 	// versions at or below the one it already runs (stale re-sends).
-	Version uint64                `json:"version"`
-	Region  *online.CompactRegion `json:"region"`
-	// Carry is in region-local coordinates (rows per regional object,
-	// replica lists of regional server indexes).
+	Version uint64         `json:"version"`
+	Region  *online.Region `json:"region"`
+	// Carry holds one replica list per object, restricted to the region's
+	// members (Region.Carry).
 	Carry [][]int32 `json:"carry,omitempty"`
 }
 
@@ -68,14 +66,14 @@ type DeltasRequest struct {
 type SolveRequest struct{}
 
 // SolveReply is a region's outcome: everything the coordinator's merge
-// consumes, in region-local coordinates, which the coordinator translates
-// through the assignment's mapping.
+// consumes, in the mirror's ids. The merge bounds every id itself (see
+// Coordinator.merge), since a reply arrives over RPC.
 type SolveReply struct {
 	// Assign is the assignment generation the solve ran under; the
 	// coordinator discards replies from a different generation (their
-	// indexes would be meaningless against its mapping).
+	// placement is of another partition).
 	Assign uint64 `json:"assign"`
-	// Matrix is the regional placement: one replica list per regional object.
+	// Matrix is the regional placement: one replica list per object.
 	Matrix  [][]int32 `json:"matrix"`
 	OTC     int64     `json:"otc"`
 	BaseOTC int64     `json:"base_otc"`
@@ -85,7 +83,7 @@ type SolveReply struct {
 	// Border lists the region's surplus replicas with reserve prices for
 	// the merge's boundary exchange.
 	Border []BorderAd `json:"border,omitempty"`
-	// Payments are the regional game's payments, indexed by regional server.
+	// Payments are the regional game's payments, indexed by server.
 	Payments []int64 `json:"payments,omitempty"`
 	// ElapsedNs is the wall-clock the regional solve took shard-side — the
 	// per-phase benchmark's regional-solve component, free of RPC overhead
@@ -95,11 +93,10 @@ type SolveReply struct {
 
 // BorderAd advertises one surplus replica a region placed, with the
 // region's reserve price for it: Gain is the regional cost increase if the
-// replica were removed (its local marginal value). Coordinates are
-// region-local; the coordinator translates through the assignment's mapping.
-// The merge's boundary-replica exchange uses the ads to decide which
-// replicas are redundant once every region's placement is visible — the
-// cross-region savings the mask-era merge forfeited.
+// replica were removed (its local marginal value). The merge's
+// boundary-replica exchange uses the ads to decide which replicas are
+// redundant once every region's placement is visible — the cross-region
+// savings isolated regional games leave on the table.
 type BorderAd struct {
 	Object int32 `json:"object"`
 	Server int32 `json:"server"`
@@ -111,13 +108,9 @@ type MetricsRequest struct{}
 
 // MetricsReply is one shard's contribution to GET /cluster.
 type MetricsReply struct {
-	Shard   int     `json:"shard"`
-	Assign  uint64  `json:"assign"`
-	Mode    string  `json:"mode"`
-	Members []int32 `json:"members"`
-	// RegionServers and RegionObjects are the compacted instance's M'×N' —
-	// the shape the regional game actually solves.
-	RegionServers int            `json:"region_servers"`
-	RegionObjects int            `json:"region_objects"`
-	Metrics       online.Metrics `json:"metrics"`
+	Shard   int            `json:"shard"`
+	Assign  uint64         `json:"assign"`
+	Mode    string         `json:"mode"`
+	Members []int32        `json:"members"`
+	Metrics online.Metrics `json:"metrics"`
 }

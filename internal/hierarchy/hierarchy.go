@@ -122,9 +122,8 @@ func Partition(p *replication.Problem, k int) [][]int32 {
 // On cost metrics with a dense core, nearest-seed assignment piles most of
 // the servers onto the core seed (the other seeds are peripheral
 // outliers); the cluster coordinator partitions with the balanced variant
-// so a regional sub-instance never grows into the whole globe — the point
-// of compaction is that a regional solve costs the region's share, and
-// that only holds when the partition does its part.
+// so no region's game grows into the whole globe: a regional solve costs
+// its members' share of the demand only when the partition does its part.
 func PartitionBalanced(p *replication.Problem, k int) [][]int32 {
 	if k < 1 {
 		k = 1

@@ -314,16 +314,17 @@ func (c *Controller) ApplyDeltas(ds []Delta) (Applied, error) {
 	}, nil
 }
 
-// SolveNow runs one solve through the registry on a snapshot of the live
-// instance and publishes the result. Deltas and routes proceed during the
-// solve; if a delta batch publishes an epoch mid-solve, the solved placement
-// is carried over onto the newer instance instead of clobbering it.
+// SolveNow runs one solve through the registry on the live epoch's
+// instance and publishes the result. A Problem is immutable once built, so
+// the solver reads the one the read path serves. Deltas and routes proceed
+// during the solve; if a delta batch publishes an epoch mid-solve, the
+// solved placement is carried over onto the newer instance instead of
+// clobbering it.
 func (c *Controller) SolveNow(ctx context.Context) error {
 	c.solveMu.Lock()
 	defer c.solveMu.Unlock()
 
 	base := c.epoch.Load()
-	snap := base.Problem.Snapshot()
 	opts := solver.Options{
 		Workers:       c.cfg.Workers,
 		Seed:          c.cfg.Seed,
@@ -336,7 +337,7 @@ func (c *Controller) SolveNow(ctx context.Context) error {
 		opts.Warm = base.Schema.Matrix()
 	}
 	s, _ := solver.Lookup(c.cfg.Method)
-	out, err := s.Solve(ctx, snap, opts)
+	out, err := s.Solve(ctx, base.Problem, opts)
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -353,10 +354,9 @@ func (c *Controller) SolveNow(ctx context.Context) error {
 
 	cur := c.epoch.Load()
 	if cur.Version == base.Version {
-		// No deltas landed mid-solve: install the solved placement. The
-		// snapshot becomes the served instance; it is value-identical to
-		// cur.Problem by construction.
-		c.publishLocked(cur, &Epoch{Problem: snap, Schema: out.Schema, Version: cur.Version + 1, Cause: CauseSolve})
+		// No deltas landed mid-solve: install the solved placement on the
+		// instance it was solved on.
+		c.publishLocked(cur, &Epoch{Problem: cur.Problem, Schema: out.Schema, Version: cur.Version + 1, Cause: CauseSolve})
 		c.drift = 0
 		return nil
 	}

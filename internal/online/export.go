@@ -19,9 +19,9 @@ type DemandEntry struct {
 // StateSnapshot is the wire form of a controller's mutable state: everything
 // a fresh controller needs to continue from the same workload, minus the cost
 // oracle (shared by configuration, not shipped). The cluster coordinator
-// ships compacted snapshots (Compact) to shard daemons on every
-// (re-)assignment; demand is strictly ascending by (server, object), so the
-// encoding is deterministic and every cell appears once.
+// ships masked snapshots (Mask) to shard daemons on every (re-)assignment;
+// demand is strictly ascending by (server, object), so the encoding is
+// deterministic and every cell appears once.
 type StateSnapshot struct {
 	Capacity []int64       `json:"capacity"`
 	Active   []bool        `json:"active"`
@@ -117,17 +117,19 @@ func (c *Controller) ExportState() *StateSnapshot {
 }
 
 // NewFromState builds a controller over an exported state snapshot — the
-// shard daemon's entry point: the coordinator ships a compacted
-// StateSnapshot, the shard rebuilds its regional controller from it. The
-// cost oracle is the receiver's own (both sides construct it from the
-// shared instance configuration). Zero-demand entries are skipped; the
-// validated (server, object) order makes every row sorted as it is built.
+// shard daemon's entry point: the coordinator ships a masked StateSnapshot,
+// the shard rebuilds its regional controller from it. The cost oracle is
+// the receiver's own (both sides construct it from the shared instance
+// configuration); an oracle that does not cover the snapshot's servers is
+// refused with an error that wraps ErrInvalidState. Zero-demand entries are
+// skipped; the validated (server, object) order makes every row sorted as
+// it is built.
 func NewFromState(cost replication.CostFn, snap *StateSnapshot, cfg Config) (*Controller, error) {
 	if err := snap.Validate(); err != nil {
 		return nil, err
 	}
 	if cost.N() < len(snap.Capacity) {
-		return nil, fmt.Errorf("online: cost oracle covers %d servers, snapshot needs %d", cost.N(), len(snap.Capacity))
+		return nil, fmt.Errorf("%w: cost oracle covers %d servers, snapshot needs %d", ErrInvalidState, cost.N(), len(snap.Capacity))
 	}
 	st := &state{
 		cost:     cost,

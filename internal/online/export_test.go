@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -252,17 +253,16 @@ func TestInstallSchemaPublishesMerge(t *testing.T) {
 }
 
 // TestRouteDeltasSplitsByRegion pins the coordinator's one forwarding rule:
-// a delta goes to its owner region when that region's mapping already holds
-// its server and, for demand, its object — demand and membership deltas to
-// the server's region, a remove-object to every region that maps the
-// object — and anything else (add-object, a new server id, demand outside
-// the owner's mapping, a server no region owns) asks for re-assignment.
-// Routing never changes a mapping, and the owner translates a forwarded
-// leave to its local server id.
+// demand and membership deltas go to the region that owns their server, a
+// remove-object to every region, and only add-object, a new server id or a
+// server no live region owns ask for re-assignment. Demand for an object no
+// member demanded is forwarded like any other, and the owner applies its
+// batch as it came. Routing never changes a region.
 func TestRouteDeltasSplitsByRegion(t *testing.T) {
+	testutil.LeakCheck(t)
 	snap := &StateSnapshot{
 		Capacity: []int64{9, 9, 9, 9, 9, 9, 9, 9},
-		Active:   []bool{true, true, true, true, true, true, true, true},
+		Active:   []bool{true, true, true, false, true, true, true, true},
 		Sizes:    []int64{1, 1, 1, 1},
 		Primary:  []int32{0, 5, 2, 6},
 		Retired:  []bool{false, false, false, false},
@@ -282,53 +282,54 @@ func TestRouteDeltasSplitsByRegion(t *testing.T) {
 		}
 		return 1
 	}
-	regions := map[int]*CompactRegion{
-		0: snap.Compact([]int32{0, 1, 2, 3}), // objects 0, 2, 3
-		1: snap.Compact([]int32{4, 5, 6, 7}), // objects 1, 3
-	}
-	objects := map[int]int{0: len(regions[0].Objects), 1: len(regions[1].Objects)}
+	members := map[int][]int32{0: {0, 1, 2, 3}, 1: {4, 5, 6, 7}}
+	regions := map[int]*Region{0: snap.Mask(members[0]), 1: snap.Mask(members[1])}
+	live := map[int]bool{0: true, 1: true}
 	ds := []Delta{
 		{Kind: KindDemand, Server: 1, Object: 0, Reads: 1},
 		{Kind: KindDemand, Server: 5, Object: 1, Reads: 1},
 		{Kind: KindServerLeave, Server: 6},
 		{Kind: KindServerJoin, Server: 3, Capacity: 9},
 		{Kind: KindRemoveObject, Object: 3},
+		{Kind: KindDemand, Server: 1, Object: 1, Reads: 1}, // no member of region 0 demanded object 1
 	}
-	per, ok := RouteDeltasCompact(ds, regionOf, regions)
+	per, ok := RouteDeltas(ds, regionOf, live)
 	if !ok {
 		t.Fatal("forwardable batch asked for re-assignment")
 	}
 	want := map[int][]Delta{
-		0: {ds[0], ds[3], ds[4]},
+		0: {ds[0], ds[3], ds[4], ds[5]},
 		1: {ds[1], ds[2], ds[4]},
 	}
 	if !reflect.DeepEqual(per, want) {
 		t.Fatalf("split = %+v, want %+v", per, want)
 	}
-	local, err := regions[1].TranslateDeltas(per[1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if l, _ := regions[1].LocalServer(6); local[1].Server != l {
-		t.Fatalf("forwarded leave translated to local server %d, want %d", local[1].Server, l)
+	for id, batch := range per {
+		ctrl, err := NewFromRegion(uniformCost(8), regions[id], Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ctrl.ApplyDeltas(batch); err != nil {
+			t.Errorf("region %d refused its forwarded batch: %v", id, err)
+		}
+		ctrl.Close()
 	}
 
 	for name, d := range map[string]Delta{
-		"add-object":                 {Kind: KindAddObject, Size: 4, Primary: 0},
-		"join of a new server id":    {Kind: KindServerJoin, Server: 8, Capacity: 9},
-		"demand outside the mapping": {Kind: KindDemand, Server: 1, Object: 1, Reads: 1},
-		"server no region owns":      {Kind: KindDemand, Server: -1, Object: 0, Reads: 1},
+		"add-object":              {Kind: KindAddObject, Size: 4, Primary: 0},
+		"join of a new server id": {Kind: KindServerJoin, Server: 8, Capacity: 9},
+		"server no region owns":   {Kind: KindDemand, Server: -1, Object: 0, Reads: 1},
 	} {
-		if _, ok := RouteDeltasCompact([]Delta{ds[0], d}, regionOf, regions); ok {
+		if _, ok := RouteDeltas([]Delta{ds[0], d}, regionOf, live); ok {
 			t.Errorf("%s did not ask for re-assignment", name)
 		}
 	}
-	if _, err := regions[0].TranslateDeltas([]Delta{{Kind: KindAddObject, Size: 4, Primary: 0}}); err == nil {
-		t.Error("add-object translated into a region")
+	if _, ok := RouteDeltas([]Delta{ds[1]}, regionOf, map[int]bool{0: true}); ok {
+		t.Error("demand for a server whose region is not live did not ask for re-assignment")
 	}
-	for id, n := range objects {
-		if got := len(regions[id].Objects); got != n {
-			t.Fatalf("routing changed region %d's mapping: %d objects, want %d", id, got, n)
+	for id, reg := range regions {
+		if !reflect.DeepEqual(reg, snap.Mask(members[id])) {
+			t.Fatalf("routing changed region %d", id)
 		}
 	}
 }
@@ -401,8 +402,7 @@ func TestMetricsRowCacheSurfaced(t *testing.T) {
 }
 
 // rowsEqual compares two placement matrices row by row, treating nil and
-// empty rows alike (translation materializes empty rows that the source may
-// have left nil).
+// empty rows alike.
 func rowsEqual(a, b [][]int32) bool {
 	if len(a) != len(b) {
 		return false
@@ -420,12 +420,13 @@ func rowsEqual(a, b [][]int32) bool {
 	return true
 }
 
-// TestCompactFullMembershipIdentity pins the determinism boundary of the
-// compaction: compacting with every server a member yields the identity
-// index mappings and a state deep-equal to the exported snapshot. This is
+// TestMaskFullMembershipIdentity pins the determinism boundary of the mask:
+// masking with every server a member yields every server as a member and a
+// state deep-equal to the exported snapshot, and the regional controller
+// solves and pays exactly like the controller it was exported from. This is
 // the property that keeps a 1-shard cluster bit-identical to the single
 // daemon.
-func TestCompactFullMembershipIdentity(t *testing.T) {
+func TestMaskFullMembershipIdentity(t *testing.T) {
 	testutil.LeakCheck(t)
 	p := testutil.MustBuild(testutil.Small(31))
 	a, err := New(p.Cost, p.Work, p.Capacity, Config{Seed: 8})
@@ -445,23 +446,16 @@ func TestCompactFullMembershipIdentity(t *testing.T) {
 	for i := range all {
 		all[i] = int32(i)
 	}
-	full := snap.Compact(all)
-	for i, g := range full.Servers {
-		if int(g) != i {
-			t.Fatalf("full-membership server mapping is not the identity: Servers[%d] = %d", i, g)
-		}
-	}
-	for k, g := range full.Objects {
-		if int(g) != k {
-			t.Fatalf("full-membership object mapping is not the identity: Objects[%d] = %d", k, g)
-		}
+	full := snap.Mask(all)
+	if !reflect.DeepEqual(full.Members, all) {
+		t.Fatalf("full-membership members = %v, want every server", full.Members)
 	}
 	if !reflect.DeepEqual(full.State, snap) {
-		t.Fatal("full-membership compaction changed the snapshot")
+		t.Fatal("full-membership mask changed the snapshot")
 	}
 
-	// The compacted controller must follow the single daemon exactly.
-	b, err := NewFromCompact(p.Cost, full, Config{Seed: 8})
+	// The regional controller must follow the single daemon exactly.
+	b, err := NewFromRegion(p.Cost, full, Config{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,29 +467,19 @@ func TestCompactFullMembershipIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a.Current().Schema.Matrix(), b.Current().Schema.Matrix()) {
-		t.Fatal("full-membership compact controller solved to a different placement")
+		t.Fatal("full-membership regional controller solved to a different placement")
 	}
 	if !reflect.DeepEqual(a.LastSolvePayments(), b.LastSolvePayments()) {
-		t.Fatal("full-membership compact controller paid differently")
+		t.Fatal("full-membership regional controller paid differently")
 	}
 }
 
-// TestCompactRoundTripPlacementsAndPayments pins the translation contract
-// the cluster merge depends on: a regional solve over a compacted
-// sub-instance translates to global coordinates and back without losing or
-// inventing a single replica or payment unit.
-// TestMatrixToGlobalDropsOutOfRangeServers feeds the translation a shard
-// placement row holding server indices outside the region, negative ones
-// included: they are dropped, so a hostile reply cannot panic the merge.
-func TestMatrixToGlobalDropsOutOfRangeServers(t *testing.T) {
-	comp := &CompactRegion{Servers: []int32{4, 7}, Objects: []int32{2}}
-	got := comp.MatrixToGlobal([][]int32{{-1, 0, 1, 2, -1 << 31}}, 3)
-	if want := [][]int32{nil, nil, {4, 7}}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("MatrixToGlobal = %v, want %v", got, want)
-	}
-}
-
-func TestCompactRoundTripPlacementsAndPayments(t *testing.T) {
+// TestMaskedRegionPlacesAndPaysOnlyMembers pins what the cluster merge
+// takes from a regional solve as it arrives: over a masked region the game
+// places surplus replicas and pays only on members, every other server
+// stays at its primary load, and the placement, restricted to members by
+// Carry, carries back onto the region without losing a replica.
+func TestMaskedRegionPlacesAndPaysOnlyMembers(t *testing.T) {
 	testutil.LeakCheck(t)
 	p := testutil.MustBuild(testutil.Small(53))
 	a, err := New(p.Cost, p.Work, p.Capacity, Config{Seed: 8})
@@ -503,34 +487,11 @@ func TestCompactRoundTripPlacementsAndPayments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer a.Close()
-	snap := a.ExportState()
-
-	members := []int32{1, 3, 4, 7, 9, 12}
-	comp := snap.Compact(members)
-	if err := comp.State.Validate(); err != nil {
-		t.Fatalf("compacted state invalid: %v", err)
+	reg := a.ExportState().Mask([]int32{1, 3, 4, 7, 9, 12})
+	if err := reg.State.Validate(); err != nil {
+		t.Fatalf("masked state invalid: %v", err)
 	}
-	// The mapping covers every member and round-trips in both directions.
-	for _, g := range members {
-		l, ok := comp.LocalServer(int(g))
-		if !ok {
-			t.Fatalf("member %d missing from the compacted region", g)
-		}
-		if back, ok := comp.GlobalServer(l); !ok || back != int(g) {
-			t.Fatalf("server %d -> %d -> %d did not round-trip", g, l, back)
-		}
-	}
-	for l := range comp.Objects {
-		g, ok := comp.GlobalObject(int32(l))
-		if !ok {
-			t.Fatalf("local object %d has no global id", l)
-		}
-		if back, ok := comp.LocalObject(g); !ok || back != int32(l) {
-			t.Fatalf("object %d -> %d -> %d did not round-trip", l, g, back)
-		}
-	}
-
-	ctrl, err := NewFromCompact(p.Cost, comp, Config{Seed: 8})
+	ctrl, err := NewFromRegion(p.Cost, reg, Config{Seed: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -538,49 +499,60 @@ func TestCompactRoundTripPlacementsAndPayments(t *testing.T) {
 	if err := ctrl.SolveNow(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	local := ctrl.Current().Schema.Matrix()
-	global := comp.MatrixToGlobal(local, p.N)
-	for g, row := range global {
-		if row != nil {
-			if _, ok := comp.LocalObject(int32(g)); !ok {
-				t.Fatalf("translation invented global object %d", g)
+	sch := ctrl.Current().Schema
+	rp := sch.Problem()
+	if rp.M != p.M || rp.N != p.N {
+		t.Fatalf("regional instance is %dx%d, want the global %dx%d", rp.M, rp.N, p.M, p.N)
+	}
+	matrix := sch.Matrix()
+	placed := 0
+	for k, row := range matrix {
+		for _, s := range row {
+			if s == rp.Work.Primary[k] {
+				continue
 			}
+			if !reg.IsMember(int(s)) {
+				t.Fatalf("object %d: surplus replica on non-member %d", k, s)
+			}
+			placed++
 		}
 	}
-	if back := comp.CarryToLocal(global); !rowsEqual(local, back) {
-		t.Fatal("placement did not round-trip through the global translation")
+	for s := 0; s < rp.M; s++ {
+		if !reg.IsMember(s) && sch.Residual(s) != 0 {
+			t.Fatalf("non-member %d has residual %d beyond its primary load", s, sch.Residual(s))
+		}
 	}
-
 	pay := ctrl.LastSolvePayments()
-	if pay == nil {
-		t.Fatal("regional solve produced no payments")
+	if len(pay) != p.M {
+		t.Fatalf("payments cover %d servers, want %d", len(pay), p.M)
 	}
-	globalPay := make([]int64, p.M)
-	comp.PaymentsToGlobal(pay, globalPay)
-	var localSum, globalSum int64
-	for l, v := range pay {
-		localSum += v
-		g, _ := comp.GlobalServer(l)
-		if globalPay[g] != v {
-			t.Fatalf("payment of local server %d (global %d): %d translated to %d", l, g, v, globalPay[g])
+	paid := 0
+	for s, v := range pay {
+		if v != 0 {
+			if !reg.IsMember(s) {
+				t.Fatalf("non-member %d paid %d", s, v)
+			}
+			paid++
 		}
 	}
-	for _, v := range globalPay {
-		globalSum += v
+	if placed == 0 || paid == 0 {
+		t.Fatalf("regional solve placed %d replicas and paid %d servers; the checks above are vacuous", placed, paid)
 	}
-	if localSum != globalSum {
-		t.Fatalf("payment mass changed in translation: %d -> %d", localSum, globalSum)
+	carried, dropped := rp.CarryOver(reg.Carry(matrix))
+	if dropped != 0 || !reflect.DeepEqual(carried.Matrix(), matrix) {
+		t.Fatalf("placement did not carry back onto the region (%d dropped)", dropped)
 	}
 }
 
-// FuzzCompactRoundTrip explores Compact over arbitrary snapshots and member
-// subsets: the index mappings must stay strictly ascending and bijective,
-// member demand must survive translation exactly, placement matrices and
-// payment vectors must round-trip through the global coordinates, and the
-// full-membership compaction must stay the identity.
-// Run with `go test -fuzz=FuzzCompactRoundTrip ./internal/online` to
-// explore; the seed corpus runs on every plain `go test`.
-func FuzzCompactRoundTrip(f *testing.F) {
+// FuzzMask explores Mask over arbitrary snapshots and member subsets, the
+// members given in any order and with ids outside the snapshot: the masked
+// state validates and keeps every id, size, primary, retirement and
+// activity flag; members keep their capacity and demand, in order, and
+// every other server is zeroed; Members come back ascending; Carry keeps
+// exactly the member replicas of any matrix; and full membership is the
+// identity. Run with `go test -fuzz=FuzzMask ./internal/online` to explore;
+// the seed corpus runs on every plain `go test`.
+func FuzzMask(f *testing.F) {
 	f.Add(int64(1), uint16(0x000f), []byte{1, 2, 3, 4, 5, 6})
 	f.Add(int64(7), uint16(0x00a5), []byte{0xff, 0x00, 0x10, 0x81})
 	f.Add(int64(13), uint16(0x0001), []byte{})
@@ -600,7 +572,7 @@ func FuzzCompactRoundTrip(f *testing.F) {
 			Active:   make([]bool, m),
 		}
 		// Append-built so a zero-object snapshot keeps nil slices, matching
-		// what ExportState and Compact produce for empty catalogues.
+		// what ExportState and Mask produce for empty catalogues.
 		for k := 0; k < n; k++ {
 			snap.Sizes = append(snap.Sizes, 0)
 			snap.Primary = append(snap.Primary, 0)
@@ -631,138 +603,97 @@ func FuzzCompactRoundTrip(f *testing.F) {
 		}
 
 		member := make([]bool, m)
-		var members []int32
+		var want []int32 // the members, ascending
 		for i := 0; i < m; i++ {
 			if memberBits>>(i%16)&1 == 1 {
 				member[i] = true
-				members = append(members, int32(i))
+				want = append(want, int32(i))
 			}
 		}
-		if len(members) == 0 {
-			i := int(uint64(seed) % uint64(m))
-			member[i] = true
-			members = append(members, int32(i))
+		// The members as a caller might pass them: descending, with ids
+		// outside the snapshot mixed in.
+		var members []int32
+		for i := len(want) - 1; i >= 0; i-- {
+			members = append(members, want[i])
+		}
+		if seed&1 == 1 {
+			members = append(members, -1, int32(m), math.MaxInt32)
 		}
 
-		comp := snap.Compact(members)
-		if err := comp.State.Validate(); err != nil {
-			t.Fatalf("compacted state invalid: %v", err)
+		reg := snap.Mask(members)
+		st := reg.State
+		if err := st.Validate(); err != nil {
+			t.Fatalf("masked state invalid: %v", err)
 		}
-		for l := 1; l < len(comp.Servers); l++ {
-			if comp.Servers[l] <= comp.Servers[l-1] {
-				t.Fatalf("server mapping not strictly ascending at %d: %v", l, comp.Servers)
-			}
+		if !reflect.DeepEqual(reg.Members, want) {
+			t.Fatalf("members = %v, want %v", reg.Members, want)
 		}
-		for l := 1; l < len(comp.Objects); l++ {
-			if comp.Objects[l] <= comp.Objects[l-1] {
-				t.Fatalf("object mapping not strictly ascending at %d: %v", l, comp.Objects)
-			}
+		if !reflect.DeepEqual(st.Active, snap.Active) || !reflect.DeepEqual(st.Sizes, snap.Sizes) ||
+			!reflect.DeepEqual(st.Primary, snap.Primary) || !reflect.DeepEqual(st.Retired, snap.Retired) {
+			t.Fatal("mask changed an activity flag, size, primary or retirement")
 		}
-		for l, g := range comp.Servers {
-			if back, ok := comp.LocalServer(int(g)); !ok || back != l {
-				t.Fatalf("server %d -> %d -> %d did not round-trip", l, g, back)
-			}
-			if member[g] {
-				if comp.State.Capacity[l] != snap.Capacity[g] {
-					t.Fatalf("member %d capacity changed: %d -> %d", g, snap.Capacity[g], comp.State.Capacity[l])
-				}
-			} else if comp.State.Capacity[l] != 0 {
-				t.Fatalf("boundary server %d kept capacity %d", g, comp.State.Capacity[l])
-			}
+		if len(st.Capacity) != m {
+			t.Fatalf("mask kept %d of %d servers", len(st.Capacity), m)
 		}
-		for _, g := range members {
-			if _, ok := comp.LocalServer(int(g)); !ok {
-				t.Fatalf("member %d missing from the region", g)
+		for i := -1; i <= m; i++ {
+			in := i >= 0 && i < m && member[i]
+			if reg.IsMember(i) != in {
+				t.Fatalf("IsMember(%d) = %v, want %v", i, !in, in)
 			}
-		}
-		for l, g := range comp.Objects {
-			if back, ok := comp.LocalObject(g); !ok || back != int32(l) {
-				t.Fatalf("object %d -> %d -> %d did not round-trip", l, g, back)
-			}
-			if gp := snap.Primary[g]; comp.Servers[comp.State.Primary[l]] != gp {
-				t.Fatalf("object %d primary translated to %d, want %d", g, comp.Servers[comp.State.Primary[l]], gp)
-			}
-		}
-
-		// Member demand survives translation exactly, in order.
-		var back []DemandEntry
-		for _, d := range comp.State.Demand {
-			gs, ok1 := comp.GlobalServer(d.Server)
-			gk, ok2 := comp.GlobalObject(d.Object)
-			if !ok1 || !ok2 {
-				t.Fatalf("compacted demand %+v references unmapped coordinates", d)
-			}
-			back = append(back, DemandEntry{Server: gs, Object: gk, Reads: d.Reads, Writes: d.Writes})
-		}
-		var want []DemandEntry
-		for _, d := range snap.Demand {
-			if member[d.Server] {
-				want = append(want, d)
-			}
-		}
-		if !reflect.DeepEqual(back, want) {
-			t.Fatalf("demand did not survive compaction:\n got %v\nwant %v", back, want)
-		}
-
-		// An arbitrary regional placement round-trips through the global
-		// coordinates, and so does an arbitrary payment vector.
-		local := make([][]int32, len(comp.Objects))
-		for l := range local {
-			if b(l+13)%5 == 0 {
+			if i < 0 || i >= m {
 				continue
 			}
-			row := make([]int32, 0, len(comp.Servers))
-			for srv := range comp.Servers {
-				if b(l*7+srv+11)%2 == 1 {
-					row = append(row, int32(srv))
-				}
+			if in && st.Capacity[i] != snap.Capacity[i] {
+				t.Fatalf("member %d capacity changed: %d -> %d", i, snap.Capacity[i], st.Capacity[i])
 			}
-			local[l] = row
-		}
-		global := comp.MatrixToGlobal(local, n)
-		for g, row := range global {
-			if row != nil {
-				if _, ok := comp.LocalObject(int32(g)); !ok {
-					t.Fatalf("translation invented global object %d", g)
-				}
+			if !in && st.Capacity[i] != 0 {
+				t.Fatalf("non-member %d kept capacity %d", i, st.Capacity[i])
 			}
 		}
-		if got := comp.CarryToLocal(global); !rowsEqual(local, got) {
-			t.Fatalf("matrix did not round-trip:\n got %v\nwant %v", got, local)
+		var demand []DemandEntry
+		for _, d := range snap.Demand {
+			if member[d.Server] {
+				demand = append(demand, d)
+			}
+		}
+		if !reflect.DeepEqual(st.Demand, demand) {
+			t.Fatalf("mask kept demand\n%v\nwant the members'\n%v", st.Demand, demand)
 		}
 
-		pay := make([]int64, len(comp.Servers))
-		var localSum int64
-		for l := range pay {
-			pay[l] = int64(b(l+17) % 100)
-			localSum += pay[l]
-		}
-		globalPay := make([]int64, m)
-		comp.PaymentsToGlobal(pay, globalPay)
-		var globalSum int64
-		for _, v := range globalPay {
-			globalSum += v
-		}
-		if localSum != globalSum {
-			t.Fatalf("payment mass changed in translation: %d -> %d", localSum, globalSum)
-		}
-		for l, v := range pay {
-			if globalPay[comp.Servers[l]] != v {
-				t.Fatalf("payment of local %d: %d translated to %d", l, v, globalPay[comp.Servers[l]])
+		// Carry keeps exactly the member replicas of any matrix, ids outside
+		// the snapshot included.
+		var matrix, carried [][]int32
+		for k := 0; k < n+1; k++ {
+			if b(k+13)%5 == 0 {
+				matrix, carried = append(matrix, nil), append(carried, nil)
+				continue
 			}
+			var row, kept []int32
+			for s := -1; s <= m; s++ {
+				if b(k*7+s+12)%2 == 1 {
+					row = append(row, int32(s))
+					if s >= 0 && s < m && member[s] {
+						kept = append(kept, int32(s))
+					}
+				}
+			}
+			matrix, carried = append(matrix, row), append(carried, kept)
+		}
+		if got := reg.Carry(matrix); !rowsEqual(got, carried) {
+			t.Fatalf("Carry(%v) = %v, want %v", matrix, got, carried)
 		}
 
-		// Full membership: Compact is the identity.
+		// Full membership: Mask is the identity.
 		all := make([]int32, m)
 		for i := range all {
 			all[i] = int32(i)
 		}
-		full := snap.Compact(all)
-		if len(full.Servers) != m || len(full.Objects) != n {
-			t.Fatalf("full-membership compaction kept %dx%d of %dx%d", len(full.Servers), len(full.Objects), m, n)
+		full := snap.Mask(all)
+		if !reflect.DeepEqual(full.Members, all) {
+			t.Fatalf("full-membership members = %v", full.Members)
 		}
 		if !reflect.DeepEqual(full.State, snap) {
-			t.Fatal("full-membership compaction changed the snapshot")
+			t.Fatal("full-membership mask changed the snapshot")
 		}
 	})
 }

@@ -1,6 +1,8 @@
 package replication
 
 import (
+	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/workload"
@@ -113,6 +115,46 @@ func FuzzSchemaPlaceRemove(f *testing.F) {
 		}
 		if err := s.ValidateInvariants(); err != nil {
 			t.Fatal(err)
+		}
+	})
+}
+
+// FuzzRestorePlacement feeds the daemon's snapshot path arbitrary files:
+// ReadPlacement, then Restore onto a tiny instance. Every input ends in an
+// error wrapping ErrInvalidPlacement or in a schema that passes
+// ValidateInvariants, never a panic. Run with
+// `go test -fuzz=FuzzRestorePlacement ./internal/replication` to explore;
+// the seed corpus runs on every plain `go test`.
+func FuzzRestorePlacement(f *testing.F) {
+	p := tinyProblem(f, 10)
+	s := p.NewSchema()
+	if _, err := s.PlaceReplica(1, 0); err != nil {
+		f.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.Report().WriteJSON(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"servers":3,"objects":2,"per_object":[{"object":1,"primary":2,"replicas":[2,-1]}]}`))
+	f.Add([]byte(`{"servers":3,"objects":2,"per_object":[{"object":0,"primary":0,"replicas":[1,1]}]}`))
+	f.Add([]byte(`{"servers":3,"objects":2,"per_object":[{"object":2,"primary":0}]}`))
+	f.Add([]byte(`{"servers":3,"objects":2} {}`))
+	f.Add([]byte("not json"))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		rep, err := ReadPlacement(bytes.NewReader(data))
+		if err == nil {
+			var sch *Schema
+			if sch, err = p.Restore(rep); err == nil {
+				if err := sch.ValidateInvariants(); err != nil {
+					t.Fatalf("restored schema: %v", err)
+				}
+				return
+			}
+		}
+		if !errors.Is(err, ErrInvalidPlacement) {
+			t.Fatalf("untyped error: %v", err)
 		}
 	})
 }

@@ -16,7 +16,7 @@ import (
 //	server 0: reads obj1 x10
 //	server 1: reads obj0 x4, writes obj0 x1
 //	server 2: reads obj0 x6, writes obj1 x2
-func tinyProblem(t *testing.T, capacity int64) *Problem {
+func tinyProblem(t testing.TB, capacity int64) *Problem {
 	t.Helper()
 	w := workload.New(3, 2)
 	w.ObjectSize[0], w.ObjectSize[1] = 2, 1
@@ -54,7 +54,7 @@ func TestBaseCostByHand(t *testing.T) {
 
 // TestPrimaryCostTable checks NewProblem's c(i, P_k) table and base OTC
 // against the oracle, on the row-view path (a dense matrix) and the At
-// path (a synthetic metric), and that Snapshot carries both.
+// path (a synthetic metric).
 func TestPrimaryCostTable(t *testing.T) {
 	w, err := workload.Synthetic(workload.SyntheticConfig{
 		Servers: 12, Objects: 40, Requests: 3000, RWRatio: 0.7, Seed: 9,
@@ -75,18 +75,16 @@ func TestPrimaryCostTable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, q := range []*Problem{p, p.Snapshot()} {
-			for i := 0; i < q.M; i++ {
-				for slot, d := range q.Work.PerServer[i] {
-					want := cost.At(i, int(q.Work.Primary[d.Object]))
-					if got := q.PrimaryCost(q.CellBase()[i] + int32(slot)); got != want {
-						t.Fatalf("%T: c(%d, P_%d) = %d, oracle says %d", cost, i, d.Object, got, want)
-					}
+		for i := 0; i < p.M; i++ {
+			for slot, d := range p.Work.PerServer[i] {
+				want := cost.At(i, int(p.Work.Primary[d.Object]))
+				if got := p.PrimaryCost(p.CellBase()[i] + int32(slot)); got != want {
+					t.Fatalf("%T: c(%d, P_%d) = %d, oracle says %d", cost, i, d.Object, got, want)
 				}
 			}
-			if got, want := q.BaseCost(), q.NewSchema().RecomputeCost(); got != want {
-				t.Fatalf("%T: base OTC %d, recomputed %d", cost, got, want)
-			}
+		}
+		if got, want := p.BaseCost(), p.NewSchema().RecomputeCost(); got != want {
+			t.Fatalf("%T: base OTC %d, recomputed %d", cost, got, want)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -127,6 +128,13 @@ func (r PlacementReport) WriteJSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
+// ErrInvalidPlacement marks a placement file that ReadPlacement cannot
+// parse or that Restore cannot rebuild on the problem: every error either
+// returns wraps it (errors.Is). A placement file comes from outside the
+// program (agtramd -snapshot), so a bad one is a typed error, never a
+// panic.
+var ErrInvalidPlacement = errors.New("replication: invalid placement report")
+
 // ReadPlacement parses a report written by WriteJSON. The input must be a
 // single JSON document: trailing garbage after it is rejected, so a
 // truncated-then-concatenated or otherwise corrupted file cannot silently
@@ -135,10 +143,10 @@ func ReadPlacement(r io.Reader) (PlacementReport, error) {
 	var rep PlacementReport
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&rep); err != nil {
-		return rep, fmt.Errorf("replication: decoding placement: %w", err)
+		return rep, fmt.Errorf("%w: decoding: %w", ErrInvalidPlacement, err)
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		return PlacementReport{}, fmt.Errorf("replication: trailing data after placement document")
+		return PlacementReport{}, fmt.Errorf("%w: trailing data after the document", ErrInvalidPlacement)
 	}
 	return rep, nil
 }
@@ -148,29 +156,29 @@ func ReadPlacement(r io.Reader) (PlacementReport, error) {
 // as it goes.
 func (p *Problem) Restore(rep PlacementReport) (*Schema, error) {
 	if rep.Servers != p.M || rep.Objects != p.N {
-		return nil, fmt.Errorf("replication: report shape %dx%d does not match problem %dx%d",
-			rep.Servers, rep.Objects, p.M, p.N)
+		return nil, fmt.Errorf("%w: shape %dx%d does not match problem %dx%d",
+			ErrInvalidPlacement, rep.Servers, rep.Objects, p.M, p.N)
 	}
 	s := p.NewSchema()
 	seen := make(map[int32]bool, len(rep.PerObject))
 	for _, obj := range rep.PerObject {
 		if obj.Object < 0 || int(obj.Object) >= p.N {
-			return nil, fmt.Errorf("replication: report references object %d", obj.Object)
+			return nil, fmt.Errorf("%w: references object %d", ErrInvalidPlacement, obj.Object)
 		}
 		if seen[obj.Object] {
-			return nil, fmt.Errorf("replication: report lists object %d twice", obj.Object)
+			return nil, fmt.Errorf("%w: lists object %d twice", ErrInvalidPlacement, obj.Object)
 		}
 		seen[obj.Object] = true
 		if p.Work.Primary[obj.Object] != obj.Primary {
-			return nil, fmt.Errorf("replication: object %d primary mismatch: report %d, problem %d",
-				obj.Object, obj.Primary, p.Work.Primary[obj.Object])
+			return nil, fmt.Errorf("%w: object %d primary mismatch: report %d, problem %d",
+				ErrInvalidPlacement, obj.Object, obj.Primary, p.Work.Primary[obj.Object])
 		}
 		for _, srv := range obj.Replicas {
 			if srv == obj.Primary {
 				continue
 			}
 			if _, err := s.PlaceReplica(obj.Object, int(srv)); err != nil {
-				return nil, fmt.Errorf("replication: restoring (%d on %d): %w", obj.Object, srv, err)
+				return nil, fmt.Errorf("%w: restoring (%d on %d): %w", ErrInvalidPlacement, obj.Object, srv, err)
 			}
 		}
 	}

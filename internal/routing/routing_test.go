@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -315,6 +316,49 @@ func TestHTTPSourceTimeoutVsWait(t *testing.T) {
 		cancel()
 		for range ch {
 		}
+	}
+}
+
+// TestHTTPSourceRetriesUndecodableBody pins the poll loop's failure rule: a
+// daemon answering 200 with a body that does not decode is retried with
+// backoff, like any failed poll, and the channel stays open across the
+// failures until the subscription is cancelled.
+func TestHTTPSourceRetriesUndecodableBody(t *testing.T) {
+	testutil.LeakCheck(t)
+	var polls atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		polls.Add(1)
+		io.WriteString(w, "not json")
+	}))
+	defer ts.Close()
+
+	ch, cancel, err := (&HTTPSource{Base: ts.URL}).Subscribe(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for polls.Load() < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d polls in 10 s", polls.Load())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	select {
+	case u, ok := <-ch:
+		if !ok {
+			t.Fatal("the channel closed on an undecodable body")
+		}
+		t.Fatalf("an undecodable body delivered update %+v", u)
+	default:
+	}
+	cancel()
+	select {
+	case _, ok := <-ch:
+		if ok {
+			t.Fatal("an update arrived after cancel")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the channel stayed open after cancel")
 	}
 }
 

@@ -53,11 +53,14 @@ type HTTPSource struct {
 }
 
 // Subscribe starts a poll loop feeding a channel. The loop ends — closing the
-// channel — on context cancellation, on a terminal update, or on a decode
-// error; transient HTTP errors back off and retry. A Client whose Timeout
-// does not exceed Wait is rejected up front: such a source can never complete
-// a quiet poll — every parked request dies as a client-side timeout and the
-// loop degenerates into a silent retry storm.
+// channel — on context cancellation or on a terminal update. Every failed
+// poll (a transport error, a status other than 200 or 204, a body that does
+// not decode) backs off, from 10 ms doubling to 1 s, and retries with the
+// channel left open: a closed channel would make Follow resubscribe at
+// once, with no backoff. A Client whose Timeout does not exceed Wait is
+// rejected up front: such a source can never complete a quiet poll — every
+// parked request dies as a client-side timeout and the loop degenerates
+// into a silent retry storm.
 func (s *HTTPSource) Subscribe(ctx context.Context, since uint64) (<-chan *online.Update, func(), error) {
 	if s.Client != nil && s.Client.Timeout > 0 && s.Wait > 0 && s.Client.Timeout <= s.Wait {
 		return nil, nil, fmt.Errorf("routing: HTTPSource client timeout %v must exceed long-poll wait %v",
