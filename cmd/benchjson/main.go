@@ -11,6 +11,8 @@
 //
 //	benchjson -compare main.json pr.json -threshold 15
 //
+// Flags may come before, between or after the two paths.
+//
 // -gate-metrics widens the gate beyond ns/op to named b.ReportMetric units:
 //
 //	benchjson -compare main.json pr.json -gate-metrics region-solve-ns,assign-bytes
@@ -22,6 +24,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -56,19 +59,39 @@ type Artifact struct {
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr)) }
+
+// run is the command behind main: it parses args, does the work and returns
+// the exit code.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("benchjson", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		out       = flag.String("o", "", "write JSON artifact to this file (default stdout)")
-		compare   = flag.Bool("compare", false, "compare two artifacts: benchjson -compare old.json new.json")
-		threshold = flag.Float64("threshold", 15, "compare: fail on ns/op regressions above this percent")
-		gate      = flag.String("gate-metrics", "", "compare: comma-separated metric units also gated at the threshold (e.g. region-solve-ns,assign-bytes)")
+		out       = fs.String("o", "", "write JSON artifact to this file (default stdout)")
+		compare   = fs.Bool("compare", false, "compare two artifacts: benchjson -compare old.json new.json")
+		threshold = fs.Float64("threshold", 15, "compare: fail on ns/op regressions above this percent")
+		gate      = fs.String("gate-metrics", "", "compare: comma-separated metric units also gated at the threshold (e.g. region-solve-ns,assign-bytes)")
 	)
-	flag.Parse()
+	// The flag package stops at the first positional argument, so parse
+	// again after each one: flags may then follow the paths as well.
+	var paths []string
+	for {
+		if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+			return 0
+		} else if err != nil {
+			return 2
+		}
+		if fs.NArg() == 0 {
+			break
+		}
+		paths = append(paths, fs.Arg(0))
+		args = fs.Args()[1:]
+	}
 
 	if *compare {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "usage: benchjson -compare old.json new.json [-threshold pct] [-gate-metrics units]")
-			os.Exit(1)
+		if len(paths) != 2 {
+			fmt.Fprintln(stderr, "usage: benchjson -compare old.json new.json [-threshold pct] [-gate-metrics units]")
+			return 1
 		}
 		var gates []string
 		for _, g := range strings.Split(*gate, ",") {
@@ -76,35 +99,41 @@ func main() {
 				gates = append(gates, g)
 			}
 		}
-		code, err := runCompare(os.Stdout, flag.Arg(0), flag.Arg(1), *threshold, gates)
+		code, err := runCompare(stdout, paths[0], paths[1], *threshold, gates)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "benchjson:", err)
+			return 1
 		}
-		os.Exit(code)
+		return code
 	}
 
-	art, err := Parse(os.Stdin)
+	art, err := Parse(stdin)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 1
 	}
-	w := io.Writer(os.Stdout)
+	w := stdout
+	var f *os.File
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "benchjson:", err)
-			os.Exit(1)
+		if f, err = os.Create(*out); err != nil {
+			fmt.Fprintln(stderr, "benchjson:", err)
+			return 1
 		}
-		defer f.Close()
 		w = f
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	if err := enc.Encode(art); err != nil {
-		fmt.Fprintln(os.Stderr, "benchjson:", err)
-		os.Exit(1)
+	err = enc.Encode(art)
+	if f != nil {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
+	if err != nil {
+		fmt.Fprintln(stderr, "benchjson:", err)
+		return 1
+	}
+	return 0
 }
 
 // Parse reads `go test -bench` output and collects every result line.

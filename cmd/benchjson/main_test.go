@@ -184,3 +184,55 @@ func TestCompareGatedMetrics(t *testing.T) {
 		t.Fatalf("exit code %d when the gated unit has no baseline:\n%s", code, sb.String())
 	}
 }
+
+// TestWorkflowCompareCommand runs the compare exactly as the CI workflow
+// invokes it, flags after the two paths, on two identical artifacts: it
+// must print the table and pass.
+func TestWorkflowCompareCommand(t *testing.T) {
+	ci, err := os.ReadFile(filepath.Join("..", "..", ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const cmd = "go run ./cmd/benchjson "
+	var line string
+	for _, l := range strings.Split(string(ci), "\n") {
+		if strings.Contains(l, cmd+"-compare") {
+			line = l
+		}
+	}
+	if line == "" {
+		t.Fatalf("ci.yml has no %q line", cmd+"-compare")
+	}
+	line, _, _ = strings.Cut(line[strings.Index(line, cmd)+len(cmd):], "|")
+
+	dir := t.TempDir()
+	art := Artifact{Benchmarks: []Benchmark{
+		{Name: "ClusterSolve/shards=2", NsPerOp: 10e6, Metrics: map[string]float64{
+			"region-solve-ns": 3.7e6, "assign-bytes": 192925, "solve-bytes": 82732,
+		}},
+	}}
+	paths := map[string]string{
+		"base.json": writeArtifact(t, dir, "base.json", art),
+		"pr.json":   writeArtifact(t, dir, "pr.json", art),
+	}
+	args := strings.Fields(line)
+	found := 0
+	for i, a := range args {
+		if p, ok := paths[a]; ok {
+			args[i] = p
+			found++
+		}
+	}
+	if found != 2 {
+		t.Fatalf("workflow command %q does not name base.json and pr.json", line)
+	}
+	var stdout, stderr strings.Builder
+	if code := run(args, strings.NewReader(""), &stdout, &stderr); code != 0 {
+		t.Fatalf("benchjson %s exited %d:\n%s%s", strings.Join(args, " "), code, stdout.String(), stderr.String())
+	}
+	for _, want := range []string{"| benchmark |", "| ClusterSolve/shards=2 |", "No regressions beyond the threshold."} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Fatalf("report missing %q:\n%s", want, stdout.String())
+		}
+	}
+}

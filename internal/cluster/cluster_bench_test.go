@@ -41,8 +41,9 @@ func benchProblem(b *testing.B) *replication.Problem {
 // break the wall-clock into phases from the coordinator's counters:
 // partition-ns / ship-ns / assign-bytes for the (one) assignment,
 // solve-ns (coordinator-side fan-out), region-solve-ns (slowest shard's
-// own solve, RPC overhead excluded) and merge-ns, each a mean per cluster
-// solve.
+// own solve, RPC overhead excluded), merge-ns and solve-bytes (the solve
+// fan-out's wire bytes, sent and received, from the coordinator's client
+// counters), each a mean per cluster solve.
 func BenchmarkClusterSolve(b *testing.B) {
 	p := benchProblem(b)
 	cfg := online.Config{Seed: 42}
@@ -70,7 +71,7 @@ func BenchmarkClusterSolve(b *testing.B) {
 		// shard counts must not collapse into one compare-gate row.
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			var addrs []string
-			var shs []*Shard
+			var ids []int
 			for i := 0; i < shards; i++ {
 				sh := NewShard(i, p.Cost, ShardConfig{Codec: CodecGob, Controller: cfg})
 				lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -79,8 +80,8 @@ func BenchmarkClusterSolve(b *testing.B) {
 				}
 				sh.Serve(lis)
 				defer sh.Close()
-				shs = append(shs, sh)
 				addrs = append(addrs, sh.Addr())
+				ids = append(ids, i)
 			}
 			co, err := NewCoordinator(p, addrs, CoordinatorConfig{Codec: CodecGob, Controller: cfg})
 			if err != nil {
@@ -90,7 +91,7 @@ func BenchmarkClusterSolve(b *testing.B) {
 			if err := co.AssignNow(ctx); err != nil {
 				b.Fatal(err)
 			}
-			ph0 := co.Phases()
+			ph0, bytes0 := co.Phases(), co.wireBytes(ids)
 			// RegionSolveNs holds only the latest solve's slowest shard, so it
 			// is read after every solve and averaged.
 			var regionNs int64
@@ -102,6 +103,7 @@ func BenchmarkClusterSolve(b *testing.B) {
 				regionNs += co.Phases().RegionSolveNs
 			}
 			b.StopTimer()
+			solveBytes := co.wireBytes(ids) - bytes0
 			b.ReportMetric(co.Metrics().Savings, "savings-pct")
 			ph := co.Phases()
 			if ph.Assigns > 0 {
@@ -113,6 +115,7 @@ func BenchmarkClusterSolve(b *testing.B) {
 			b.ReportMetric(float64(ph.SolveNs-ph0.SolveNs)/n, "solve-ns")
 			b.ReportMetric(float64(regionNs)/n, "region-solve-ns")
 			b.ReportMetric(float64(ph.MergeNs-ph0.MergeNs)/n, "merge-ns")
+			b.ReportMetric(float64(solveBytes)/n, "solve-bytes")
 		})
 	}
 }

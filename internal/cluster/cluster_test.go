@@ -264,7 +264,7 @@ func TestMultiShardClusterInvariants(t *testing.T) {
 		t.Fatalf("merged OTC %d exceeds base %d", e.Schema.TotalCost(), e.Schema.BaseCost())
 	}
 	co.mu.Lock()
-	regions, winner := len(co.lastMerge.replies), co.lastWinner
+	regions, winner := len(co.lastMerge.parts), co.lastWinner
 	co.mu.Unlock()
 	if regions != shards {
 		t.Fatalf("merge saw %d regions, want %d", regions, shards)
@@ -394,9 +394,7 @@ func TestClusterShardEvictionRepartitions(t *testing.T) {
 	sh1 := NewShard(1, p.Cost, ShardConfig{Codec: CodecGob, Controller: cfg})
 	sh1.Serve(listen(t))
 
-	co, err := NewCoordinator(p, []string{sh0.Addr(), sh1.Addr()}, CoordinatorConfig{
-		Codec: CodecGob, Controller: cfg, DeathThreshold: 2,
-	})
+	co, err := NewCoordinator(p, []string{sh0.Addr(), sh1.Addr()}, CoordinatorConfig{Codec: CodecGob, Controller: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -663,7 +661,7 @@ func TestClusterMergeMemo(t *testing.T) {
 	co.mu.Lock()
 	memo := co.lastMerge
 	co.mu.Unlock()
-	if memo == nil || memo.mirrorVer != first || len(memo.replies) != 2 {
+	if memo == nil || memo.mirrorVer != first || len(memo.parts) != 2 {
 		t.Fatalf("merge memo %+v does not describe the installed 2-region epoch %d", memo, first)
 	}
 
@@ -722,11 +720,7 @@ func TestExchangeBordersManyRegions(t *testing.T) {
 	var parts []regionPart
 	merged := [][]int32{{0}}
 	for s := int32(1); s <= regions; s++ {
-		parts = append(parts, regionPart{
-			shard:  int(s),
-			matrix: [][]int32{{0, s}},
-			border: []BorderAd{{Object: 0, Server: s, Gain: 5}},
-		})
+		parts = append(parts, regionPart{shard: int(s), border: []BorderAd{{Object: 0, Server: s, Gain: 5}}})
 		merged[0] = append(merged[0], s)
 	}
 	carried, dropped := p.CarryOver(merged)

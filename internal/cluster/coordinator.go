@@ -25,15 +25,13 @@ type CoordinatorConfig struct {
 	// coordinator fans a solve out to the shards, exactly like the single
 	// daemon's auto-solve. The mirror itself never runs a solver.
 	Controller online.Config
-	// ProbeTimeout and DeathThreshold tune the shard failure detector.
-	ProbeTimeout   time.Duration
-	DeathThreshold int
-	// ForwardTimeout bounds every forwarded RPC (assign, deltas, solve,
-	// metrics); default 30s — regional solves run inside it.
-	ForwardTimeout time.Duration
 	// Dial overrides the dialer per shard (fault injection).
 	Dial func(peer Peer) DialFunc
 }
+
+// forwardTimeout bounds every forwarded RPC (assign, deltas, solve,
+// metrics); regional solves run inside it.
+const forwardTimeout = 30 * time.Second
 
 // PhaseStats breaks the coordinator's cluster operations into phases for the
 // per-phase benchmark columns. Ns fields are cumulative wall-clock except
@@ -113,9 +111,6 @@ func NewCoordinator(p *replication.Problem, shardAddrs []string, cfg Coordinator
 	if len(shardAddrs) == 0 {
 		return nil, errors.New("cluster: coordinator needs at least one shard address")
 	}
-	if cfg.ForwardTimeout <= 0 {
-		cfg.ForwardTimeout = 30 * time.Second
-	}
 	mirror, err := online.New(p.Cost, p.Work, p.Capacity, cfg.Controller)
 	if err != nil {
 		return nil, err
@@ -139,10 +134,8 @@ func NewCoordinator(p *replication.Problem, shardAddrs []string, cfg Coordinator
 		shards[i] = Peer{ID: i, Addr: addr}
 	}
 	co.membership = NewMembership(shards, MembershipConfig{
-		Codec:          cfg.Codec,
-		ProbeTimeout:   cfg.ProbeTimeout,
-		DeathThreshold: cfg.DeathThreshold,
-		Dial:           cfg.Dial,
+		Codec: cfg.Codec,
+		Dial:  cfg.Dial,
 		OnChange: func(_ Peer, _, to PeerState) {
 			// A shard died or came back: its region must move. The worker
 			// re-partitions; until then the generation check keeps stale
@@ -222,13 +215,13 @@ func (co *Coordinator) liveAssigned() ([]int, uint64) {
 }
 
 // forward calls method on every listed shard concurrently under
-// ForwardTimeout — req builds shard ids[i]'s request inside its goroutine —
+// forwardTimeout — req builds shard ids[i]'s request inside its goroutine —
 // and returns the replies and errors in ids order. It is the one failure
 // policy for the coordinator's shard RPCs: each failed call counts as a
 // forward error, feeds the failure detector and kicks a re-partition, which
 // re-syncs whatever the shard missed.
 func forward[Rep any](ctx context.Context, co *Coordinator, ids []int, method string, req func(i int) any) ([]Rep, []error) {
-	reps, errs := fanOut[Rep](ctx, co.membership, ids, co.cfg.ForwardTimeout, method, req)
+	reps, errs := fanOut[Rep](ctx, co.membership, ids, forwardTimeout, method, req)
 	var failed int64
 	for i, err := range errs {
 		if err != nil {
@@ -501,29 +494,29 @@ func (co *Coordinator) SolveNow(ctx context.Context) error {
 	return nil
 }
 
-// regionReply is one region's solve reply, as a merge consumed it.
+// regionReply is one region's solve reply, as a merge receives it.
 type regionReply struct {
 	shard int
 	rep   *SolveReply
 }
 
 // mergeMemo keys a multi-region merge by everything it is deterministic in:
-// the assignment generation, the mirror's epoch version and the regional
-// outcomes.
+// the assignment generation, the mirror's epoch version and the bounded
+// regional outcomes.
 type mergeMemo struct {
 	assign, mirrorVer uint64
-	replies           []regionReply
+	parts             []regionPart
 }
 
-// hit reports whether merging replies under generation assign at mirror
-// version mirrorVer would reproduce the memoized merge. Replies arrive in
+// hit reports whether merging parts under generation assign at mirror
+// version mirrorVer would reproduce the memoized merge. Parts arrive in
 // ascending shard order, so the comparison is positional.
-func (m *mergeMemo) hit(assign, mirrorVer uint64, replies []regionReply) bool {
-	if m == nil || m.assign != assign || m.mirrorVer != mirrorVer || len(m.replies) != len(replies) {
+func (m *mergeMemo) hit(assign, mirrorVer uint64, parts []regionPart) bool {
+	if m == nil || m.assign != assign || m.mirrorVer != mirrorVer || len(m.parts) != len(parts) {
 		return false
 	}
-	for i := range replies {
-		if replies[i].shard != m.replies[i].shard || !outcomeEqual(replies[i].rep, m.replies[i].rep) {
+	for i, pt := range parts {
+		if pt.shard != m.parts[i].shard || pt.saved != m.parts[i].saved || !slices.Equal(pt.border, m.parts[i].border) {
 			return false
 		}
 	}
@@ -533,50 +526,26 @@ func (m *mergeMemo) hit(assign, mirrorVer uint64, replies []regionReply) bool {
 // merge is the top level of a cluster solve, run under opMu over the replies
 // of the regions that solved under generation ver: it sums their payments,
 // runs the delegate game over their savings bids and installs the union of
-// their placements on the mirror as the next merged epoch. When the replies
-// and the mirror are those of the previous multi-region merge, it publishes
-// nothing.
+// their placements on the mirror as the next merged epoch. When the bounded
+// replies and the mirror are those of the previous multi-region merge, it
+// publishes nothing.
 func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 	t0 := time.Now()
 	e := co.mirror.Current()
 	co.mu.Lock()
 	regionOf, memo := co.regionOf, co.lastMerge
 	co.mu.Unlock()
-	// Replies arrive over RPC, so the merge bounds every id they carry:
-	// payments past M, rows past N and ads outside [0, N) or off the
-	// replying region are ignored, and mergeParts counts a replica only on
-	// a server of its own region.
+	// Replies arrive over RPC, so the merge bounds every id they carry, once:
+	// payments past M are ignored, and an ad counts only on an object in
+	// [0, N) and a server of the replying region.
+	n := e.Problem.N
 	payments := make([]int64, e.Problem.M)
+	parts := make([]regionPart, 0, len(replies))
 	for _, r := range replies {
 		for s, v := range r.rep.Payments[:min(len(r.rep.Payments), len(payments))] {
 			payments[s] += v
 		}
-	}
-	co.mu.Lock()
-	co.lastPayments = payments
-	co.mu.Unlock()
-
-	// The memo gate, on content: a regional re-solve publishes a fresh epoch
-	// even when it lands on the same placement, but if every region's
-	// outcome (matrix, bid, ads) equals what the last merge consumed and the
-	// mirror has not moved, the union + carry + exchange pipeline would
-	// reproduce the installed placement exactly.
-	if memo.hit(ver, e.Version, replies) {
-		co.mu.Lock()
-		co.phase.Merges++
-		co.phase.MergeNs += time.Since(t0).Nanoseconds()
-		co.mu.Unlock()
-		return
-	}
-
-	n := e.Problem.N
-	parts := make([]regionPart, 0, len(replies))
-	for _, r := range replies {
-		pt := regionPart{
-			shard:  r.shard,
-			matrix: r.rep.Matrix[:min(len(r.rep.Matrix), n)],
-			saved:  r.rep.SavedOTC,
-		}
+		pt := regionPart{shard: r.shard, saved: r.rep.SavedOTC, border: make([]BorderAd, 0, len(r.rep.Border))}
 		for _, ad := range r.rep.Border {
 			if ad.Object >= 0 && int(ad.Object) < n && ad.Server >= 0 && int(ad.Server) < len(regionOf) &&
 				regionOf[ad.Server] == int32(r.shard) {
@@ -584,6 +553,22 @@ func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 			}
 		}
 		parts = append(parts, pt)
+	}
+	co.mu.Lock()
+	co.lastPayments = payments
+	co.mu.Unlock()
+
+	// The memo gate, on content: a regional re-solve publishes a fresh epoch
+	// even when it lands on the same placement, but if every region's bid
+	// and ads equal what the last merge consumed and the mirror has not
+	// moved, the union + carry + exchange pipeline would reproduce the
+	// installed placement exactly.
+	if memo.hit(ver, e.Version, parts) {
+		co.mu.Lock()
+		co.phase.Merges++
+		co.phase.MergeNs += time.Since(t0).Nanoseconds()
+		co.mu.Unlock()
+		return
 	}
 
 	// The top-level delegate game: each region's delegate bids the transfer
@@ -604,7 +589,7 @@ func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 		co.mu.Unlock()
 	}
 
-	carried, dropped := e.Problem.CarryOver(mergeParts(n, e.Problem.Work.Primary, regionOf, parts))
+	carried, dropped := e.Problem.CarryOver(mergeParts(n, e.Problem.Work.Primary, parts))
 	if len(parts) > 1 {
 		// Boundary-replica exchange: each region priced its surplus replicas
 		// in isolation; against the merged placement some are redundant — a
@@ -628,57 +613,52 @@ func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 	// the single daemon's.
 	co.lastMerge = nil
 	if len(parts) > 1 {
-		co.lastMerge = &mergeMemo{assign: ver, mirrorVer: installed, replies: replies}
+		co.lastMerge = &mergeMemo{assign: ver, mirrorVer: installed, parts: parts}
 	}
 	co.mu.Unlock()
 }
 
-// outcomeEqual reports whether two solve replies describe the same regional
-// outcome. Payments and ElapsedNs are deliberately ignored: the merge's
-// placement does not depend on them.
-func outcomeEqual(a, b *SolveReply) bool {
-	return a.OTC == b.OTC && a.BaseOTC == b.BaseOTC && a.SavedOTC == b.SavedOTC &&
-		slices.EqualFunc(a.Matrix, b.Matrix, slices.Equal[[]int32]) && slices.Equal(a.Border, b.Border)
-}
-
-// regionPart is one region's contribution to a merge: its placement rows
-// (at most N), its delegate bid and its border ads, every ad on an object
-// of the instance and a server of the region.
+// regionPart is one region's contribution to a merge: its delegate bid and
+// its border ads, which are its placement's surplus replicas, every ad on an
+// object of the instance and a server of the region.
 type regionPart struct {
 	shard  int
-	matrix [][]int32
 	saved  int64
 	border []BorderAd
 }
 
 // mergeParts unions the regional placements: object k's merged replica set
-// is its primary plus every replica each region placed on a server the
-// assignment gave it (regionOf maps server to shard id). Replicas a region
-// reports elsewhere (it cannot create them — a non-member has no capacity
-// beyond its primaries — but a malformed reply might list them) are
-// ignored, as are replicas on regions that did not reply (their servers'
-// surplus replicas dissolve, the eviction semantics). Regional rows arrive
-// sorted and regions own disjoint server sets, so the union stays
-// allocation-light: one row per object, one sort.
-func mergeParts(n int, primary, regionOf []int32, parts []regionPart) [][]int32 {
-	out := make([][]int32, n)
-	for k := 0; k < n; k++ {
-		row := make([]int32, 1, 4)
-		row[0] = primary[k]
-		for _, pt := range parts {
-			if k >= len(pt.matrix) || pt.matrix[k] == nil {
-				continue
-			}
-			for _, s := range pt.matrix[k] {
-				if s >= 0 && int(s) < len(regionOf) && regionOf[s] == int32(pt.shard) && s != primary[k] {
-					row = append(row, s)
-				}
-			}
+// is its primary plus every ad on k, sorted and deduplicated, so a repeated
+// ad or an ad on the primary (only a malformed reply sends either) cannot
+// duplicate a replica. Regions that did not reply have no part, so their
+// servers' surplus replicas dissolve (the eviction semantics). The rows
+// share one backing array, sized before it is filled.
+func mergeParts(n int, primary []int32, parts []regionPart) [][]int32 {
+	size := make([]int, n)
+	total := n
+	for _, pt := range parts {
+		for _, ad := range pt.border {
+			size[ad.Object]++
 		}
-		sort.Slice(row, func(a, b int) bool { return row[a] < row[b] })
-		out[k] = row
+		total += len(pt.border)
 	}
-	return out
+	flat := make([]int32, total)
+	rows := make([][]int32, n)
+	for k := range rows {
+		end := 1 + size[k]
+		rows[k] = append(flat[:0:end], primary[k])
+		flat = flat[end:]
+	}
+	for _, pt := range parts {
+		for _, ad := range pt.border {
+			rows[ad.Object] = append(rows[ad.Object], ad.Server)
+		}
+	}
+	for k, row := range rows {
+		slices.Sort(row)
+		rows[k] = slices.Compact(row)
+	}
+	return rows
 }
 
 // exchangeBorders runs the boundary-replica exchange on the merged schema:
@@ -699,26 +679,27 @@ func exchangeBorders(carried *replication.Schema, p *replication.Problem, parts 
 	// regional game has not cleaned up yet). Everything else is filtered
 	// before any global re-pricing, which is what keeps the exchange's cost
 	// proportional to the contested boundary rather than the replica count.
-	// The count stops at 2, the only threshold it is tested against, so any
-	// number of regions fits a byte.
-	contributors := make([]uint8, p.N)
-	for _, pt := range parts {
-		for k, row := range pt.matrix {
-			if contributors[k] == 2 {
-				continue
-			}
-			for _, s := range row {
-				if s != p.Work.Primary[k] {
-					contributors[k]++
-					break
-				}
+	// owner[k] is 1 + the index of the one part with a surplus replica of
+	// k, 0 before any, contested once a second part has one: a part counts
+	// once per object however many ads it sends for it.
+	const contested = -1
+	owner := make([]int32, p.N)
+	for i, pt := range parts {
+		id := int32(i + 1)
+		for _, ad := range pt.border {
+			switch k := ad.Object; {
+			case ad.Server == p.Work.Primary[k] || owner[k] == id:
+			case owner[k] == 0:
+				owner[k] = id
+			default:
+				owner[k] = contested
 			}
 		}
 	}
 	var ads []BorderAd
 	for _, pt := range parts {
 		for _, ad := range pt.border {
-			if ad.Gain < 0 || contributors[ad.Object] >= 2 {
+			if ad.Gain < 0 || owner[ad.Object] == contested {
 				ads = append(ads, ad)
 			}
 		}

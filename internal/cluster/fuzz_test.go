@@ -2,7 +2,10 @@ package cluster
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/hierarchy"
@@ -45,20 +48,11 @@ func (b *replyBytes) int64() int64 {
 	return int64(v)
 }
 
-// reply decodes one region's answer under assignment generation assign: up
-// to 255 matrix rows of up to 7 server ids, the delegate bid, up to 15
-// border ads and up to 255 payments.
+// reply decodes one region's answer under assignment generation assign: the
+// delegate bid, up to 63 border ads and up to 255 payments.
 func (b *replyBytes) reply(assign uint64) *SolveReply {
-	rep := &SolveReply{Assign: assign, Matrix: make([][]int32, b.next())}
-	for l := range rep.Matrix {
-		row := make([]int32, b.next()%8)
-		for i := range row {
-			row[i] = b.index()
-		}
-		rep.Matrix[l] = row
-	}
-	rep.SavedOTC = b.int64()
-	for n := b.next() % 16; n > 0; n-- {
+	rep := &SolveReply{Assign: assign, SavedOTC: b.int64()}
+	for n := b.next() % 64; n > 0; n-- {
 		rep.Border = append(rep.Border, BorderAd{Object: b.index(), Server: b.index(), Gain: b.int64()})
 	}
 	for n := b.next(); n > 0; n-- {
@@ -70,10 +64,9 @@ func (b *replyBytes) reply(assign uint64) *SolveReply {
 // FuzzSolveReply drives the coordinator's handling of solve replies with no
 // network: a 2-region coordinator, its servers partitioned exactly as an
 // assignment partitions them, merges replies whose contents the fuzzer
-// picks, all in global ids — matrix rows with negative, foreign or
-// duplicate server ids and rows past the instance's N objects, border ads
-// with negative, foreign or past-N ids and extreme gains, payment vectors
-// longer than M. replied's low two bits say which regions answered.
+// picks, all in global ids — border ads with negative, foreign or past-N
+// ids, ads on an object's primary, repeated ads and extreme gains, payment
+// vectors longer than M. replied's low two bits say which regions answered.
 // Whatever the shards answer, the merge must not panic, the installed epoch
 // must pass the schema invariants, every surplus replica must sit on a
 // server owned by a region that replied, and merging the same replies again
@@ -82,12 +75,22 @@ func (b *replyBytes) reply(assign uint64) *SolveReply {
 // corpus runs on every plain `go test`.
 func FuzzSolveReply(f *testing.F) {
 	p := testutil.MustBuild(testutil.Small(41))
-	f.Add(uint8(3), []byte{3, 2, 0, 1, 1, 2, 3, 0, 2, 0, 0, 0, 0, 0, 0, 0, 9, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 5, 2, 3, 4,
-		2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 4})
+	// Seeds in reply's format. Small(41)'s 2-way partition gives region 0
+	// servers 0, 1, 5, 6, 7, 8, 13 and 15 and region 1 the rest; object 2's
+	// primary is server 15.
+	i64 := func(v int64) []byte { return binary.BigEndian.AppendUint64(nil, uint64(v)) }
+	ad := func(object, server byte, gain int64) []byte { return append([]byte{object, server}, i64(gain)...) }
+	// Both regions place a replica of object 0, one of them priced negative.
+	f.Add(uint8(3), slices.Concat(i64(9), []byte{3}, ad(0, 1, 4), ad(0, 5, 2), ad(3, 0, 7), []byte{2, 5, 3},
+		i64(4), []byte{2}, ad(0, 2, -3), ad(5, 3, 6), []byte{1, 4}))
+	// An ad on the primary and a repeated ad.
+	f.Add(uint8(3), slices.Concat(i64(1), []byte{4}, ad(2, 15, 1), ad(0, 1, 4), ad(0, 1, 4), ad(0, 1, 9), []byte{0},
+		i64(0), []byte{1}, ad(2, 3, 5), []byte{0}))
+	// A foreign server, negative ids, objects at and past N, extreme bid and
+	// gains, and more payments than servers.
+	f.Add(uint8(2), slices.Concat(i64(math.MinInt64), []byte{6}, ad(1, 0, 3), ad(0xff, 2, 1), ad(4, 0xfb, 1), ad(60, 3, 1),
+		[]byte{0x80, 0x7f, 0xff, 0xff, 0xff, 4}, i64(math.MaxInt64), ad(9, 4, math.MinInt64), []byte{200, 1, 2, 3}))
 	f.Add(uint8(1), []byte{})
-	f.Add(uint8(2), []byte{0xff, 0x81, 0x7f, 0x80, 0x7f, 0xff, 0xff, 0xff, 0xff, 0x80, 0, 0, 0, 0})
-	f.Add(uint8(3), []byte{1, 7, 5, 5, 5, 0xfb, 0x40, 0x80, 0x80, 0, 0, 0, 0, 0, 0, 0,
-		15, 0, 5, 0x80, 0, 0, 0, 0, 0, 0, 0, 0xff, 0x7f, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 200, 1, 2, 3})
 
 	f.Fuzz(func(t *testing.T, replied uint8, data []byte) {
 		if replied&3 == 0 {

@@ -47,7 +47,7 @@ type ClusterStatus struct {
 }
 
 // Status aggregates the cluster view: membership states locally, per-shard
-// metrics over RPC (bounded by ForwardTimeout; a failed pull is a forward
+// metrics over RPC (bounded by forwardTimeout; a failed pull is a forward
 // error like any other and reports the error in the shard's row instead of
 // failing the whole status).
 func (co *Coordinator) Status(ctx context.Context) ClusterStatus {

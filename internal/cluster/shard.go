@@ -285,9 +285,9 @@ func (s *Shard) SolveNow(ctx context.Context) error {
 }
 
 // handleSolve runs the regional game for the coordinator and answers with
-// the region's outcome — placement, delegate bid, border ads and payments —
-// under the assignment generation it ran. ElapsedNs times the solve alone,
-// not the reply building.
+// the region's outcome — delegate bid, border ads (the placement's surplus
+// replicas) and payments — under the assignment generation it ran.
+// ElapsedNs times the solve alone, not the reply building.
 func (s *Shard) handleSolve(ctx context.Context, req *SolveRequest) (any, error) {
 	s.mu.Lock()
 	ctrl, ver := s.ctrl, s.assignVer
@@ -303,9 +303,6 @@ func (s *Shard) handleSolve(ctx context.Context, req *SolveRequest) (any, error)
 	sch := ctrl.Current().Schema
 	return &SolveReply{
 		Assign:    ver,
-		Matrix:    sch.Matrix(),
-		OTC:       sch.TotalCost(),
-		BaseOTC:   sch.BaseCost(),
 		SavedOTC:  sch.BaseCost() - sch.TotalCost(),
 		Border:    borderAds(sch),
 		Payments:  ctrl.LastSolvePayments(),
@@ -313,11 +310,12 @@ func (s *Shard) handleSolve(ctx context.Context, req *SolveRequest) (any, error)
 	}, nil
 }
 
-// borderAds advertises every surplus replica the regional game placed with
-// its reserve price: the regional OTC increase its removal would cause.
-// The merge's boundary exchange re-judges each ad against the merged global
-// placement — a replica whose demand is served cheaper by another region's
-// copy prices below zero there and is dropped.
+// borderAds advertises every surplus replica the regional game placed, in
+// (object, server) order, with its reserve price: the regional OTC increase
+// its removal would cause. The ads are the region's placement for the
+// merge's union, and its boundary exchange re-judges each ad against the
+// merged global placement — a replica whose demand is served cheaper by
+// another region's copy prices below zero there and is dropped.
 func borderAds(sch *replication.Schema) []BorderAd {
 	p := sch.Problem()
 	var ads []BorderAd

@@ -66,22 +66,22 @@ type DeltasRequest struct {
 type SolveRequest struct{}
 
 // SolveReply is a region's outcome: everything the coordinator's merge
-// consumes, in the mirror's ids. The merge bounds every id itself (see
-// Coordinator.merge), since a reply arrives over RPC.
+// consumes, in the mirror's ids, each fact once. The merge bounds every id
+// itself (see Coordinator.merge), since a reply arrives over RPC. A
+// coordinator and its shards must run the same build: a coordinator that
+// expects the placement anywhere but in Border merges the reply as
+// primaries only.
 type SolveReply struct {
 	// Assign is the assignment generation the solve ran under; the
 	// coordinator discards replies from a different generation (their
 	// placement is of another partition).
 	Assign uint64 `json:"assign"`
-	// Matrix is the regional placement: one replica list per object.
-	Matrix  [][]int32 `json:"matrix"`
-	OTC     int64     `json:"otc"`
-	BaseOTC int64     `json:"base_otc"`
-	// SavedOTC = BaseOTC - OTC: the transfer cost the regional game saved,
-	// which is the region delegate's sealed bid in the top-level game.
+	// SavedOTC is the transfer cost the regional game saved (base OTC minus
+	// OTC), which is the region delegate's sealed bid in the top-level game.
 	SavedOTC int64 `json:"saved_otc"`
-	// Border lists the region's surplus replicas with reserve prices for
-	// the merge's boundary exchange.
+	// Border is the region's placement: it lists every surplus replica the
+	// region placed, in (object, server) order, each with its reserve price
+	// for the merge's boundary exchange. Primaries are implicit.
 	Border []BorderAd `json:"border,omitempty"`
 	// Payments are the regional game's payments, indexed by server.
 	Payments []int64 `json:"payments,omitempty"`

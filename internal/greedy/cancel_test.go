@@ -9,14 +9,10 @@ import (
 )
 
 func TestSolveCancelled(t *testing.T) {
-	for _, lazy := range []bool{false, true} {
-		testutil.LeakCheck(t)
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		cfg := DefaultConfig()
-		cfg.Lazy = lazy
-		if _, err := Solve(ctx, testutil.MustBuild(testutil.Small(47)), cfg); !errors.Is(err, context.Canceled) {
-			t.Fatalf("lazy=%v: err = %v, want context.Canceled", lazy, err)
-		}
+	testutil.LeakCheck(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Solve(ctx, testutil.MustBuild(testutil.Small(47)), DefaultConfig()); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -3,17 +3,13 @@
 // place the replica with the best benefit per unit of storage until nothing
 // beneficial fits.
 //
-// The default engine is the faithful one from [26]: every iteration rescans
-// all remaining candidates and places the best (candidates that can never
+// The engine is the faithful one from [26]: every iteration rescans all
+// remaining candidates and places the best (candidates that can never
 // recover — non-positive benefit, or too big for the shrinking residual —
-// are dropped permanently). Config.Lazy switches to a lazy-evaluation
-// max-heap, a modern optimization that is exact here because per-pair
-// benefits are non-increasing as replicas appear; the engine ablation bench
-// quantifies the speedup.
+// are dropped permanently).
 package greedy
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"runtime"
@@ -30,18 +26,14 @@ type Config struct {
 	// which makes the allocation order identical to AGT-RAM's and serves
 	// as the "centralized scan" engine ablation.
 	ByDensity bool
-	// Lazy enables the lazy-evaluation heap instead of full rescans.
-	Lazy bool
-	// Workers bounds the rescan fan-out of the eager engine; <= 0 selects
-	// GOMAXPROCS. Ignored by the lazy engine (inherently sequential).
+	// Workers bounds the rescan fan-out; <= 0 selects GOMAXPROCS.
 	Workers int
 	// OnPlace, when non-nil, observes every placement as it commits:
 	// the object, the receiving server, and the benefit that won.
 	OnPlace func(object int32, server int, benefit int64)
 }
 
-// DefaultConfig is the paper's greedy: eager rescans, benefit per unit of
-// storage.
+// DefaultConfig is the paper's greedy: benefit per unit of storage.
 func DefaultConfig() Config { return Config{ByDensity: true} }
 
 // Result is the outcome of a run.
@@ -52,24 +44,16 @@ type Result struct {
 	Evaluations int64
 }
 
-// Solve runs the greedy baseline. ctx is checked once per pass (eager) or
-// per heap settle (lazy); on cancellation Solve returns ctx.Err() wrapped
-// with the package name.
+// Solve runs the greedy baseline. ctx is checked once per pass; on
+// cancellation Solve returns ctx.Err() wrapped with the package name.
 func Solve(ctx context.Context, p *replication.Problem, cfg Config) (*Result, error) {
 	if p == nil {
 		return nil, fmt.Errorf("greedy: nil problem")
 	}
 	schema := p.NewSchema()
 	res := &Result{Schema: schema}
-	pairs := candidates.Build(p, true)
-	if cfg.Lazy {
-		if err := solveLazy(ctx, schema, pairs, cfg, res); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := solveEager(ctx, schema, pairs, cfg, res); err != nil {
-			return nil, err
-		}
+	if err := solve(ctx, schema, candidates.Build(p, true), cfg, res); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -81,7 +65,7 @@ func keyOf(cfg Config, benefit, size int64) float64 {
 	return float64(benefit)
 }
 
-// solveEager is the textbook loop of [26]: full rescan, place best, repeat.
+// solve is the textbook loop of [26]: full rescan, place best, repeat.
 // Each candidate carries cached pricing state (its nearest-replica cost and
 // its constant update-traffic term), refreshed lazily when its object was
 // the last one placed, so an evaluation is O(1) just as for the AGT-RAM
@@ -91,7 +75,7 @@ func keyOf(cfg Config, benefit, size int64) float64 {
 // survivors in place and reports its local best, then a serial reduction
 // picks the global winner (first occurrence on key ties, matching the
 // sequential scan order).
-func solveEager(ctx context.Context, schema *replication.Schema, pairs []candidates.Pair, cfg Config, res *Result) error {
+func solve(ctx context.Context, schema *replication.Schema, pairs []candidates.Pair, cfg Config, res *Result) error {
 	nWorkers := cfg.Workers
 	if nWorkers <= 0 {
 		nWorkers = runtime.GOMAXPROCS(0)
@@ -207,80 +191,4 @@ type cand struct {
 	reads   int64
 	nnCost  int32
 	updCost int64
-}
-
-// solveLazy runs the same rule through a lazy max-heap: pop the top,
-// re-evaluate, place only if it still dominates the runner-up. Exact,
-// because keys only decrease over time.
-func solveLazy(ctx context.Context, schema *replication.Schema, pairs []candidates.Pair, cfg Config, res *Result) error {
-	h := make(maxHeap, 0, len(pairs))
-	for _, pr := range pairs {
-		b := schema.LocalBenefit(pr.Server, pr.Object)
-		res.Evaluations++
-		if b > 0 {
-			h = append(h, item{pair: pr, key: keyOf(cfg, b, pr.Size)})
-		}
-	}
-	heap.Init(&h)
-	for h.Len() > 0 {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("greedy: %w", err)
-		}
-		top := h[0]
-		pr := top.pair
-		if schema.HasReplica(pr.Object, pr.Server) || schema.Residual(pr.Server) < pr.Size {
-			heap.Pop(&h)
-			continue
-		}
-		b := schema.LocalBenefit(pr.Server, pr.Object)
-		res.Evaluations++
-		if b <= 0 {
-			heap.Pop(&h)
-			continue
-		}
-		key := keyOf(cfg, b, pr.Size)
-		if key < top.key {
-			h[0].key = key
-			heap.Fix(&h, 0)
-			continue
-		}
-		if _, err := schema.PlaceReplica(pr.Object, pr.Server); err != nil {
-			return fmt.Errorf("greedy: placing (%d on %d): %w", pr.Object, pr.Server, err)
-		}
-		res.Placed++
-		if cfg.OnPlace != nil {
-			cfg.OnPlace(pr.Object, pr.Server, b)
-		}
-		heap.Pop(&h)
-	}
-	return nil
-}
-
-type item struct {
-	pair candidates.Pair
-	// key is the cached priority from the last evaluation; the true value
-	// only shrinks over time.
-	key float64
-}
-
-type maxHeap []item
-
-func (h maxHeap) Len() int { return len(h) }
-func (h maxHeap) Less(i, j int) bool {
-	if h[i].key != h[j].key {
-		return h[i].key > h[j].key
-	}
-	if h[i].pair.Server != h[j].pair.Server {
-		return h[i].pair.Server < h[j].pair.Server
-	}
-	return h[i].pair.Object < h[j].pair.Object
-}
-func (h maxHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *maxHeap) Push(x interface{}) { *h = append(*h, x.(item)) }
-func (h *maxHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
 }

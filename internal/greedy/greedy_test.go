@@ -77,48 +77,3 @@ func TestSolveMonotoneProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// The lazy heap must be exact: for both key rules it must reach the same
-// final cost as the faithful eager rescan engine, with fewer evaluations.
-func TestLazyHeapMatchesEager(t *testing.T) {
-	for seed := int64(0); seed < 6; seed++ {
-		for _, byDensity := range []bool{true, false} {
-			cfg := testutil.InstanceConfig{
-				Servers: 8, Objects: 30, Requests: 3000, RWRatio: 0.85,
-				CapacityPercent: 15, EdgeP: 0.4, Seed: seed,
-			}
-			lazy, err := Solve(context.Background(), testutil.MustBuild(cfg), Config{ByDensity: byDensity, Lazy: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eager, err := Solve(context.Background(), testutil.MustBuild(cfg), Config{ByDensity: byDensity})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if lazy.Schema.TotalCost() != eager.Schema.TotalCost() {
-				t.Fatalf("seed %d density=%v: lazy %d != eager %d",
-					seed, byDensity, lazy.Schema.TotalCost(), eager.Schema.TotalCost())
-			}
-			if lazy.Placed != eager.Placed {
-				t.Fatalf("seed %d density=%v: lazy placed %d, eager %d",
-					seed, byDensity, lazy.Placed, eager.Placed)
-			}
-		}
-	}
-}
-
-// The lazy engine exists because it does strictly less work.
-func TestLazyDoesFewerEvaluations(t *testing.T) {
-	cfg := testutil.Medium(10)
-	lazy, err := Solve(context.Background(), testutil.MustBuild(cfg), Config{ByDensity: true, Lazy: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	eager, err := Solve(context.Background(), testutil.MustBuild(cfg), Config{ByDensity: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lazy.Evaluations >= eager.Evaluations {
-		t.Fatalf("lazy evaluations %d not below eager %d", lazy.Evaluations, eager.Evaluations)
-	}
-}

@@ -20,15 +20,11 @@ func (greedySolver) Description() string {
 }
 
 func (greedySolver) Solve(ctx context.Context, p *replication.Problem, opts solver.Options) (*solver.Outcome, error) {
-	switch opts.Engine {
-	case "", "eager":
-	case "lazy":
-	default:
-		return nil, fmt.Errorf("greedy: unknown engine %q (want eager|lazy)", opts.Engine)
+	if opts.Engine != "" {
+		return nil, fmt.Errorf("greedy: unknown engine %q (greedy has a single engine)", opts.Engine)
 	}
 	cfg := DefaultConfig()
 	cfg.Workers = opts.Workers
-	cfg.Lazy = opts.Engine == "lazy"
 	out := &solver.Outcome{}
 	if opts.OnEvent != nil || opts.RecordEvents {
 		placed := 0
