@@ -127,7 +127,11 @@ scenarios:
 # into CLUSTER_JSON. 5 iterations so the steady state dominates the cold
 # first merge: every solve after the first re-solves the regions onto the
 # same placements, so the merge memo's content gate publishes nothing, and
-# the pooled frames are warm.
+# the pooled frames are warm. The churn rows (shards=2/churn,
+# shards=4/churn) apply one untimed diurnal batch before each timed solve,
+# so every timed merge carries the union and runs the boundary exchange.
+# The paper-size rows (BenchmarkClusterSolvePaper) skip unless
+# BENCH_PAPER=1.
 cluster:
 	$(GO) test -race -count=2 ./internal/cluster
 	$(GO) test -race -count=2 -run 'TestTopFails|TestFailedRegions|TestAllRegionsFailed|TestCancelledDuringDegraded' ./internal/hierarchy
@@ -141,6 +145,7 @@ cluster:
 fuzz:
 	$(GO) test -fuzz FuzzSchemaPlaceRemove -fuzztime 10s ./internal/replication
 	$(GO) test -fuzz FuzzRestorePlacement -fuzztime 10s ./internal/replication
+	$(GO) test -fuzz FuzzCarryOver -fuzztime 10s ./internal/replication
 	$(GO) test -fuzz FuzzReadGraph -fuzztime 10s ./internal/topology
 	$(GO) test -fuzz FuzzShortestPaths -fuzztime 10s ./internal/topology
 	$(GO) test -fuzz FuzzTreeOracleLCA -fuzztime 10s ./internal/distoracle

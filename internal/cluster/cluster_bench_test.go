@@ -4,11 +4,13 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
 	"testing"
 
 	_ "repro/internal/agtram" // register the agt-ram solver
 	"repro/internal/online"
 	"repro/internal/replication"
+	"repro/internal/sim"
 	"repro/internal/testutil"
 )
 
@@ -44,8 +46,45 @@ func benchProblem(b *testing.B) *replication.Problem {
 // own solve, RPC overhead excluded), merge-ns and solve-bytes (the solve
 // fan-out's wire bytes, sent and received, from the coordinator's client
 // counters), each a mean per cluster solve.
+//
+// In those rows every timed solve after the first re-solves an unchanged
+// mirror, so the merge memo answers it. The churn rows (shards=2/churn,
+// shards=4/churn) apply one untimed diurnal-wave batch before each timed
+// solve, so every timed merge carries the union and runs the boundary
+// exchange; they report merge-ns with its carry-ns and exchange-ns
+// sub-phases, and savings-pct.
 func BenchmarkClusterSolve(b *testing.B) {
-	p := benchProblem(b)
+	benchClusterSolve(b, benchProblem(b))
+}
+
+// BenchmarkClusterSolvePaper runs BenchmarkClusterSolve's rows at the
+// paper's size: M=3,718, N=25,000, 1.5M requests, EdgeP 0.0011 (mean
+// degree about 4), C=20%, seed 42, on the dense oracle. Like the oracle
+// benchmark's M=10k cases behind BENCH_M10K, it stays out of the default
+// sweep and runs only with BENCH_PAPER=1 (about 7 s and 250 MiB peak RSS
+// on a 2-CPU host), for example
+//
+//	BENCH_PAPER=1 go test -run '^$' -bench ClusterSolvePaper -benchtime 5x ./internal/cluster
+func BenchmarkClusterSolvePaper(b *testing.B) {
+	if os.Getenv("BENCH_PAPER") == "" {
+		b.Skip("the paper-size cluster benchmark runs with BENCH_PAPER=1")
+	}
+	p, err := testutil.Build(testutil.InstanceConfig{
+		Servers:         3718,
+		Objects:         25000,
+		Requests:        1500000,
+		RWRatio:         0.9,
+		CapacityPercent: 20,
+		EdgeP:           0.0011,
+		Seed:            42,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchClusterSolve(b, p)
+}
+
+func benchClusterSolve(b *testing.B, p *replication.Problem) {
 	cfg := online.Config{Seed: 42}
 	ctx := context.Background()
 
@@ -70,24 +109,7 @@ func BenchmarkClusterSolve(b *testing.B) {
 		// "-N" as the GOMAXPROCS tag (which single-proc runs omit), and the
 		// shard counts must not collapse into one compare-gate row.
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			var addrs []string
-			var ids []int
-			for i := 0; i < shards; i++ {
-				sh := NewShard(i, p.Cost, ShardConfig{Codec: CodecGob, Controller: cfg})
-				lis, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					b.Fatal(err)
-				}
-				sh.Serve(lis)
-				defer sh.Close()
-				addrs = append(addrs, sh.Addr())
-				ids = append(ids, i)
-			}
-			co, err := NewCoordinator(p, addrs, CoordinatorConfig{Codec: CodecGob, Controller: cfg})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer co.Close()
+			co, ids := startBenchCluster(b, p, cfg, shards)
 			if err := co.AssignNow(ctx); err != nil {
 				b.Fatal(err)
 			}
@@ -118,4 +140,70 @@ func BenchmarkClusterSolve(b *testing.B) {
 			b.ReportMetric(float64(solveBytes)/n, "solve-bytes")
 		})
 	}
+
+	// The churn rows report none of the units CI's compare gates by name
+	// (region-solve-ns, assign-bytes, solve-bytes).
+	for _, shards := range []int{2, 4} {
+		b.Run(fmt.Sprintf("shards=%d/churn", shards), func(b *testing.B) {
+			co, _ := startBenchCluster(b, p, cfg, shards)
+			if err := co.AssignNow(ctx); err != nil {
+				b.Fatal(err)
+			}
+			if err := co.SolveNow(ctx); err != nil {
+				b.Fatal(err)
+			}
+			wave := sim.NewDiurnalWave(sim.ShapeOf(p), 1)
+			tick := 0
+			ph0 := co.Phases()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				var batch []online.Delta
+				for len(batch) == 0 {
+					batch = wave.Batch(tick % wave.Ticks())
+					tick++
+				}
+				if _, err := co.ApplyDeltas(batch); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := co.SolveNow(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			ph := co.Phases()
+			n := float64(b.N)
+			b.ReportMetric(co.Metrics().Savings, "savings-pct")
+			b.ReportMetric(float64(ph.MergeNs-ph0.MergeNs)/n, "merge-ns")
+			b.ReportMetric(float64(ph.CarryNs-ph0.CarryNs)/n, "carry-ns")
+			b.ReportMetric(float64(ph.ExchangeNs-ph0.ExchangeNs)/n, "exchange-ns")
+		})
+	}
+}
+
+// startBenchCluster starts the shards on loopback TCP and a coordinator
+// over them; the benchmark's cleanup closes them all. It returns the
+// coordinator and the shard ids.
+func startBenchCluster(b *testing.B, p *replication.Problem, cfg online.Config, shards int) (*Coordinator, []int) {
+	b.Helper()
+	var addrs []string
+	var ids []int
+	for i := 0; i < shards; i++ {
+		sh := NewShard(i, p.Cost, ShardConfig{Codec: CodecGob, Controller: cfg})
+		lis, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		sh.Serve(lis)
+		b.Cleanup(sh.Close)
+		addrs = append(addrs, sh.Addr())
+		ids = append(ids, i)
+	}
+	co, err := NewCoordinator(p, addrs, CoordinatorConfig{Codec: CodecGob, Controller: cfg})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(co.Close)
+	return co, ids
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -52,10 +53,15 @@ type PhaseStats struct {
 	SolveNs       int64 `json:"solve_ns"`
 	RegionSolveNs int64 `json:"region_solve_ns"`
 	// Merges counts top-level merges; MergeNs covers what the coordinator
-	// does with the solve replies: payments, the memo check, the delegate
-	// game, the union, the boundary exchange and the mirror install.
-	Merges  int64 `json:"merges"`
-	MergeNs int64 `json:"merge_ns"`
+	// does with the solve replies: payments, the delegate game, the memo
+	// check, the union, the carry, the boundary exchange and the mirror
+	// install. CarryNs (the union and its CarryOver) and ExchangeNs (the
+	// boundary exchange) are the sub-phases that grow with the placement;
+	// both sit inside MergeNs, and a memo hit adds to neither.
+	Merges     int64 `json:"merges"`
+	MergeNs    int64 `json:"merge_ns"`
+	CarryNs    int64 `json:"carry_ns"`
+	ExchangeNs int64 `json:"exchange_ns"`
 }
 
 // Coordinator is the cluster's top level: it mirrors the global state (the
@@ -554,8 +560,27 @@ func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 		}
 		parts = append(parts, pt)
 	}
+	// The top-level delegate game: each region's delegate bids the transfer
+	// cost its game saved; the winner is paid the runner-up's savings
+	// (second-price — Axiom 5's incentive, applied one level up). The
+	// allocation itself is the union: regions own disjoint server sets, so
+	// every regional winner coexists in the merged placement, and the game
+	// ranks the delegates for payment and precedence accounting. It runs on
+	// every cluster solve, as the regional games and their payments do,
+	// before the memo gate: a merge the memo answers still had its regions
+	// bid.
+	bids := make([]mechanism.Bid, 0, len(parts))
+	for _, pt := range parts {
+		bids = append(bids, mechanism.Bid{Agent: pt.shard, Value: pt.saved})
+	}
+	round, decided := mechanism.RunRound(bids, mechanism.SecondPrice)
 	co.mu.Lock()
 	co.lastPayments = payments
+	if decided {
+		co.topDecisions++
+		co.delegatePayments[round.Winner.Agent] += round.Payment
+		co.lastWinner = round.Winner.Agent
+	}
 	co.mu.Unlock()
 
 	// The memo gate, on content: a regional re-solve publishes a fresh epoch
@@ -571,25 +596,10 @@ func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 		return
 	}
 
-	// The top-level delegate game: each region's delegate bids the transfer
-	// cost its game saved; the winner is paid the runner-up's savings
-	// (second-price — Axiom 5's incentive, applied one level up). The
-	// allocation itself is the union: regions own disjoint server sets, so
-	// every regional winner coexists in the merged placement, and the game
-	// ranks the delegates for payment and precedence accounting.
-	bids := make([]mechanism.Bid, 0, len(parts))
-	for _, pt := range parts {
-		bids = append(bids, mechanism.Bid{Agent: pt.shard, Value: pt.saved})
-	}
-	if round, ok := mechanism.RunRound(bids, mechanism.SecondPrice); ok {
-		co.mu.Lock()
-		co.topDecisions++
-		co.delegatePayments[round.Winner.Agent] += round.Payment
-		co.lastWinner = round.Winner.Agent
-		co.mu.Unlock()
-	}
-
+	t1 := time.Now()
 	carried, dropped := e.Problem.CarryOver(mergeParts(n, e.Problem.Work.Primary, parts))
+	carryNs := time.Since(t1).Nanoseconds()
+	var exchangeNs int64
 	if len(parts) > 1 {
 		// Boundary-replica exchange: each region priced its surplus replicas
 		// in isolation; against the merged placement some are redundant — a
@@ -600,7 +610,9 @@ func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 		// the cross-region coordination no regional game can do on its
 		// own. The single-region case skips the exchange entirely, which
 		// keeps the 1-shard cluster bit-identical to the single daemon.
+		t2 := time.Now()
 		exchangeBorders(carried, e.Problem, parts)
+		exchangeNs = time.Since(t2).Nanoseconds()
 	}
 	co.mirror.InstallSchema(carried, dropped)
 	mergeNs := time.Since(t0).Nanoseconds()
@@ -608,6 +620,8 @@ func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 	co.mu.Lock()
 	co.phase.Merges++
 	co.phase.MergeNs += mergeNs
+	co.phase.CarryNs += carryNs
+	co.phase.ExchangeNs += exchangeNs
 	// Memoize multi-region merges only: the 1-shard path must keep
 	// installing every merge so its epoch cadence stays bit-identical to
 	// the single daemon's.
@@ -666,9 +680,13 @@ func mergeParts(n int, primary []int32, parts []regionPart) [][]int32 {
 // global removal delta is negative, cheapest regional value first — the ads
 // a region valued least are the likeliest to be globally redundant), each
 // followed by a reinvest pass that offers the freed capacity to the demand
-// cells the drops disturbed. Deterministic: ads are sorted, affected sets
-// are walked in ascending order. Returns the OTC recovered (≥ 0) and the
-// move counts.
+// cells the drops disturbed. A drop is a node's best response in a
+// capacitated selfish replication game: remove a copy iff that lowers the
+// cost. So a drop pass asks only the removal delta's sign
+// (replication.Served), object by object, walking only the cells the
+// tested copy serves. Deterministic: each object's ads are sorted, affected
+// sets are walked in ascending order. Returns the OTC recovered (≥ 0) and
+// the move counts.
 func exchangeBorders(carried *replication.Schema, p *replication.Problem, parts []regionPart) (recovered int64, borderDropped, borderPlaced int) {
 	// Only objects holding non-primary replicas from two or more regions can
 	// be over-replicated by the union: a single region's surplus already
@@ -696,55 +714,74 @@ func exchangeBorders(carried *replication.Schema, p *replication.Problem, parts 
 			}
 		}
 	}
-	var ads []BorderAd
+	keep := func(ad BorderAd) bool { return ad.Gain < 0 || owner[ad.Object] == contested }
+	// A drop test and a removal read and write only their own object's
+	// replica list and demand cells, plus the removed server's residual,
+	// which no drop test reads. So drops of different objects commute within
+	// a pass, and the ads run object by object, each object's cheapest
+	// regional value first: the same drops as one (gain, object, server)
+	// order, with each object's cells indexed by nearest replica once. A
+	// counting sort over object ids puts object k's ads at ads[at[k]:at[k+1]].
+	at := make([]int32, p.N+1)
 	for _, pt := range parts {
 		for _, ad := range pt.border {
-			if ad.Gain < 0 || owner[ad.Object] == contested {
-				ads = append(ads, ad)
+			if keep(ad) {
+				at[ad.Object+1]++
 			}
 		}
 	}
-	sort.Slice(ads, func(a, b int) bool {
-		if ads[a].Gain != ads[b].Gain {
-			return ads[a].Gain < ads[b].Gain
+	for k := range p.N {
+		at[k+1] += at[k]
+	}
+	ads := make([]BorderAd, at[p.N])
+	next := slices.Clone(at[:p.N])
+	for _, pt := range parts {
+		for _, ad := range pt.border {
+			if keep(ad) {
+				ads[next[ad.Object]] = ad
+				next[ad.Object]++
+			}
 		}
-		if ads[a].Object != ads[b].Object {
-			return ads[a].Object < ads[b].Object
+	}
+	var objects []int32 // the objects a pass visits, ascending
+	for k := range p.N {
+		if ka := ads[at[k]:at[k+1]]; len(ka) > 0 {
+			objects = append(objects, int32(k))
+			slices.SortFunc(ka, func(a, b BorderAd) int {
+				return cmp.Or(cmp.Compare(a.Gain, b.Gain), cmp.Compare(a.Server, b.Server))
+			})
 		}
-		return ads[a].Server < ads[b].Server
-	})
+	}
 	// Pass 1 prices every ad; later passes only revisit objects whose
 	// replica set changed in the previous pass — removal and placement
 	// deltas are object-local, so an untouched object kept its pricing and
 	// re-checking it would repeat the previous pass's verdict. The first
 	// pass does ~all the moves (the tail passes converge in a handful), so
 	// this caps the exchange at roughly one full sweep.
-	var prev map[int32]bool // nil: first pass, consider everything
+	var served replication.Served
 	const maxPasses = 3
-	for pass := 0; pass < maxPasses; pass++ {
+	for pass := 0; pass < maxPasses && len(objects) > 0; pass++ {
 		changed := map[int32]bool{} // objects whose replica set moved this pass
 		freed := map[int]bool{}     // servers that gained residual this pass
 		moves := 0
-		for _, ad := range ads {
-			if prev != nil && !prev[ad.Object] {
-				continue
+		for _, k := range objects {
+			served.Reset(carried, k)
+			for _, ad := range ads[at[k]:at[k+1]] {
+				m := int(ad.Server)
+				if !carried.HasReplica(k, m) || !served.RemovalSaves(m) {
+					continue
+				}
+				d, err := carried.RemoveReplica(k, m)
+				if err != nil {
+					continue
+				}
+				served.Reset(carried, k) // m's cells moved to other replicas
+				recovered -= d
+				borderDropped++
+				moves++
+				changed[k] = true
+				freed[m] = true
 			}
-			m := int(ad.Server)
-			if !carried.HasReplica(ad.Object, m) {
-				continue
-			}
-			if carried.DeltaIfRemoved(ad.Object, m) >= 0 {
-				continue
-			}
-			d, err := carried.RemoveReplica(ad.Object, m)
-			if err != nil {
-				continue
-			}
-			recovered -= d
-			borderDropped++
-			moves++
-			changed[ad.Object] = true
-			freed[m] = true
 		}
 		placed, rec := reinvestFreed(carried, p, changed, freed)
 		borderPlaced += placed
@@ -753,7 +790,13 @@ func exchangeBorders(carried *replication.Schema, p *replication.Problem, parts 
 		if moves == 0 {
 			break
 		}
-		prev = changed
+		objects = objects[:0]
+		for k := range changed {
+			if at[k] < at[k+1] {
+				objects = append(objects, k)
+			}
+		}
+		slices.Sort(objects)
 	}
 	return recovered, borderDropped, borderPlaced
 }
@@ -763,8 +806,10 @@ func exchangeBorders(carried *replication.Schema, p *replication.Problem, parts 
 // server that gained residual, are re-judged against the merged schema and
 // placed where the global delta is negative.
 func reinvestFreed(carried *replication.Schema, p *replication.Problem, affected map[int32]bool, freed map[int]bool) (placed int, recovered int64) {
+	// Every k and m here is in range, so CanPlace reduces to these two
+	// checks, without building an error for each refused try.
 	try := func(k int32, m int) {
-		if carried.HasReplica(k, m) || carried.CanPlace(k, m) != nil {
+		if carried.HasReplica(k, m) || carried.Residual(m) < p.Work.ObjectSize[k] {
 			return
 		}
 		if carried.DeltaIfPlaced(k, m) >= 0 {

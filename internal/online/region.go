@@ -108,33 +108,81 @@ func (r *Region) Carry(matrix [][]int32) [][]int32 {
 // RouteDeltas splits a global batch into per-region batches keyed by shard
 // id under one rule: demand, server-join and server-leave go to the region
 // that owns the server (regionOf), and a remove-object goes to every live
-// region (the keys of regions set true). Anything else returns ok false —
-// add-object, or a server no live region owns (a new id, or one whose
-// shard missed the assignment) — and then no forwarding may happen at all:
-// the caller re-assigns from fresh state, which already reflects the whole
-// batch.
+// region (the keys of regions set true; region ids are never negative).
+// Anything else returns ok false — add-object, or a server no live region
+// owns (a new id, or one whose shard missed the assignment) — and then no
+// forwarding may happen at all: the caller re-assigns from fresh state,
+// which already reflects the whole batch. Each region's batch keeps the
+// input order, and a region that receives nothing has no key.
+//
+// A forwarded batch can hold a hundred thousand deltas, so the split does
+// no map operation per delta: one pass counts each region's share, and a
+// second fills batches of exactly that size, cut from one backing array.
 func RouteDeltas(ds []Delta, regionOf func(server int) int, regions map[int]bool) (perRegion map[int][]Delta, ok bool) {
-	perRegion = make(map[int][]Delta, len(regions))
+	// live holds the live region ids ascending; at[r] is r's position in it,
+	// -1 when region r is not live.
+	var live []int
+	for r, on := range regions {
+		if on && r >= 0 {
+			live = append(live, r)
+		}
+	}
+	slices.Sort(live)
+	var at []int
+	if len(live) > 0 {
+		at = make([]int, live[len(live)-1]+1)
+		for r := range at {
+			at[r] = -1
+		}
+		for j, r := range live {
+			at[r] = j
+		}
+	}
+	owner := func(server int) int {
+		if r := regionOf(server); r >= 0 && r < len(at) {
+			return at[r]
+		}
+		return -1
+	}
+
+	counts := make([]int, len(live))
+	removes := 0
 	for _, d := range ds {
 		switch d.Kind {
 		case KindRemoveObject:
-			// Each region's batch keeps the input order whatever order the
-			// regions are visited in.
-			for r, live := range regions {
-				if live {
-					perRegion[r] = append(perRegion[r], d)
-				}
-			}
+			removes++
 			continue
 		case KindDemand, KindServerJoin, KindServerLeave:
 		default:
 			return nil, false
 		}
-		r := regionOf(d.Server)
-		if !regions[r] {
+		j := owner(d.Server)
+		if j < 0 {
 			return nil, false
 		}
-		perRegion[r] = append(perRegion[r], d)
+		counts[j]++
+	}
+	backing := make([]Delta, len(ds)-removes+removes*len(live))
+	batches := make([][]Delta, len(live))
+	for j, c := range counts {
+		batches[j] = backing[: 0 : c+removes]
+		backing = backing[c+removes:]
+	}
+	for _, d := range ds {
+		if d.Kind == KindRemoveObject {
+			for j := range batches {
+				batches[j] = append(batches[j], d)
+			}
+			continue
+		}
+		j := owner(d.Server)
+		batches[j] = append(batches[j], d)
+	}
+	perRegion = make(map[int][]Delta, len(live))
+	for j, batch := range batches {
+		if len(batch) > 0 {
+			perRegion[live[j]] = batch
+		}
 	}
 	return perRegion, true
 }

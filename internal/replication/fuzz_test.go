@@ -3,6 +3,7 @@ package replication
 import (
 	"bytes"
 	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/workload"
@@ -155,6 +156,101 @@ func FuzzRestorePlacement(f *testing.F) {
 		}
 		if !errors.Is(err, ErrInvalidPlacement) {
 			t.Fatalf("untyped error: %v", err)
+		}
+	})
+}
+
+// carryReference is CarryOver as it was before its two passes: one
+// PlaceReplica per replica in (object, row) order, each failure counted as
+// a drop. FuzzCarryOver holds the two-pass carry to it.
+func carryReference(p *Problem, matrix [][]int32) (*Schema, int) {
+	s := p.NewSchema()
+	dropped := 0
+	for k, servers := range matrix {
+		if k >= p.N {
+			break
+		}
+		for _, m := range servers {
+			if p.Work.Primary[k] == m {
+				continue
+			}
+			if _, err := s.PlaceReplica(int32(k), int(m)); err != nil {
+				dropped++
+			}
+		}
+	}
+	return s, dropped
+}
+
+// FuzzCarryOver carries arbitrary replica matrices — duplicates, primaries,
+// negative and out-of-range ids, unsorted rows and rows past N — onto a
+// fuzzProblem instance whose capacities the input scales from the primary
+// load alone (every surplus replica dropped) up to fuzzProblem's headroom.
+// The two-pass CarryOver must build exactly the schema carryReference
+// builds: the drop count, the matrix, the OTC, the placed count, every
+// residual and broadcast sum, and the NN cost and NN server of every demand
+// cell. A shard's assign carry arrives over the wire in this form. Run with
+// `go test -fuzz=FuzzCarryOver ./internal/replication` to explore; the seed
+// corpus runs on every plain `go test`.
+func FuzzCarryOver(f *testing.F) {
+	f.Add(int64(1), byte(255), []byte{3, 8, 9, 10, 2, 9, 9, 4, 0, 1, 2, 3})
+	f.Add(int64(20), byte(40), []byte{5, 12, 3, 30, 7, 7, 5, 44, 0, 12, 47, 1, 6, 9, 9, 9, 9, 9, 9})
+	f.Add(int64(28), byte(0), []byte{4, 1, 2, 3, 4, 4, 5, 6, 7, 8})
+	f.Add(int64(7), byte(90), []byte{})
+	f.Add(int64(13), byte(200), []byte{7, 20, 19, 18, 17, 16, 15, 14, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7, 1, 2, 3, 4, 5, 6, 7})
+	// Object 0 lists server 3 three times around its primary, server 1, on
+	// servers with room for every copy: only the duplicate check drops two.
+	f.Add(int64(13), byte(255), []byte{4, 11, 11, 9, 11})
+	// Server 0 has room for exactly one copy of object 2: the first fits to
+	// the unit, the duplicate and object 3's copy find no room.
+	f.Add(int64(1), byte(5), []byte{0, 0, 2, 8, 8, 1, 8})
+
+	f.Fuzz(func(t *testing.T, seed int64, headroom byte, data []byte) {
+		loose := fuzzProblem(t, seed%64)
+		caps := make([]int64, loose.M)
+		for i := range caps {
+			caps[i] = loose.PrimaryLoad(i) + (loose.Capacity[i]-loose.PrimaryLoad(i))*int64(headroom)/255
+		}
+		p, err := NewProblem(loose.Cost, loose.Work, caps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each row is a length byte (0..7) and that many server bytes, each
+		// mapped onto [-8, 40): negative, in range and past M (at most 32).
+		var matrix [][]int32
+		for len(data) > 0 {
+			n := min(int(data[0]%8), len(data)-1)
+			row := make([]int32, n)
+			for j, b := range data[1 : 1+n] {
+				row[j] = int32(b%48) - 8
+			}
+			matrix = append(matrix, row)
+			data = data[1+n:]
+		}
+
+		got, gotDropped := p.CarryOver(matrix)
+		want, wantDropped := carryReference(p, matrix)
+		if gotDropped != wantDropped {
+			t.Fatalf("dropped %d, reference %d", gotDropped, wantDropped)
+		}
+		if !reflect.DeepEqual(got.Matrix(), want.Matrix()) {
+			t.Fatalf("matrix %v, reference %v", got.Matrix(), want.Matrix())
+		}
+		if got.TotalCost() != want.TotalCost() || got.Placed() != want.Placed() {
+			t.Fatalf("OTC %d placed %d, reference %d and %d", got.TotalCost(), got.Placed(), want.TotalCost(), want.Placed())
+		}
+		for name, pair := range map[string][2]any{
+			"residuals":      {got.residual, want.residual},
+			"broadcast sums": {got.sumBcast, want.sumBcast},
+			"NN costs":       {got.nnCost, want.nnCost},
+			"NN servers":     {got.nnServer, want.nnServer},
+		} {
+			if !reflect.DeepEqual(pair[0], pair[1]) {
+				t.Fatalf("%s %v, reference %v", name, pair[0], pair[1])
+			}
+		}
+		if err := got.ValidateInvariants(); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -115,4 +116,78 @@ func TestMixedPlaceRemoveProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestRemovalSavesMatchesDelta: on every fuzzProblem instance, after random
+// placements and again after random removals, the early-exit sign test
+// agrees with DeltaIfRemoved(k, m) < 0 for every surplus replica, each
+// object's cells grouped by nearest replica once per check. Odd objects
+// lose their writes, so their removals save nothing on the write side.
+func TestRemovalSavesMatchesDelta(t *testing.T) {
+	var saves, keeps int
+	for seed := int64(0); seed < 64; seed++ {
+		t.Run(fmt.Sprint(seed), func(t *testing.T) {
+			drawn := fuzzProblem(t, seed)
+			w := drawn.Work.Clone()
+			for _, row := range w.PerServer {
+				for j := range row {
+					if row[j].Object%2 == 1 {
+						row[j].Writes = 0
+					}
+				}
+			}
+			w.Finalize()
+			p, err := NewProblem(drawn.Cost, w, drawn.Capacity)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := p.NewSchema()
+			r := stats.NewRNG(seed)
+			// Every other try places only where it lowers the OTC, so some
+			// copies serve reads worth more than their updates cost.
+			for step := 0; step < 12*p.N; step++ {
+				k, m := int32(r.Intn(p.N)), r.Intn(p.M)
+				if s.CanPlace(k, m) == nil && (step%2 == 0 || s.DeltaIfPlaced(k, m) < 0) {
+					if _, err := s.PlaceReplica(k, m); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			check := func(when string) {
+				var x Served
+				for k := int32(0); int(k) < p.N; k++ {
+					x.Reset(s, k)
+					for _, m := range s.Replicas(k) {
+						if m == p.Work.Primary[k] {
+							continue
+						}
+						want := s.DeltaIfRemoved(k, int(m)) < 0
+						if got := x.RemovalSaves(int(m)); got != want {
+							t.Fatalf("%s: RemovalSaves(%d, %d) = %v, DeltaIfRemoved %d", when, k, m, got, s.DeltaIfRemoved(k, int(m)))
+						}
+						if want {
+							saves++
+						} else {
+							keeps++
+						}
+					}
+				}
+			}
+			check("after placements")
+			for k := int32(0); int(k) < p.N; k++ {
+				for _, m := range append([]int32(nil), s.Replicas(k)...) {
+					if m != p.Work.Primary[k] && r.Bool(0.3) {
+						if _, err := s.RemoveReplica(k, int(m)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+			}
+			check("after removals")
+		})
+	}
+	if saves == 0 || keeps == 0 {
+		t.Fatalf("one-sided property: %d saving removals, %d costly ones", saves, keeps)
+	}
+	t.Logf("%d saving removals, %d costly ones", saves, keeps)
 }

@@ -2,6 +2,7 @@ package replication
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -89,7 +90,7 @@ func (s *Schema) Replicas(k int32) []int32 { return s.replicas[k] }
 // HasReplica reports whether server m holds a copy of object k.
 func (s *Schema) HasReplica(k int32, m int) bool {
 	r := s.replicas[k]
-	idx := sort.Search(len(r), func(i int) bool { return r[i] >= int32(m) })
+	idx := replicaPos(r, int32(m))
 	return idx < len(r) && r[idx] == int32(m)
 }
 
@@ -208,6 +209,19 @@ func (s *Schema) PlaceReplica(k int32, m int) (int64, error) {
 
 // applyPlacement performs the mutation; callers must have validated.
 func (s *Schema) applyPlacement(k int32, m int) int64 {
+	delta := s.placeObject(k, m)
+	s.residual[m] -= s.p.Work.ObjectSize[k]
+	s.cost += delta
+	s.placed++
+	return delta
+}
+
+// placeObject is the object-local part of placing a replica of k on m: the
+// demander walk, the replica list and the broadcast sum. It returns the
+// OTC delta and leaves the residual, the cost and the placed count to the
+// caller. It reads and writes only object k's state, so placements of
+// different objects may run concurrently (CarryOver's second pass).
+func (s *Schema) placeObject(k int32, m int) int64 {
 	p := s.p
 	ok := p.Work.ObjectSize[k]
 	pc := p.PlaceCosts(k, m)
@@ -237,16 +251,12 @@ func (s *Schema) applyPlacement(k int32, m int) int64 {
 
 	// Insert m into the sorted replica list.
 	r := s.replicas[k]
-	idx := sort.Search(len(r), func(i int) bool { return r[i] >= int32(m) })
+	idx := replicaPos(r, int32(m))
 	r = append(r, 0)
 	copy(r[idx+1:], r[idx:])
 	r[idx] = int32(m)
 	s.replicas[k] = r
-
 	s.sumBcast[k] += cPm
-	s.residual[m] -= ok
-	s.cost += delta
-	s.placed++
 	return delta
 }
 
@@ -306,7 +316,7 @@ func (s *Schema) RemoveReplica(k int32, m int) (int64, error) {
 	// Drop m from the sorted replica list first, so NN rescans see the
 	// post-removal set.
 	r := s.replicas[k]
-	idx := sort.Search(len(r), func(i int) bool { return r[i] >= int32(m) })
+	idx := replicaPos(r, int32(m))
 	s.replicas[k] = append(r[:idx], r[idx+1:]...)
 
 	// Read side: demanders whose nearest replica was m rescan.
@@ -363,6 +373,157 @@ func (s *Schema) DeltaIfRemoved(k int32, m int) int64 {
 		}
 	}
 	return delta
+}
+
+// Served answers removal tests for one object of a schema. It groups the
+// object's read cells by the replica that serves them, their nearest
+// replicator, so a test walks only the cells the removed copy would send
+// elsewhere. The grouping describes the schema as it was when built, so
+// Reset x after any placement or removal of the object.
+type Served struct {
+	s       *Schema
+	k       int32
+	indexed bool
+	// The cells Replicas(k)[j] serves are cells[start[j]:start[j+1]], each
+	// a read cell's position in DemandersOf(k).
+	start []int32
+	cells []int32
+	// dem[j] is Replicas(k)[j]'s position in DemandersOf(k), -1 when that
+	// server does not demand k.
+	dem []int32
+	// Scratch for index: each read cell's nearest replica's position.
+	pos []int32
+}
+
+// Reset points x at object k of s. The cells are grouped on the first test
+// that walks them: a test that the write side alone decides never pays for
+// the grouping.
+func (x *Served) Reset(s *Schema, k int32) {
+	x.s, x.k, x.indexed = s, k, false
+}
+
+// index groups the object's read cells by nearest replicator, reusing x's
+// buffers. Cells without reads are left out: a removal cannot change
+// their cost.
+func (x *Served) index() {
+	s, k := x.s, x.k
+	p, r := s.p, s.replicas[k]
+	refs := p.byObject[k]
+	x.dem = x.dem[:0]
+	for _, o := range r {
+		a, own := p.demanderPos(k, int(o))
+		if !own {
+			a = -1
+		}
+		x.dem = append(x.dem, int32(a))
+	}
+	x.pos = slices.Grow(x.pos[:0], len(refs))[:len(refs)]
+	x.start = slices.Grow(x.start[:0], len(r)+1)[:len(r)+1]
+	clear(x.start)
+	for b, ref := range refs {
+		x.pos[b] = -1
+		if p.cellReads[ref.Cell] > 0 {
+			j := replicaPos(r, s.nnServer[ref.Cell])
+			x.pos[b] = int32(j)
+			x.start[j+1]++
+		}
+	}
+	for j := range r {
+		x.start[j+1] += x.start[j]
+	}
+	x.cells = slices.Grow(x.cells[:0], int(x.start[len(r)]))[:x.start[len(r)]]
+	for b, j := range x.pos {
+		if j >= 0 {
+			// start[j] advances past each cell placed, and is restored below.
+			x.cells[x.start[j]] = int32(b)
+			x.start[j]++
+		}
+	}
+	copy(x.start[1:], x.start[:len(r)])
+	x.start[0] = 0
+	x.indexed = true
+}
+
+// RemovalSaves reports whether dropping object k's replica from m lowers
+// the OTC: exactly DeltaIfRemoved(k, m) < 0. It needs only the sign. It
+// starts from the write-side saving, the update broadcast m stops
+// receiving, and walks only the cells m serves, adding what each loses by
+// falling back to its next-nearest copy. Those losses are never negative,
+// because every cell's NN cost is the minimum over the replica set, so it
+// stops as soon as they reach the saving. It reads the distances the
+// problem has already priced where it can — c(i, P_k) from the cell's
+// primary-cost entry, a distance between two demanders of a priced object
+// from its co-demander block — which hold the oracle's own values
+// (placecost.go), and asks the oracle for the rest.
+func (x *Served) RemovalSaves(m int) bool {
+	s, k := x.s, x.k
+	p := s.p
+	ok := p.Work.ObjectSize[k]
+	// c(P_k, m), and m's own writes of k, which the broadcast never carried.
+	// When m demands k, its demand cell holds both: the c(m, P_k) table
+	// answers c(P_k, m) by symmetry, as it does for placements.
+	var cPm int32
+	var wm int64
+	if a, own := p.demanderPos(k, m); own {
+		ref := p.byObject[k][a]
+		cPm, wm = p.primaryCost[ref.Cell], p.Work.PerServer[m][ref.Slot].Writes
+	} else {
+		cPm = p.Cost.At(int(p.Work.Primary[k]), m)
+	}
+	saving := ok * int64(cPm) * (p.Work.TotalWrites[k] - wm)
+	if saving <= 0 {
+		return false
+	}
+	r := s.replicas[k]
+	jm := replicaPos(r, int32(m))
+	if jm == len(r) || r[jm] != int32(m) {
+		return true // no copy on m, so no cell loses anything
+	}
+	if !x.indexed {
+		x.index()
+	}
+	refs, blk, primary := p.byObject[k], p.coBlock(k), p.Work.Primary[k]
+	d := int32(len(refs))
+	var loss int64
+	for _, b := range x.cells[x.start[jm]:x.start[jm+1]] {
+		ref := refs[b]
+		best := Infinity32
+		for j, o := range r {
+			var c int32
+			switch a := x.dem[j]; {
+			case j == jm:
+				continue
+			case o == primary:
+				c = p.primaryCost[ref.Cell]
+			case a >= 0 && blk != nil:
+				c = blk[a*d+b]
+			default:
+				c = p.Cost.At(int(ref.Server), int(o))
+			}
+			best = min(best, c)
+		}
+		loss += p.cellReads[ref.Cell] * ok * int64(best-s.nnCost[ref.Cell])
+		if loss >= saving {
+			return false
+		}
+	}
+	return true
+}
+
+// replicaPos returns the position of server m in the sorted replica list
+// r, or where it would be inserted: sort.Search without the closure call
+// per probe, for the lookups every placement, removal and drop test makes.
+func replicaPos(r []int32, m int32) int {
+	lo, hi := 0, len(r)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if r[h] < m {
+			lo = h + 1
+		} else {
+			hi = h
+		}
+	}
+	return lo
 }
 
 // RecomputeCost computes the OTC from scratch (Eqs. 1–3). It is the ground

@@ -181,7 +181,9 @@ func ReadCLF(r io.Reader) (*Log, error) {
 			case len(fields) >= 4 && fields[1] == "size":
 				id, err1 := strconv.Atoi(fields[2])
 				sz, err2 := strconv.Atoi(fields[3])
-				if err1 != nil || err2 != nil {
+				// The id indexes the size table, so it is bounded like the
+				// binary header's object count.
+				if err1 != nil || err2 != nil || id < 0 || id >= maxHeaderObjects {
 					return nil, fmt.Errorf("trace: bad size line %d: %q", lineNo, line)
 				}
 				for len(sizes) <= id {
