@@ -8,7 +8,7 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: all vet staticcheck build test race bench bench-json ci fuzz faultmatrix loadtest scenarios cluster perfbench
+.PHONY: all vet staticcheck build test race bench bench-json ci fuzz faultmatrix loadtest scenarios cluster perfbench examples
 
 all: build
 
@@ -146,7 +146,6 @@ fuzz:
 	$(GO) test -fuzz FuzzSchemaPlaceRemove -fuzztime 10s ./internal/replication
 	$(GO) test -fuzz FuzzRestorePlacement -fuzztime 10s ./internal/replication
 	$(GO) test -fuzz FuzzCarryOver -fuzztime 10s ./internal/replication
-	$(GO) test -fuzz FuzzReadGraph -fuzztime 10s ./internal/topology
 	$(GO) test -fuzz FuzzShortestPaths -fuzztime 10s ./internal/topology
 	$(GO) test -fuzz FuzzTreeOracleLCA -fuzztime 10s ./internal/distoracle
 	$(GO) test -fuzz FuzzReadBinary -fuzztime 10s ./internal/trace
@@ -161,6 +160,19 @@ fuzz:
 	$(GO) test -fuzz FuzzAssign -fuzztime 10s ./internal/cluster
 	$(GO) test -fuzz FuzzEpochsClient -fuzztime 10s ./internal/routing
 
+# Every example under examples/ built once into a temporary directory and
+# run to completion: `go build ./...` compiles them but runs none, and
+# examples/migration and examples/regions drive the adaptive and hierarchy
+# code. A non-zero exit fails the target. The examples that serve HTTP
+# listen on 127.0.0.1:0.
+examples:
+	@bin="$$(mktemp -d)" && trap 'rm -rf "$$bin"' EXIT && \
+	$(GO) build -o "$$bin/" ./examples/... && \
+	for ex in $$(ls "$$bin"); do \
+		echo "== examples/$$ex"; \
+		"$$bin/$$ex" || { echo "examples/$$ex exited non-zero"; exit 1; }; \
+	done
+
 # The benchmark harness is a Go module of its own (perfbench/go.mod), so the
 # root `go test ./...` and `make race` never build it. This vets it and runs
 # its tests: same-seed fingerprints and delta schedules, pool order, span
@@ -168,4 +180,4 @@ fuzz:
 perfbench:
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
-ci: vet staticcheck build race loadtest scenarios faultmatrix cluster perfbench bench
+ci: vet staticcheck build race examples loadtest scenarios faultmatrix cluster perfbench bench

@@ -23,7 +23,6 @@ import (
 
 	"repro"
 	"repro/cmd/internal/cliflags"
-	"repro/internal/bench"
 )
 
 // jsonResult is the -json output shape: one object per solve.
@@ -178,7 +177,7 @@ func main() {
 	}
 	fmt.Printf("instance: M=%d N=%d requests=%d R/W=%.2f C=%.0f%% topology=%s oracle=%s seed=%d\n",
 		icfg.Servers, icfg.Objects, icfg.Requests, icfg.RWRatio, icfg.CapacityPercent, icfg.Topology, in.OracleKind(), icfg.Seed)
-	fmt.Printf("method:   %s", bench.MethodLabel(res.Method))
+	fmt.Printf("method:   %s", repro.MethodLabel(res.Method))
 	if res.Method == repro.AGTRAM {
 		fmt.Printf(" (%s engine)", eng.Engine)
 	}
@@ -233,7 +232,7 @@ func runAll(ctx context.Context, icfg repro.InstanceConfig, workers int, seed in
 			continue
 		}
 		fmt.Fprintf(tw, "%s\t%.2f\t%d\t%s\t%d\n",
-			bench.MethodLabel(m), res.SavingsPercent, res.Replicas,
+			repro.MethodLabel(m), res.SavingsPercent, res.Replicas,
 			res.Runtime.Round(time.Millisecond), res.Work)
 	}
 	if asJSON {

@@ -7,7 +7,10 @@
 //
 //  1. carry the previous epoch's replicas forward,
 //  2. de-allocate replicas whose removal now *reduces* OTC (reads moved
-//     away; keeping the copy only costs update broadcasts),
+//     away; keeping the copy only costs update broadcasts), in one sweep
+//     with the cluster exchange's sign test, replication.Served: one
+//     sweep reaches the fixpoint, because a removal never makes another
+//     copy's removal pay (see dropHarmful),
 //  3. resume sealed-bid rounds for new placements until no agent benefits
 //     (agtram.SolveIncrementalFrom, warm from the pruned placement).
 //
@@ -19,6 +22,7 @@ package adaptive
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/agtram"
 	"repro/internal/mechanism"
@@ -87,12 +91,6 @@ func Run(ctx context.Context, cost replication.CostFn, epochs []*workload.Worklo
 	}
 
 	res := &Result{}
-	type placement struct {
-		object int32
-		server int32
-	}
-	var carried []placement
-
 	for e, w := range epochs {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("adaptive: %w", err)
@@ -101,17 +99,18 @@ func Run(ctx context.Context, cost replication.CostFn, epochs []*workload.Worklo
 		if err != nil {
 			return nil, fmt.Errorf("adaptive: epoch %d: %w", e, err)
 		}
-		schema := prob.NewSchema()
-		stats := EpochStats{Epoch: e}
 
-		// 1. Carry the surviving placement forward. Capacities and sizes
-		// are epoch-invariant, so carried replicas always fit.
-		for _, pl := range carried {
-			if _, err := schema.PlaceReplica(pl.object, int(pl.server)); err != nil {
-				return nil, fmt.Errorf("adaptive: epoch %d: carrying (%d on %d): %w", e, pl.object, pl.server, err)
-			}
+		// 1. Carry the previous epoch's placement forward. Capacities and
+		// sizes are epoch-invariant, so every carried replica fits.
+		var prev [][]int32
+		if res.Final != nil {
+			prev = res.Final.Matrix()
 		}
-		stats.Kept = len(carried)
+		schema, dropped := prob.CarryOver(prev)
+		if dropped > 0 {
+			return nil, fmt.Errorf("adaptive: epoch %d: %d carried replicas no longer fit", e, dropped)
+		}
+		stats := EpochStats{Epoch: e, Kept: schema.Placed()}
 
 		if !cfg.FreezePlacement || e == 0 {
 			// 2. Migration out: drop replicas whose removal lowers OTC.
@@ -135,46 +134,37 @@ func Run(ctx context.Context, cost replication.CostFn, epochs []*workload.Worklo
 		stats.Migration = stats.Dropped + stats.Added
 		res.Epochs = append(res.Epochs, stats)
 		res.Final = schema
-
-		carried = carried[:0]
-		for k := 0; k < prob.N; k++ {
-			for _, srv := range schema.Replicas(int32(k)) {
-				if srv != w.Primary[k] {
-					carried = append(carried, placement{object: int32(k), server: srv})
-				}
-			}
-		}
 	}
 	return res, nil
 }
 
-// dropHarmful removes replicas until no single removal lowers the OTC.
-// Each sweep rescans all placed replicas; removals only make other removals
-// less attractive on the read side but can expose new ones on the write
-// side of different objects, so we iterate to a fixpoint.
+// dropHarmful removes every surplus replica whose removal lowers the OTC,
+// in one sweep: object by object, each object's copies in server order,
+// each tested with replication.Served, the sign test the cluster's border
+// exchange drops copies with. One sweep reaches the fixpoint. A removal
+// reads and writes only its own object's state, and removing a copy of
+// object k only moves the cells it served onto k's other copies. Each
+// remaining copy keeps its write-side saving and still serves every cell
+// it served, each of which now falls back to a copy no nearer than before;
+// so its removal loses at least as much on the read side, and a copy kept
+// earlier in the sweep stays kept.
 func dropHarmful(s *replication.Schema) int {
 	p := s.Problem()
+	var served replication.Served
 	dropped := 0
-	for {
-		improved := false
-		for k := 0; k < p.N; k++ {
-			replicas := append([]int32(nil), s.Replicas(int32(k))...)
-			for _, srv := range replicas {
-				if srv == p.Work.Primary[k] {
-					continue
-				}
-				if s.DeltaIfRemoved(int32(k), int(srv)) < 0 {
-					if _, err := s.RemoveReplica(int32(k), int(srv)); err == nil {
-						dropped++
-						improved = true
-					}
-				}
+	for k := range int32(p.N) {
+		served.Reset(s, k)
+		for _, m := range slices.Clone(s.Replicas(k)) {
+			if m == p.Work.Primary[k] || !served.RemovalSaves(int(m)) {
+				continue
+			}
+			if _, err := s.RemoveReplica(k, int(m)); err == nil {
+				dropped++
+				served.Reset(s, k) // m's cells moved to other replicas
 			}
 		}
-		if !improved {
-			return dropped
-		}
 	}
+	return dropped
 }
 
 // sameSystem verifies two workloads describe the same fixed system.

@@ -2,12 +2,17 @@ package adaptive
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/agtram"
 	"repro/internal/mechanism"
 	"repro/internal/replication"
 	"repro/internal/stats"
+	"repro/internal/testutil"
 	"repro/internal/topology"
 	"repro/internal/workload"
 )
@@ -255,5 +260,104 @@ func TestRunGolden(t *testing.T) {
 				t.Errorf("seed %d %s epoch %d: got %+v, want %+v", g.seed, g.config, e, got, want)
 			}
 		}
+	}
+}
+
+// dropHarmfulFixpoint is the drop step as full sweeps of DeltaIfRemoved
+// tests, repeated until a sweep drops nothing. It is the reference
+// dropHarmful's single Served sweep is held to.
+func dropHarmfulFixpoint(s *replication.Schema) int {
+	p := s.Problem()
+	dropped := 0
+	for {
+		improved := false
+		for k := range int32(p.N) {
+			for _, m := range slices.Clone(s.Replicas(k)) {
+				if m == p.Work.Primary[k] || s.DeltaIfRemoved(k, int(m)) >= 0 {
+					continue
+				}
+				if _, err := s.RemoveReplica(k, int(m)); err == nil {
+					dropped++
+					improved = true
+				}
+			}
+		}
+		if !improved {
+			return dropped
+		}
+	}
+}
+
+// checkOneSweep runs dropHarmful and the fixpoint reference on clones of s.
+// Both must drop the same number of copies and leave the same placement,
+// and no surplus copy may be left whose removal lowers the OTC. It returns
+// the number of copies dropped.
+func checkOneSweep(t *testing.T, name string, s *replication.Schema) int {
+	t.Helper()
+	got, want := s.Clone(), s.Clone()
+	dropped, wantDropped := dropHarmful(got), dropHarmfulFixpoint(want)
+	if dropped != wantDropped {
+		t.Fatalf("%s: one sweep dropped %d copies, the fixpoint %d", name, dropped, wantDropped)
+	}
+	if !reflect.DeepEqual(got.Matrix(), want.Matrix()) || got.TotalCost() != want.TotalCost() {
+		t.Fatalf("%s: one sweep left OTC %d, the fixpoint %d, or another matrix", name, got.TotalCost(), want.TotalCost())
+	}
+	p := got.Problem()
+	for k := range int32(p.N) {
+		for _, m := range got.Replicas(k) {
+			if m == p.Work.Primary[k] {
+				continue
+			}
+			if d := got.DeltaIfRemoved(k, int(m)); d < 0 {
+				t.Fatalf("%s: removing object %d's copy on %d still saves %d", name, k, m, -d)
+			}
+		}
+	}
+	if err := got.ValidateInvariants(); err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return dropped
+}
+
+// TestDropHarmfulOneSweep: one Served sweep reaches the drop step's
+// fixpoint, on random feasible placements and on the placements the
+// adaptive epochs carry across a demand redraw.
+func TestDropHarmfulOneSweep(t *testing.T) {
+	dropped := 0
+	for seed := int64(1); seed <= 20; seed++ {
+		p := testutil.MustBuild(testutil.Small(seed))
+		s := p.NewSchema()
+		r := stats.NewRNG(seed)
+		for range 4 * p.N {
+			k, m := int32(r.Intn(p.N)), r.Intn(p.M)
+			if s.CanPlace(k, m) != nil {
+				continue
+			}
+			if _, err := s.PlaceReplica(k, m); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dropped += checkOneSweep(t, fmt.Sprintf("random placement, seed %d", seed), s)
+	}
+	for _, seed := range []int64{2, 7, 13} {
+		cost, ws, caps := testSystem(t, seed, 4)
+		var prev [][]int32
+		for e, w := range ws {
+			prob, err := replication.NewProblem(cost, w, caps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, _ := prob.CarryOver(prev)
+			dropped += checkOneSweep(t, fmt.Sprintf("seed %d epoch %d", seed, e), s)
+			dropHarmful(s)
+			sol, err := agtram.SolveIncrementalFrom(context.Background(), s, agtram.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			prev = sol.Schema.Matrix()
+		}
+	}
+	if dropped == 0 {
+		t.Fatal("no copy was dropped, so nothing was tested")
 	}
 }

@@ -41,6 +41,7 @@ import (
 	"repro/internal/mechanism"
 	"repro/internal/pool"
 	"repro/internal/replication"
+	"repro/internal/solver"
 )
 
 // Valuation selects how agents price candidate replicas.
@@ -115,15 +116,7 @@ const defaultHandshakeTimeout = 10 * time.Second
 // mechanism timed the agent out or lost its connection and continued with
 // the remaining bidders (the iterative auction is well-defined over any
 // live subset — each round simply takes the best of the bids that arrived).
-type Eviction struct {
-	// Agent is the evicted server.
-	Agent int
-	// Round is the 1-based round during which the agent was evicted;
-	// 0 means before the game started (dial failure or handshake timeout).
-	Round int
-	// Reason describes the fault, for diagnostics.
-	Reason string
-}
+type Eviction = solver.Eviction
 
 func (c Config) workers() int {
 	if c.Workers > 0 {

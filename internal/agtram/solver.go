@@ -20,11 +20,6 @@ const (
 	EngineTCP         = "tcp"
 )
 
-// Engines lists the selectable engines in documentation order.
-func Engines() []string {
-	return []string{EngineIncremental, EngineSync, EngineDistributed, EngineNetwork, EngineTCP}
-}
-
 // agtSolver adapts the five AGT-RAM engines to the solver registry; the
 // facade's old engine sub-switch lives here now, as Options.Engine.
 type agtSolver struct{}
@@ -85,6 +80,9 @@ func (agtSolver) Solve(ctx context.Context, p *replication.Problem, opts solver.
 	if opts.Warm != nil && engine != EngineIncremental {
 		return nil, fmt.Errorf("agtram: warm re-solve is served by the incremental engine only, not %q", engine)
 	}
+	if opts.Warm != nil && opts.Warm.Problem() != p {
+		return nil, fmt.Errorf("agtram: warm schema was built on another problem")
+	}
 	var (
 		res *Result
 		err error
@@ -92,8 +90,7 @@ func (agtSolver) Solve(ctx context.Context, p *replication.Problem, opts solver.
 	switch engine {
 	case EngineIncremental:
 		if opts.Warm != nil {
-			base, _ := p.CarryOver(opts.Warm)
-			res, err = SolveIncrementalFrom(ctx, base, cfg)
+			res, err = SolveIncrementalFrom(ctx, opts.Warm, cfg)
 		} else {
 			res, err = SolveIncremental(ctx, p, cfg)
 		}
@@ -120,8 +117,6 @@ func (agtSolver) Solve(ctx context.Context, p *replication.Problem, opts solver.
 	out.Work = res.Valuations
 	out.Rounds = res.Rounds
 	out.Payments = res.Payments
-	for _, ev := range res.Evictions {
-		out.Evictions = append(out.Evictions, solver.Eviction(ev))
-	}
+	out.Evictions = res.Evictions
 	return out, nil
 }

@@ -108,14 +108,34 @@ func TestWarmRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := s.Solve(context.Background(), p, solver.Options{Warm: first.Schema.Matrix()})
+	warm, err := s.Solve(context.Background(), p, solver.Options{Warm: first.Schema})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if warm.Replicas != 0 {
 		t.Fatalf("registry warm re-solve from converged placement placed %d replicas", warm.Replicas)
 	}
-	if _, err := s.Solve(context.Background(), p, solver.Options{Warm: first.Schema.Matrix(), Engine: EngineSync}); err == nil {
+	if _, err := s.Solve(context.Background(), p, solver.Options{Warm: first.Schema, Engine: EngineSync}); err == nil {
 		t.Fatal("warm solve on the sync engine must be rejected")
+	}
+}
+
+// TestWarmRefusesForeignSchema: a warm schema must be a placement of the
+// problem being solved. One built on another Problem is refused, even when
+// that Problem was built from the same configuration, and the refusal
+// leaves the schema untouched.
+func TestWarmRefusesForeignSchema(t *testing.T) {
+	p := testutil.MustBuild(testutil.Small(4))
+	s, _ := solver.Lookup("agt-ram")
+	first, err := s.Solve(context.Background(), p, solver.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := testutil.MustBuild(testutil.Small(4))
+	if _, err := s.Solve(context.Background(), twin, solver.Options{Warm: first.Schema}); err == nil {
+		t.Fatal("warm schema of another problem accepted")
+	}
+	if err := first.Schema.ValidateInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -290,22 +290,14 @@ func oracleSolve(ctx context.Context, prob *replication.Problem, cfg Config) (*r
 	return out.Schema, nil
 }
 
-// recostSavings replays a placement found under one metric into a fresh
-// schema over prob (the exact-metric problem) and reports its savings
-// there. Feasibility is metric-independent — sizes and capacities are
-// identical — so every replica replays cleanly.
+// recostSavings carries a placement found under one metric onto prob (the
+// exact-metric problem) and reports its savings there. Feasibility is
+// metric-independent — sizes and capacities are identical — so the carry
+// drops nothing.
 func recostSavings(prob *replication.Problem, from *replication.Schema) (float64, error) {
-	s := prob.NewSchema()
-	for k := int32(0); k < int32(prob.N); k++ {
-		pk := prob.Work.Primary[k]
-		for _, m := range from.Replicas(k) {
-			if m == pk {
-				continue // Replicas includes the primary copy
-			}
-			if _, err := s.PlaceReplica(k, int(m)); err != nil {
-				return 0, err
-			}
-		}
+	s, dropped := prob.CarryOver(from.Matrix())
+	if dropped > 0 {
+		return 0, fmt.Errorf("bench: %d replicas do not fit the exact-metric problem", dropped)
 	}
 	return s.Savings(), nil
 }

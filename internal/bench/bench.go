@@ -154,14 +154,10 @@ func (t *Table) WriteCSV(w io.Writer) error {
 func methodColumns(methods []repro.Method) []string {
 	out := make([]string, len(methods))
 	for i, m := range methods {
-		out[i] = MethodLabel(m)
+		out[i] = repro.MethodLabel(m)
 	}
 	return out
 }
-
-// MethodLabel maps a method to the paper's label, straight from the solver
-// registry (unknown methods pass through unchanged).
-func MethodLabel(m repro.Method) string { return repro.MethodLabel(m) }
 
 // runAll solves one instance config with every configured method, building
 // a fresh instance per method so no state leaks between runs. The Sync
@@ -184,7 +180,7 @@ func runAll(ctx context.Context, cfg Config, icfg repro.InstanceConfig) (map[rep
 			return nil, fmt.Errorf("bench: solving with %s: %w", m, err)
 		}
 		out[m] = res
-		cfg.progress("%s: savings %.2f%% in %s", MethodLabel(m), res.SavingsPercent, res.Runtime.Round(time.Millisecond))
+		cfg.progress("%s: savings %.2f%% in %s", repro.MethodLabel(m), res.SavingsPercent, res.Runtime.Round(time.Millisecond))
 	}
 	return out, nil
 }

@@ -199,12 +199,12 @@ func TestTableRenderAndCSV(t *testing.T) {
 
 func TestMethodLabels(t *testing.T) {
 	for _, m := range repro.Methods() {
-		if MethodLabel(m) == string(m) && m != "unknown" {
+		if repro.MethodLabel(m) == string(m) && m != "unknown" {
 			// All six methods have pretty labels distinct from their ids.
 			t.Fatalf("method %q has no label", m)
 		}
 	}
-	if MethodLabel("custom") != "custom" {
+	if repro.MethodLabel("custom") != "custom" {
 		t.Fatal("unknown methods should pass through")
 	}
 }

@@ -170,8 +170,8 @@ func Adaptive(ctx context.Context, cfg Config) (*Table, error) {
 }
 
 // buildProblem constructs one replication problem for the extension
-// experiments; callers that need independent copies take
-// replication.Problem.Snapshot of the result.
+// experiments. A Problem is immutable once built, so every solve and
+// schema may share the one it returns.
 func buildProblem(cfg Config, m, n int, rw, capacity float64) (*replication.Problem, error) {
 	w, err := workload.Synthetic(workload.SyntheticConfig{
 		Servers: m, Objects: n, Requests: requestsFor(n), RWRatio: rw, Seed: cfg.Seed,
@@ -243,7 +243,7 @@ func OptimalityGap(ctx context.Context, cfg Config, instances int) (*Table, erro
 	for _, meth := range cfg.Methods {
 		sum := stats.Summarize(gaps[meth])
 		t.Rows = append(t.Rows, Row{
-			Label:  MethodLabel(meth),
+			Label:  repro.MethodLabel(meth),
 			Values: []float64{sum.Mean, sum.Max, float64(optimal[meth])},
 		})
 	}

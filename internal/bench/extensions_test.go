@@ -119,7 +119,7 @@ func TestMultiSeed(t *testing.T) {
 	// that claim and may legitimately out-win it.
 	var agtWins, maxWins float64
 	for i, row := range tab.Rows {
-		if row.Label == MethodLabel(repro.Glauber) {
+		if row.Label == repro.MethodLabel(repro.Glauber) {
 			continue
 		}
 		w, _ := tab.Value(i, "wins")

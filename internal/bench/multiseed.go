@@ -64,7 +64,7 @@ func MultiSeed(ctx context.Context, cfg Config, runs int) (*Table, error) {
 	for _, meth := range cfg.Methods {
 		sum := stats.Summarize(samples[meth])
 		t.Rows = append(t.Rows, Row{
-			Label:  MethodLabel(meth),
+			Label:  repro.MethodLabel(meth),
 			Values: []float64{sum.Mean, sum.Std, sum.Min, sum.Max, float64(wins[meth])},
 		})
 	}

@@ -65,7 +65,7 @@ func Scenarios(ctx context.Context, cfg Config) (*Table, error) {
 				}
 				savings = ctrl.Current().Schema.Savings()
 				cfg.progress("steady/%s: savings %.2f%% in %s",
-					MethodLabel(meth), savings, time.Since(start).Round(time.Millisecond))
+					repro.MethodLabel(meth), savings, time.Since(start).Round(time.Millisecond))
 			} else {
 				gen, err := sim.NewScenario(name, sim.ShapeOf(p), stats.Mix64(cfg.Seed, 0x5ce9))
 				if err != nil {
@@ -79,7 +79,7 @@ func Scenarios(ctx context.Context, cfg Config) (*Table, error) {
 				}
 				savings = res.FinalSavings
 				cfg.progress("%s/%s: savings %.2f%%, %d solves, %d work in %s",
-					name, MethodLabel(meth), savings, res.Solves, res.SolverWork,
+					name, repro.MethodLabel(meth), savings, res.Solves, res.SolverWork,
 					time.Since(start).Round(time.Millisecond))
 			}
 			ctrl.Close()

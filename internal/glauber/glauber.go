@@ -43,10 +43,10 @@ type Config struct {
 	CoolTo float64
 	// Seed seeds the chain's single random stream.
 	Seed int64
-	// Warm, when non-nil, starts the chain from the carried placement
-	// (per-object replica server lists, Schema.Matrix form) instead of the
-	// primary-only schema; infeasible entries are dropped.
-	Warm [][]int32
+	// Warm, when non-nil, starts the chain from a clone of this placement
+	// instead of the primary-only schema. It must be a schema of the
+	// problem being solved; Solve refuses any other. It is only read.
+	Warm *replication.Schema
 	// OnSweep, when non-nil, observes each sweep's best OTC so far
 	// (1-based sweep index).
 	OnSweep func(sweep int, bestCost int64)
@@ -110,14 +110,16 @@ func Solve(ctx context.Context, p *replication.Problem, cfg Config) (*Result, er
 	if cfg.Sweeps <= 0 {
 		cfg.Sweeps = DefaultSweeps(p.M, p.N)
 	}
+	if cfg.Warm != nil && cfg.Warm.Problem() != p {
+		return nil, fmt.Errorf("glauber: warm schema was built on another problem")
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("glauber: %w", err)
 	}
 
 	start := func() *replication.Schema {
 		if cfg.Warm != nil {
-			s, _ := p.CarryOver(cfg.Warm)
-			return s
+			return cfg.Warm.Clone()
 		}
 		return p.NewSchema()
 	}

@@ -157,8 +157,7 @@ func TestWarmStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm, err := Solve(context.Background(), testutil.MustBuild(testutil.Small(9)),
-		Config{Sweeps: 5, Seed: 10, Warm: cold.Schema.Matrix()})
+	warm, err := Solve(context.Background(), p, Config{Sweeps: 5, Seed: 10, Warm: cold.Schema})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,6 +169,21 @@ func TestWarmStart(t *testing.T) {
 	if warm.Schema.TotalCost() > cold.Schema.TotalCost() {
 		t.Fatalf("warm start ended at %d, worse than its seed placement %d",
 			warm.Schema.TotalCost(), cold.Schema.TotalCost())
+	}
+}
+
+// TestWarmRefusesForeignSchema: the chain starts only from a placement of
+// the problem it solves; a schema of another Problem built from the same
+// configuration is refused before the chain runs.
+func TestWarmRefusesForeignSchema(t *testing.T) {
+	p := testutil.MustBuild(testutil.Small(9))
+	cold, err := Solve(context.Background(), p, Config{Sweeps: 3, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := testutil.MustBuild(testutil.Small(9))
+	if _, err := Solve(context.Background(), twin, Config{Sweeps: 3, Seed: 9, Warm: cold.Schema}); err == nil {
+		t.Fatal("warm schema of another problem accepted")
 	}
 }
 

@@ -334,7 +334,7 @@ func (c *Controller) SolveNow(ctx context.Context) error {
 		GlauberSweeps: c.cfg.GlauberSweeps,
 	}
 	if c.cfg.WarmStart {
-		opts.Warm = base.Schema.Matrix()
+		opts.Warm = base.Schema
 	}
 	s, _ := solver.Lookup(c.cfg.Method)
 	out, err := s.Solve(ctx, base.Problem, opts)

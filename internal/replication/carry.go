@@ -14,9 +14,10 @@ import (
 // stay primary-only. It returns the schema and the number of replicas that
 // had to be dropped.
 //
-// This is the re-pricing primitive of the online controller: after a delta
-// batch mutates the problem, the live placement is carried onto the new
-// problem to see what it now costs.
+// It is the one way a replica list becomes a schema: the online
+// controller's delta batches, a shard's assign carry, the cluster merge,
+// Restore, the adaptive epochs and the bench's re-costing all build theirs
+// with it, and the last three refuse a carry that drops anything.
 //
 // The result is the schema that calling PlaceReplica once per replica, in
 // (object, row) order, would build, in two passes. Feasibility is the only

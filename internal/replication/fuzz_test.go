@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/topology"
 	"repro/internal/workload"
 )
 
@@ -121,14 +122,27 @@ func FuzzSchemaPlaceRemove(f *testing.F) {
 }
 
 // FuzzRestorePlacement feeds the daemon's snapshot path arbitrary files:
-// ReadPlacement, then Restore onto a tiny instance. Every input ends in an
-// error wrapping ErrInvalidPlacement or in a schema that passes
-// ValidateInvariants, never a panic. Run with
+// ReadPlacement, then Restore onto three tiny instances: a line with room
+// for every copy, the same line where servers refuse some, and a ring
+// where the order of a report's replicas decides a nearest-replica tie.
+// Restore is held to restoreReference: a report that passes the report
+// checks and from which carryReference drops nothing must be accepted, as
+// exactly the schema carryReference builds — matrix, OTC, placed count,
+// residuals, and every demand cell's NN cost and NN server — and pass
+// ValidateInvariants. Every other input must end in an error wrapping
+// ErrInvalidPlacement, never a panic. Run with
 // `go test -fuzz=FuzzRestorePlacement ./internal/replication` to explore;
 // the seed corpus runs on every plain `go test`.
 func FuzzRestorePlacement(f *testing.F) {
-	p := tinyProblem(f, 10)
-	s := p.NewSchema()
+	problems := []struct {
+		name string
+		p    *Problem
+	}{
+		{"line, capacity 10", tinyProblem(f, 10)},
+		{"line, capacity 2", tinyProblem(f, 2)},
+		{"ring", ringProblem(f)},
+	}
+	s := problems[0].p.NewSchema()
 	if _, err := s.PlaceReplica(1, 0); err != nil {
 		f.Fatal(err)
 	}
@@ -142,22 +156,94 @@ func FuzzRestorePlacement(f *testing.F) {
 	f.Add([]byte(`{"servers":3,"objects":2,"per_object":[{"object":2,"primary":0}]}`))
 	f.Add([]byte(`{"servers":3,"objects":2} {}`))
 	f.Add([]byte("not json"))
+	// Objects out of order, unsorted rows and a repeated primary: every copy
+	// fits at capacity 10, while at capacity 2 only one of the four does.
+	f.Add([]byte(`{"servers":3,"objects":2,"per_object":[{"object":1,"primary":2,"replicas":[1,2,0]},{"object":0,"primary":0,"replicas":[2,0,1,0]}]}`))
+	// On the ring, server 2's nearest copy of object 0 is the one on 3,
+	// listed before the equally near copy on 1.
+	f.Add([]byte(`{"servers":4,"objects":2,"per_object":[{"object":0,"primary":0,"replicas":[3,1]},{"object":1,"primary":1,"replicas":[3]}]}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rep, err := ReadPlacement(bytes.NewReader(data))
-		if err == nil {
-			var sch *Schema
-			if sch, err = p.Restore(rep); err == nil {
-				if err := sch.ValidateInvariants(); err != nil {
-					t.Fatalf("restored schema: %v", err)
+		if err != nil {
+			if !errors.Is(err, ErrInvalidPlacement) {
+				t.Fatalf("untyped error: %v", err)
+			}
+			return
+		}
+		for _, pr := range problems {
+			got, err := pr.p.Restore(rep)
+			want, ok := restoreReference(pr.p, rep)
+			if !ok {
+				if !errors.Is(err, ErrInvalidPlacement) {
+					t.Fatalf("%s: Restore returned %v, want an error wrapping ErrInvalidPlacement", pr.name, err)
 				}
-				return
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s: Restore refused a report the reference carries whole: %v", pr.name, err)
+			}
+			if !reflect.DeepEqual(got.Matrix(), want.Matrix()) {
+				t.Fatalf("%s: matrix %v, reference %v", pr.name, got.Matrix(), want.Matrix())
+			}
+			if got.TotalCost() != want.TotalCost() || got.Placed() != want.Placed() {
+				t.Fatalf("%s: OTC %d placed %d, reference %d and %d",
+					pr.name, got.TotalCost(), got.Placed(), want.TotalCost(), want.Placed())
+			}
+			for name, pair := range map[string][2]any{
+				"residuals":  {got.residual, want.residual},
+				"NN costs":   {got.nnCost, want.nnCost},
+				"NN servers": {got.nnServer, want.nnServer},
+			} {
+				if !reflect.DeepEqual(pair[0], pair[1]) {
+					t.Fatalf("%s: %s %v, reference %v", pr.name, name, pair[0], pair[1])
+				}
+			}
+			if err := got.ValidateInvariants(); err != nil {
+				t.Fatalf("%s: restored schema: %v", pr.name, err)
 			}
 		}
-		if !errors.Is(err, ErrInvalidPlacement) {
-			t.Fatalf("untyped error: %v", err)
-		}
 	})
+}
+
+// ringProblem is a ring of four servers with unit links. Server 2 reads
+// object 0, whose primary is two hops away on server 0, so copies on
+// servers 1 and 3 tie for its nearest replica and the order they are
+// placed in decides which one its NN server names.
+func ringProblem(t testing.TB) *Problem {
+	t.Helper()
+	w := workload.New(4, 2)
+	w.ObjectSize[0], w.ObjectSize[1] = 1, 1
+	w.Primary[0], w.Primary[1] = 0, 1
+	w.PerServer[2] = []workload.Demand{{Object: 0, Reads: 5}, {Object: 1, Reads: 3}}
+	w.PerServer[3] = []workload.Demand{{Object: 1, Writes: 1}}
+	w.Finalize()
+	p, err := NewProblem(topology.AllPairs(topology.Ring(4), 1), w, []int64{2, 2, 2, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// restoreReference checks a report as Restore must — the problem's shape,
+// each object in range and listed once, its primary the problem's — then
+// carries the report's replica sets with carryReference. ok is false when
+// a check fails or the carry drops a replica.
+func restoreReference(p *Problem, rep PlacementReport) (s *Schema, ok bool) {
+	if rep.Servers != p.M || rep.Objects != p.N {
+		return nil, false
+	}
+	matrix := make([][]int32, p.N)
+	listed := map[int32]bool{}
+	for _, obj := range rep.PerObject {
+		if obj.Object < 0 || int(obj.Object) >= p.N || listed[obj.Object] || obj.Primary != p.Work.Primary[obj.Object] {
+			return nil, false
+		}
+		listed[obj.Object] = true
+		matrix[obj.Object] = obj.Replicas
+	}
+	s, dropped := carryReference(p, matrix)
+	return s, dropped == 0
 }
 
 // carryReference is CarryOver as it was before its two passes: one

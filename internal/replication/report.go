@@ -152,15 +152,17 @@ func ReadPlacement(r io.Reader) (PlacementReport, error) {
 }
 
 // Restore rebuilds a schema from a report's per-object replica sets against
-// a compatible problem: same shape, same primaries. It verifies feasibility
-// as it goes.
+// a compatible problem: same shape, same primaries. The schema is the one
+// CarryOver builds from those sets, and a report from which the carry drops
+// any replica — out of range, listed twice, or past a server's capacity —
+// is refused.
 func (p *Problem) Restore(rep PlacementReport) (*Schema, error) {
 	if rep.Servers != p.M || rep.Objects != p.N {
 		return nil, fmt.Errorf("%w: shape %dx%d does not match problem %dx%d",
 			ErrInvalidPlacement, rep.Servers, rep.Objects, p.M, p.N)
 	}
-	s := p.NewSchema()
-	seen := make(map[int32]bool, len(rep.PerObject))
+	matrix := make([][]int32, p.N)
+	seen := make([]bool, p.N)
 	for _, obj := range rep.PerObject {
 		if obj.Object < 0 || int(obj.Object) >= p.N {
 			return nil, fmt.Errorf("%w: references object %d", ErrInvalidPlacement, obj.Object)
@@ -173,14 +175,11 @@ func (p *Problem) Restore(rep PlacementReport) (*Schema, error) {
 			return nil, fmt.Errorf("%w: object %d primary mismatch: report %d, problem %d",
 				ErrInvalidPlacement, obj.Object, obj.Primary, p.Work.Primary[obj.Object])
 		}
-		for _, srv := range obj.Replicas {
-			if srv == obj.Primary {
-				continue
-			}
-			if _, err := s.PlaceReplica(obj.Object, int(srv)); err != nil {
-				return nil, fmt.Errorf("%w: restoring (%d on %d): %w", ErrInvalidPlacement, obj.Object, srv, err)
-			}
-		}
+		matrix[obj.Object] = obj.Replicas
+	}
+	s, dropped := p.CarryOver(matrix)
+	if dropped > 0 {
+		return nil, fmt.Errorf("%w: %d replicas do not fit the problem", ErrInvalidPlacement, dropped)
 	}
 	return s, nil
 }

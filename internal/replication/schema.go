@@ -99,18 +99,12 @@ func (s *Schema) HasReplica(k int32, m int) bool {
 func (s *Schema) NNCost(cell int32) int32 { return s.nnCost[cell] }
 
 // NN returns the nearest replicator of object k from server i. For servers
-// without demand on k it is computed on the fly.
+// without demand on k it is computed on the fly, by Nearest.
 func (s *Schema) NN(i int, k int32) int32 {
 	if slot, ok := s.demandSlot(i, k); ok {
 		return s.nnServer[s.p.cellBase[i]+int32(slot)]
 	}
-	best, bestCost := s.replicas[k][0], s.p.Cost.At(i, int(s.replicas[k][0]))
-	for _, j := range s.replicas[k][1:] {
-		if c := s.p.Cost.At(i, int(j)); c < bestCost {
-			best, bestCost = j, c
-		}
-	}
-	return best
+	return Nearest(s.p.Cost, s.replicas[k], i)
 }
 
 func (s *Schema) demandSlot(i int, k int32) (int, bool) {

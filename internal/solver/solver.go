@@ -68,14 +68,15 @@ type Options struct {
 	// Faults injects deterministic faults into the AGT-RAM wire engines'
 	// links (nil = none). Rejected by other methods and engines.
 	Faults *faultnet.Config
-	// Warm, when non-nil, seeds the solve with an existing placement —
-	// per-object replica server lists, the form Schema.Matrix returns —
-	// instead of the primary-only start. Entries that are infeasible
-	// against p (capacity shrank, server left) are silently dropped before
-	// the solve. Supported by agt-ram's incremental engine, which continues
-	// the auction from the carried placement; agt-ram rejects it on other
-	// engines and methods without a warm path ignore it (they solve cold).
-	Warm [][]int32
+	// Warm, when non-nil, seeds the solve with a placement of p instead of
+	// the primary-only start. It must be a schema built on p itself: a
+	// schema of any other Problem, even one built from the same
+	// configuration, is refused with an error. The solver only reads it and
+	// starts from a clone, so a published, shared schema may be passed.
+	// agt-ram's incremental engine continues the auction from it (agt-ram
+	// rejects it on its other engines), glauber starts its chain from it,
+	// and methods without a warm path ignore it and solve cold.
+	Warm *replication.Schema
 	// OnEvent, when non-nil, is invoked synchronously for every placement
 	// the solver commits — and every eviction, for solvers that evict —
 	// in commit order.

@@ -1,42 +1,6 @@
 package topology
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-
-	"repro/internal/stats"
-)
-
-// ReadGraph must never panic on arbitrary input. Run with
-// `go test -fuzz=FuzzReadGraph ./internal/topology` to explore; the seed
-// corpus runs on every plain `go test`.
-func FuzzReadGraph(f *testing.F) {
-	g, err := Random(10, 0.3, DefaultWeights, stats.NewRNG(1))
-	if err != nil {
-		f.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(buf.String())
-	f.Add("")
-	f.Add("GRAPH 3 1\n0 1 5\n")
-	f.Add("GRAPH 999999999 999999999\n")
-	f.Add("GRAPH 2 1\n0 1 -5\n")
-
-	f.Fuzz(func(t *testing.T, data string) {
-		parsed, err := ReadGraph(strings.NewReader(data))
-		if err != nil {
-			return
-		}
-		// Accepted graphs must satisfy every structural invariant.
-		if err := parsed.Validate(); err != nil {
-			t.Fatalf("accepted graph fails validation: %v", err)
-		}
-	})
-}
+import "testing"
 
 // FuzzShortestPaths checks the radix-queue Dijkstra against Floyd–Warshall
 // on graphs decoded from the fuzz input: the first byte picks 1–32 nodes

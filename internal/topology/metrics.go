@@ -1,11 +1,5 @@
 package topology
 
-import (
-	"bufio"
-	"fmt"
-	"io"
-)
-
 // ClusteringCoefficient returns the average local clustering coefficient:
 // for each node, the fraction of its neighbor pairs that are themselves
 // connected, averaged over nodes of degree >= 2. Power-law and transit-stub
@@ -54,69 +48,4 @@ func AveragePathCost(m *DistMatrix) float64 {
 		return 0
 	}
 	return sum / float64(pairs)
-}
-
-// Graph serialization: a minimal text edge-list format in the spirit of the
-// GT-ITM output files the paper's tooling consumed.
-//
-//	GRAPH <n> <edges>
-//	<u> <v> <weight>     (one line per undirected edge, u < v)
-
-// WriteTo serializes the graph. It implements io.WriterTo.
-func (g *Graph) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var written int64
-	n, err := fmt.Fprintf(bw, "GRAPH %d %d\n", g.N(), g.Edges())
-	written += int64(n)
-	if err != nil {
-		return written, err
-	}
-	for u := 0; u < g.N(); u++ {
-		for _, e := range g.Neighbors(u) {
-			if int(e.To) < u {
-				continue // each undirected edge once
-			}
-			n, err := fmt.Fprintf(bw, "%d %d %d\n", u, e.To, e.Weight)
-			written += int64(n)
-			if err != nil {
-				return written, err
-			}
-		}
-	}
-	return written, bw.Flush()
-}
-
-// MaxSerializedNodes bounds the node count ReadGraph accepts, so a hostile
-// header cannot force an enormous allocation.
-const MaxSerializedNodes = 1 << 22
-
-// ReadGraph parses a graph written by WriteTo, validating the header
-// counts and every edge.
-func ReadGraph(r io.Reader) (*Graph, error) {
-	br := bufio.NewReader(r)
-	var n, edges int
-	if _, err := fmt.Fscanf(br, "GRAPH %d %d\n", &n, &edges); err != nil {
-		return nil, fmt.Errorf("topology: bad graph header: %w", err)
-	}
-	if n < 0 || edges < 0 {
-		return nil, fmt.Errorf("topology: negative counts in header: %d %d", n, edges)
-	}
-	if n > MaxSerializedNodes {
-		return nil, fmt.Errorf("topology: header declares %d nodes, limit %d", n, MaxSerializedNodes)
-	}
-	if maxE := int64(n) * int64(n-1) / 2; int64(edges) > maxE {
-		return nil, fmt.Errorf("topology: header declares %d edges, a %d-node simple graph holds at most %d", edges, n, maxE)
-	}
-	g := NewGraph(n)
-	for i := 0; i < edges; i++ {
-		var u, v int
-		var w int32
-		if _, err := fmt.Fscanf(br, "%d %d %d\n", &u, &v, &w); err != nil {
-			return nil, fmt.Errorf("topology: reading edge %d: %w", i, err)
-		}
-		if err := g.AddEdge(u, v, w); err != nil {
-			return nil, fmt.Errorf("topology: edge %d: %w", i, err)
-		}
-	}
-	return g, nil
 }

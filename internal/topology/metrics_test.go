@@ -1,9 +1,7 @@
 package topology
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 
 	"repro/internal/stats"
@@ -57,66 +55,5 @@ func TestAveragePathCost(t *testing.T) {
 	must(g.AddEdge(0, 1, 4))
 	if got := AveragePathCost(AllPairs(g, 1)); got != 4 {
 		t.Fatalf("disconnected average = %v, want 4", got)
-	}
-}
-
-func TestGraphSerializationRoundTrip(t *testing.T) {
-	g, err := Random(40, 0.2, DefaultWeights, stats.NewRNG(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := g.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadGraph(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.N() != g.N() || back.Edges() != g.Edges() {
-		t.Fatalf("round trip changed shape: %d/%d vs %d/%d",
-			back.N(), back.Edges(), g.N(), g.Edges())
-	}
-	for u := 0; u < g.N(); u++ {
-		for _, e := range g.Neighbors(u) {
-			if !back.HasEdge(u, int(e.To)) {
-				t.Fatalf("edge (%d,%d) lost", u, e.To)
-			}
-		}
-	}
-	// Distances must be identical.
-	a, b := AllPairs(g, 2), AllPairs(back, 2)
-	for i := 0; i < g.N(); i++ {
-		for j := 0; j < g.N(); j++ {
-			if a.At(i, j) != b.At(i, j) {
-				t.Fatalf("distance (%d,%d) changed", i, j)
-			}
-		}
-	}
-}
-
-func TestReadGraphErrors(t *testing.T) {
-	cases := []string{
-		"",
-		"NOPE 3 1\n0 1 5\n",
-		"GRAPH -1 0\n",
-		"GRAPH 3 2\n0 1 5\n", // truncated
-		"GRAPH 3 1\n0 0 5\n", // self edge
-		"GRAPH 3 1\n0 9 5\n", // out of range
-		"GRAPH 3 1\n0 1 0\n", // zero weight
-	}
-	for _, c := range cases {
-		if _, err := ReadGraph(strings.NewReader(c)); err == nil {
-			t.Errorf("bad input accepted: %q", c)
-		}
-	}
-}
-
-func TestReadGraphHostileHeader(t *testing.T) {
-	if _, err := ReadGraph(strings.NewReader("GRAPH 999999999 999999999\n")); err == nil {
-		t.Fatal("oversized node count accepted")
-	}
-	if _, err := ReadGraph(strings.NewReader("GRAPH 3 99\n")); err == nil {
-		t.Fatal("impossible edge count accepted")
 	}
 }

@@ -410,11 +410,7 @@ type FaultConfig = faultnet.Config
 // mechanism timed the agent out or lost its connection and continued with
 // the remaining bidders. Round 0 means the agent never entered the game
 // (dial failure or handshake timeout).
-type Eviction struct {
-	Agent  int
-	Round  int
-	Reason string
-}
+type Eviction = solver.Eviction
 
 func (o *Options) orDefault() Options {
 	if o == nil {
@@ -462,6 +458,7 @@ func (o Options) solverOptions() (solver.Options, error) {
 		GlauberSweeps:  o.GlauberSweeps,
 		RoundTimeout:   o.RoundTimeout,
 		Faults:         o.Faults,
+		OnEvent:        o.OnEvent,
 		RecordEvents:   o.RecordEvents,
 	}
 	switch {
@@ -474,28 +471,16 @@ func (o Options) solverOptions() (solver.Options, error) {
 	case o.Sync:
 		so.Engine = agtram.EngineSync
 	}
-	if o.OnEvent != nil {
-		cb := o.OnEvent
-		so.OnEvent = func(e solver.Event) { cb(Event(e)) }
-	}
 	return so, nil
 }
 
 // Event is one committed placement decision of a solve: round-by-round for
 // AGT-RAM (with the Vickrey payment), placement-by-placement for greedy and
 // the auctions, per generation/expansion (Object and Server are -1) for GRA
-// and Aε-Star.
-type Event struct {
-	Round   int
-	Object  int32
-	Server  int32
-	Value   int64
-	Payment int64
-	// Evicted marks an eviction event rather than a placement: Server is
-	// the evicted agent, Round the round it was removed in (0 = before
-	// the game started), Object is -1.
-	Evicted bool
-}
+// and Aε-Star. Evicted marks an eviction event rather than a placement:
+// Server is the evicted agent, Round the round it was removed in (0 =
+// before the game started), Object is -1.
+type Event = solver.Event
 
 // Result reports a solved placement.
 type Result struct {
@@ -620,19 +605,9 @@ func (in *Instance) SolveContext(ctx context.Context, m Method, opts *Options) (
 		Work:           out.Work,
 		Rounds:         out.Rounds,
 		Payments:       out.Payments,
+		Events:         out.Events,
+		Evictions:      out.Evictions,
 		schema:         out.Schema,
-	}
-	if len(out.Events) > 0 {
-		res.Events = make([]Event, len(out.Events))
-		for i, e := range out.Events {
-			res.Events[i] = Event(e)
-		}
-	}
-	if len(out.Evictions) > 0 {
-		res.Evictions = make([]Eviction, len(out.Evictions))
-		for i, ev := range out.Evictions {
-			res.Evictions[i] = Eviction(ev)
-		}
 	}
 	return res, nil
 }
