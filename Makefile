@@ -119,15 +119,16 @@ scenarios:
 # membership churn. Fault matrix: coordinator crash mid-epoch (shards
 # degrade to autonomous and recover), shard eviction (re-partition onto the
 # survivors, stale-generation fencing over real RPC), plus the RPC/
-# membership transports and the hierarchy failure modes the degradation
-# switch reuses — all leak-checked under the race detector, twice so probe
-# loops and teardown cannot pass on one lucky schedule. Bench: multi-shard
-# vs single-daemon solve wall-clock at M=1000 with per-phase metrics
-# (partition/ship/regional-solve/merge, wire bytes per assignment), parsed
-# into CLUSTER_JSON. 5 iterations so the steady state dominates the cold
-# first merge: every solve after the first re-solves the regions onto the
-# same placements, so the merge memo's content gate publishes nothing, and
-# the pooled frames are warm. The churn rows (shards=2/churn,
+# membership transports, and hierarchy.Solve's in-process failures of the
+# top level and of regions (the shard's degradation switch shares only the
+# hierarchy.Mode type with them) — all leak-checked under the race
+# detector, twice so probe loops and teardown cannot pass on one lucky
+# schedule. Bench: multi-shard vs single-daemon solve wall-clock at M=1000
+# with per-phase metrics (partition/ship/regional-solve/merge, wire bytes
+# per assignment), parsed into CLUSTER_JSON. 5 iterations so the steady
+# state dominates the cold first merge: every solve after the first
+# re-solves the regions onto the same placements, so the merge memo's
+# content gate publishes nothing, and the pooled frames are warm. The churn rows (shards=2/churn,
 # shards=4/churn) apply one untimed diurnal batch before each timed solve,
 # so every timed merge carries the union and runs the boundary exchange.
 # The paper-size rows (BenchmarkClusterSolvePaper) skip unless

@@ -2,8 +2,10 @@
 // as a 3-shard cluster in one process. A coordinator partitions the servers
 // into regions by communication-cost proximity and ships each region to a
 // shard daemon over the RPC plane; every shard runs its own regional
-// AGT-RAM game concurrently; the coordinator merges the regional winners
-// through the top-level delegate game and serves the merged placement.
+// AGT-RAM game concurrently; the coordinator merges the regional
+// placements (their union, then a boundary-replica exchange that drops the
+// copies another region's replica makes redundant) and serves the merged
+// placement.
 //
 // The second half is the failure story: the coordinator goes silent, the
 // shards' failure detectors notice, and each shard degrades to autonomous
@@ -66,7 +68,7 @@ func main() {
 		defer shs[i].Close()
 	}
 
-	// --- 2. The coordinator: global mirror + partitioner + delegate game.
+	// --- 2. The coordinator: global mirror + partitioner + merge.
 	co, err := cluster.NewCoordinator(p, addrs[:], cluster.CoordinatorConfig{
 		Codec:      cluster.CodecGob,
 		Controller: ctrlCfg,
@@ -79,7 +81,7 @@ func main() {
 
 	// --- 3. Form the cluster: partition servers into regions, ship each
 	// shard the mirror's state masked to its region, run the regional
-	// games, merge the winners.
+	// games, merge their placements.
 	if err := co.AssignNow(ctx); err != nil {
 		log.Fatal(err)
 	}
@@ -93,15 +95,14 @@ func main() {
 		log.Fatal(err)
 	}
 	m := co.Metrics()
-	fmt.Printf("\ncluster solve: OTC %d (base %d), %.2f%% savings, %d replicas\n",
+	fmt.Printf("\ncluster solve: OTC %d (base %d), %.2f%% savings, %d replicas\n\n",
 		m.OTC, m.BaseOTC, m.Savings, m.Replicas)
-	fmt.Printf("delegate game winner: shard %d\n\n", lastWinner(co, ctx))
 
 	// --- 4. Live traffic: deltas hit the coordinator, which forwards each
-	// to the shard that owns the target server (or re-assigns, when the
-	// owner's region does not hold the object); a re-solve runs every
-	// region's game on its updated demand and merges the outcomes back into
-	// the global placement.
+	// to the shard that owns the target server (every region holds every
+	// object; only an add-object or a new server id re-assigns); a re-solve
+	// runs every region's game on its updated demand and merges the
+	// outcomes back into the global placement.
 	fmt.Println("applying a read flash crowd on objects 0..9...")
 	var ds []online.Delta
 	for k := int32(0); k < 10; k++ {
@@ -115,8 +116,8 @@ func main() {
 	if err := co.SolveNow(ctx); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  re-solve -> epoch %d, winner shard %d, %.2f%% savings\n\n",
-		co.Current().Version, lastWinner(co, ctx), co.Metrics().Savings)
+	fmt.Printf("  re-solve -> epoch %d, %.2f%% savings\n\n",
+		co.Current().Version, co.Metrics().Savings)
 
 	// Routing answers come from the merged placement, which only the
 	// coordinator serves. A shard answers from its own regional placement:
@@ -176,10 +177,6 @@ func demoFailover(ctx context.Context, p *replication.Problem, ctrlCfg online.Co
 	}
 	fmt.Printf("after the coordinator crash: %s mode\n", sh.Mode())
 	fmt.Println("the shard now re-solves its own region on drift, like a single daemon")
-}
-
-func lastWinner(co *cluster.Coordinator, ctx context.Context) int {
-	return co.Status(ctx).LastWinner
 }
 
 func listen() net.Listener {

@@ -25,17 +25,12 @@ import (
 	"slices"
 
 	"repro/internal/agtram"
-	"repro/internal/mechanism"
 	"repro/internal/replication"
 	"repro/internal/workload"
 )
 
 // Config tunes the adaptive run.
 type Config struct {
-	// Payment selects the mechanism's payment rule (default second-price).
-	Payment mechanism.PaymentRule
-	// MaxRoundsPerEpoch caps the addition rounds per epoch; <= 0 unbounded.
-	MaxRoundsPerEpoch int
 	// FreezePlacement disables migration: the first epoch's placement is
 	// carried forward untouched. This is the control the adaptive protocol
 	// is measured against.
@@ -118,9 +113,7 @@ func Run(ctx context.Context, cost replication.CostFn, epochs []*workload.Worklo
 			stats.Kept -= stats.Dropped
 
 			// 3. Migration in: resume the sealed-bid mechanism.
-			sol, err := agtram.SolveIncrementalFrom(ctx, schema, agtram.Config{
-				Payment: cfg.Payment, MaxRounds: cfg.MaxRoundsPerEpoch,
-			})
+			sol, err := agtram.SolveIncrementalFrom(ctx, schema, agtram.Config{})
 			if err != nil {
 				return nil, fmt.Errorf("adaptive: epoch %d: %w", e, err)
 			}

@@ -9,7 +9,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/agtram"
-	"repro/internal/mechanism"
 	"repro/internal/replication"
 	"repro/internal/stats"
 	"repro/internal/testutil"
@@ -156,19 +155,6 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
-func TestMaxRoundsPerEpoch(t *testing.T) {
-	cost, ws, caps := testSystem(t, 6, 2)
-	res, err := Run(context.Background(), cost, ws, caps, Config{MaxRoundsPerEpoch: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range res.Epochs {
-		if e.Added > 3 {
-			t.Fatalf("epoch %d added %d replicas, cap 3", e.Epoch, e.Added)
-		}
-	}
-}
-
 func TestMeanSavingsEmpty(t *testing.T) {
 	if (&Result{}).MeanSavings() != 0 {
 		t.Fatal("empty result should average to 0")
@@ -218,34 +204,25 @@ type epochGolden struct {
 }
 
 // TestRunGolden pins every epoch's Kept/Dropped/Added/Cost on three seeds,
-// with migration on and frozen, a per-epoch round cap and first price. The
-// values were recorded from the hand-rolled mechanism loop that
-// agtram.SolveIncrementalFrom replaced, so they hold the migration path to
-// the same placements.
+// with migration on and frozen. The values were recorded from the
+// hand-rolled mechanism loop that agtram.SolveIncrementalFrom replaced, so
+// they hold the migration path to the same placements.
 func TestRunGolden(t *testing.T) {
 	configs := map[string]Config{
-		"second-price": {},
-		"frozen":       {FreezePlacement: true},
-		"max-rounds":   {MaxRoundsPerEpoch: 5},
-		"first-price":  {Payment: mechanism.FirstPrice},
+		"migrating": {},
+		"frozen":    {FreezePlacement: true},
 	}
 	golden := []struct {
 		seed   int64
 		config string
 		epochs []epochGolden
 	}{
-		{2, "second-price", []epochGolden{{0, 0, 144, 113368}, {83, 61, 123, 96942}, {103, 103, 102, 124730}, {107, 98, 104, 196999}}},
+		{2, "migrating", []epochGolden{{0, 0, 144, 113368}, {83, 61, 123, 96942}, {103, 103, 102, 124730}, {107, 98, 104, 196999}}},
 		{2, "frozen", []epochGolden{{0, 0, 144, 113368}, {144, 0, 0, 166236}, {144, 0, 0, 225814}, {144, 0, 0, 318279}}},
-		{2, "max-rounds", []epochGolden{{0, 0, 5, 211260}, {5, 0, 5, 162281}, {7, 3, 5, 197429}, {10, 2, 5, 299158}}},
-		{2, "first-price", []epochGolden{{0, 0, 144, 113368}, {83, 61, 123, 96942}, {103, 103, 102, 124730}, {107, 98, 104, 196999}}},
-		{7, "second-price", []epochGolden{{0, 0, 151, 64808}, {81, 70, 100, 81932}, {93, 88, 106, 99852}, {97, 102, 108, 82719}}},
+		{7, "migrating", []epochGolden{{0, 0, 151, 64808}, {81, 70, 100, 81932}, {93, 88, 106, 99852}, {97, 102, 108, 82719}}},
 		{7, "frozen", []epochGolden{{0, 0, 151, 64808}, {151, 0, 0, 144873}, {151, 0, 0, 166691}, {151, 0, 0, 154936}}},
-		{7, "max-rounds", []epochGolden{{0, 0, 5, 122443}, {3, 2, 5, 142099}, {5, 3, 5, 167297}, {6, 4, 5, 131446}}},
-		{7, "first-price", []epochGolden{{0, 0, 151, 64808}, {81, 70, 100, 81932}, {93, 88, 106, 99852}, {97, 102, 108, 82719}}},
-		{13, "second-price", []epochGolden{{0, 0, 143, 104963}, {86, 57, 103, 257410}, {96, 93, 94, 151797}, {94, 96, 103, 115859}}},
+		{13, "migrating", []epochGolden{{0, 0, 143, 104963}, {86, 57, 103, 257410}, {96, 93, 94, 151797}, {94, 96, 103, 115859}}},
 		{13, "frozen", []epochGolden{{0, 0, 143, 104963}, {143, 0, 0, 489457}, {143, 0, 0, 309404}, {143, 0, 0, 196956}}},
-		{13, "max-rounds", []epochGolden{{0, 0, 5, 220723}, {4, 1, 5, 350779}, {5, 4, 5, 230911}, {3, 7, 5, 186964}}},
-		{13, "first-price", []epochGolden{{0, 0, 143, 104963}, {86, 57, 103, 257410}, {96, 93, 94, 151797}, {94, 96, 103, 115859}}},
 	}
 	for _, g := range golden {
 		cost, ws, caps := testSystem(t, g.seed, len(g.epochs))

@@ -85,10 +85,7 @@ func Regions(ctx context.Context, cfg Config) (*Table, error) {
 		Unit:     "savings % / decisions",
 		Columns:  []string{"hier savings", "auto savings", "fail savings", "top decisions", "auto epochs"},
 	}
-	base, err := buildProblem(cfg, m, n, 0.90, 15)
-	if err != nil {
-		return nil, err
-	}
+	base := flat.Problem()
 	for _, regions := range []int{1, 2, 4, 8, 16} {
 		hier, err := hierarchy.Solve(ctx, base, hierarchy.Config{Regions: regions})
 		if err != nil {
@@ -167,28 +164,6 @@ func Adaptive(ctx context.Context, cfg Config) (*Table, error) {
 		Values: []float64{migrating.MeanSavings(), frozen.MeanSavings(), 0, 0},
 	})
 	return t, nil
-}
-
-// buildProblem constructs one replication problem for the extension
-// experiments. A Problem is immutable once built, so every solve and
-// schema may share the one it returns.
-func buildProblem(cfg Config, m, n int, rw, capacity float64) (*replication.Problem, error) {
-	w, err := workload.Synthetic(workload.SyntheticConfig{
-		Servers: m, Objects: n, Requests: requestsFor(n), RWRatio: rw, Seed: cfg.Seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	r := stats.NewRNG(stats.Mix64(cfg.Seed, 11))
-	g, err := topology.Random(m, 0.4, topology.DefaultWeights, r)
-	if err != nil {
-		return nil, err
-	}
-	caps, err := replication.GenerateCapacities(w, capacity, r)
-	if err != nil {
-		return nil, err
-	}
-	return replication.NewProblem(topology.AllPairs(g, 0), w, caps)
 }
 
 // OptimalityGap measures, on tiny instances solvable to proven optimality,

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"repro/internal/hierarchy"
-	"repro/internal/mechanism"
 	"repro/internal/online"
 	"repro/internal/replication"
 )
@@ -53,11 +52,11 @@ type PhaseStats struct {
 	SolveNs       int64 `json:"solve_ns"`
 	RegionSolveNs int64 `json:"region_solve_ns"`
 	// Merges counts top-level merges; MergeNs covers what the coordinator
-	// does with the solve replies: payments, the delegate game, the memo
-	// check, the union, the carry, the boundary exchange and the mirror
-	// install. CarryNs (the union and its CarryOver) and ExchangeNs (the
-	// boundary exchange) are the sub-phases that grow with the placement;
-	// both sit inside MergeNs, and a memo hit adds to neither.
+	// does with the solve replies: payments, the memo check, the union, the
+	// carry, the boundary exchange and the mirror install. CarryNs (the
+	// union and its CarryOver) and ExchangeNs (the boundary exchange) are
+	// the sub-phases that grow with the placement; both sit inside MergeNs,
+	// and a memo hit adds to neither.
 	Merges     int64 `json:"merges"`
 	MergeNs    int64 `json:"merge_ns"`
 	CarryNs    int64 `json:"carry_ns"`
@@ -67,8 +66,8 @@ type PhaseStats struct {
 // Coordinator is the cluster's top level: it mirrors the global state (the
 // source of truth deltas apply to), partitions servers into regions by
 // communication-cost proximity, ships each shard daemon the mirror's state
-// masked to its region, runs their games concurrently, and merges the
-// winners through the paper's top-level delegate game, with a
+// masked to its region, runs their games concurrently, and merges their
+// placements: the union of the regions' surplus replicas, then a
 // boundary-replica exchange recovering the cross-region savings isolated
 // regional pricing leaves on the table. Every daemon speaks the mirror's
 // ids, so nothing is translated on the way. It implements server.Backend,
@@ -94,14 +93,11 @@ type Coordinator struct {
 	assigned map[int]bool
 	// lastMerge memoizes the most recent multi-region merge; nil after a
 	// single-region one.
-	lastMerge        *mergeMemo
-	phase            PhaseStats
-	topDecisions     int64
-	delegatePayments map[int]int64
-	lastWinner       int
-	forwardErrors    int64
-	lastPayments     []int64
-	lastErr          string
+	lastMerge     *mergeMemo
+	phase         PhaseStats
+	forwardErrors int64
+	lastPayments  []int64
+	lastErr       string
 
 	reassignKick chan struct{}
 	solveKick    chan struct{}
@@ -122,15 +118,13 @@ func NewCoordinator(p *replication.Problem, shardAddrs []string, cfg Coordinator
 		return nil, err
 	}
 	co := &Coordinator{
-		cfg:              cfg,
-		mirror:           mirror,
-		ep:               NewEndpoint(cfg.Codec),
-		regionOf:         make([]int32, p.M),
-		assigned:         map[int]bool{},
-		delegatePayments: map[int]int64{},
-		lastWinner:       -1,
-		reassignKick:     make(chan struct{}, 1),
-		solveKick:        make(chan struct{}, 1),
+		cfg:          cfg,
+		mirror:       mirror,
+		ep:           NewEndpoint(cfg.Codec),
+		regionOf:     make([]int32, p.M),
+		assigned:     map[int]bool{},
+		reassignKick: make(chan struct{}, 1),
+		solveKick:    make(chan struct{}, 1),
 	}
 	for i := range co.regionOf {
 		co.regionOf[i] = -1
@@ -151,9 +145,7 @@ func NewCoordinator(p *replication.Problem, shardAddrs []string, cfg Coordinator
 			}
 		},
 	})
-	HandleFunc(co.ep, MethodPing, func(ctx context.Context, req *PingRequest) (any, error) {
-		return &PingReply{Role: "coordinator", Assign: co.AssignVersion(), Version: co.mirror.Current().Version}, nil
-	})
+	HandleFunc(co.ep, MethodPing, ping)
 	return co, nil
 }
 
@@ -357,8 +349,8 @@ func (co *Coordinator) wireBytes(ids []int) int64 {
 }
 
 // Current, Route, Placement, Metrics, Subscribe, Unsubscribe and
-// DrainSubscribers delegate to the mirror: the coordinator serves routes and
-// the epoch stream from the merged global placement, so routing clients work
+// DrainSubscribers call the mirror: the coordinator serves routes and the
+// epoch stream from the merged global placement, so routing clients work
 // against a cluster exactly as against a single daemon.
 
 // Current returns the mirror's live epoch.
@@ -442,7 +434,7 @@ func (co *Coordinator) ApplyDeltas(ds []online.Delta) (online.Applied, error) {
 			}
 		}
 		sort.Ints(ids)
-		forward[online.Applied](context.Background(), co, ids, MethodDeltas, func(i int) any {
+		forward[DeltasReply](context.Background(), co, ids, MethodDeltas, func(i int) any {
 			return &DeltasRequest{Assign: ver, Deltas: perShard[ids[i]]}
 		})
 		co.opMu.Unlock()
@@ -507,8 +499,10 @@ type regionReply struct {
 }
 
 // mergeMemo keys a multi-region merge by everything it is deterministic in:
-// the assignment generation, the mirror's epoch version and the bounded
-// regional outcomes.
+// the assignment generation, the mirror's epoch version and each region's
+// shard id and bounded ads. The generation and the mirror version fix the
+// region each schema was solved on, and the ads list every surplus replica
+// of that schema.
 type mergeMemo struct {
 	assign, mirrorVer uint64
 	parts             []regionPart
@@ -522,7 +516,7 @@ func (m *mergeMemo) hit(assign, mirrorVer uint64, parts []regionPart) bool {
 		return false
 	}
 	for i, pt := range parts {
-		if pt.shard != m.parts[i].shard || pt.saved != m.parts[i].saved || !slices.Equal(pt.border, m.parts[i].border) {
+		if pt.shard != m.parts[i].shard || !slices.Equal(pt.border, m.parts[i].border) {
 			return false
 		}
 	}
@@ -530,11 +524,10 @@ func (m *mergeMemo) hit(assign, mirrorVer uint64, parts []regionPart) bool {
 }
 
 // merge is the top level of a cluster solve, run under opMu over the replies
-// of the regions that solved under generation ver: it sums their payments,
-// runs the delegate game over their savings bids and installs the union of
-// their placements on the mirror as the next merged epoch. When the bounded
-// replies and the mirror are those of the previous multi-region merge, it
-// publishes nothing.
+// of the regions that solved under generation ver: it sums their payments
+// and installs the union of their placements, after the boundary exchange,
+// on the mirror as the next merged epoch. When the bounded replies and the
+// mirror are those of the previous multi-region merge, it publishes nothing.
 func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 	t0 := time.Now()
 	e := co.mirror.Current()
@@ -551,7 +544,7 @@ func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 		for s, v := range r.rep.Payments[:min(len(r.rep.Payments), len(payments))] {
 			payments[s] += v
 		}
-		pt := regionPart{shard: r.shard, saved: r.rep.SavedOTC, border: make([]BorderAd, 0, len(r.rep.Border))}
+		pt := regionPart{shard: r.shard, border: make([]BorderAd, 0, len(r.rep.Border))}
 		for _, ad := range r.rep.Border {
 			if ad.Object >= 0 && int(ad.Object) < n && ad.Server >= 0 && int(ad.Server) < len(regionOf) &&
 				regionOf[ad.Server] == int32(r.shard) {
@@ -560,34 +553,17 @@ func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 		}
 		parts = append(parts, pt)
 	}
-	// The top-level delegate game: each region's delegate bids the transfer
-	// cost its game saved; the winner is paid the runner-up's savings
-	// (second-price — Axiom 5's incentive, applied one level up). The
-	// allocation itself is the union: regions own disjoint server sets, so
-	// every regional winner coexists in the merged placement, and the game
-	// ranks the delegates for payment and precedence accounting. It runs on
-	// every cluster solve, as the regional games and their payments do,
-	// before the memo gate: a merge the memo answers still had its regions
-	// bid.
-	bids := make([]mechanism.Bid, 0, len(parts))
-	for _, pt := range parts {
-		bids = append(bids, mechanism.Bid{Agent: pt.shard, Value: pt.saved})
-	}
-	round, decided := mechanism.RunRound(bids, mechanism.SecondPrice)
+	// Every cluster solve replaces the payments, a memo hit included: the
+	// regions solved again either way.
 	co.mu.Lock()
 	co.lastPayments = payments
-	if decided {
-		co.topDecisions++
-		co.delegatePayments[round.Winner.Agent] += round.Payment
-		co.lastWinner = round.Winner.Agent
-	}
 	co.mu.Unlock()
 
 	// The memo gate, on content: a regional re-solve publishes a fresh epoch
-	// even when it lands on the same placement, but if every region's bid
-	// and ads equal what the last merge consumed and the mirror has not
-	// moved, the union + carry + exchange pipeline would reproduce the
-	// installed placement exactly.
+	// even when it lands on the same placement, but if every region's ads
+	// equal what the last merge consumed and the mirror has not moved, the
+	// union + carry + exchange pipeline would reproduce the installed
+	// placement exactly.
 	if memo.hit(ver, e.Version, parts) {
 		co.mu.Lock()
 		co.phase.Merges++
@@ -632,12 +608,11 @@ func (co *Coordinator) merge(ver uint64, replies []regionReply) {
 	co.mu.Unlock()
 }
 
-// regionPart is one region's contribution to a merge: its delegate bid and
-// its border ads, which are its placement's surplus replicas, every ad on an
-// object of the instance and a server of the region.
+// regionPart is one region's contribution to a merge: its border ads, which
+// are its placement's surplus replicas, every ad on an object of the
+// instance and a server of the region.
 type regionPart struct {
 	shard  int
-	saved  int64
 	border []BorderAd
 }
 

@@ -48,10 +48,10 @@ func (b *replyBytes) int64() int64 {
 	return int64(v)
 }
 
-// reply decodes one region's answer under assignment generation assign: the
-// delegate bid, up to 63 border ads and up to 255 payments.
+// reply decodes one region's answer under assignment generation assign: up
+// to 63 border ads and up to 255 payments.
 func (b *replyBytes) reply(assign uint64) *SolveReply {
-	rep := &SolveReply{Assign: assign, SavedOTC: b.int64()}
+	rep := &SolveReply{Assign: assign}
 	for n := b.next() % 64; n > 0; n-- {
 		rep.Border = append(rep.Border, BorderAd{Object: b.index(), Server: b.index(), Gain: b.int64()})
 	}
@@ -81,14 +81,14 @@ func FuzzSolveReply(f *testing.F) {
 	i64 := func(v int64) []byte { return binary.BigEndian.AppendUint64(nil, uint64(v)) }
 	ad := func(object, server byte, gain int64) []byte { return append([]byte{object, server}, i64(gain)...) }
 	// Both regions place a replica of object 0, one of them priced negative.
-	f.Add(uint8(3), slices.Concat(i64(9), []byte{3}, ad(0, 1, 4), ad(0, 5, 2), ad(3, 0, 7), []byte{2, 5, 3},
-		i64(4), []byte{2}, ad(0, 2, -3), ad(5, 3, 6), []byte{1, 4}))
+	f.Add(uint8(3), slices.Concat([]byte{3}, ad(0, 1, 4), ad(0, 5, 2), ad(3, 0, 7), []byte{2, 5, 3},
+		[]byte{2}, ad(0, 2, -3), ad(5, 3, 6), []byte{1, 4}))
 	// An ad on the primary and a repeated ad.
-	f.Add(uint8(3), slices.Concat(i64(1), []byte{4}, ad(2, 15, 1), ad(0, 1, 4), ad(0, 1, 4), ad(0, 1, 9), []byte{0},
-		i64(0), []byte{1}, ad(2, 3, 5), []byte{0}))
-	// A foreign server, negative ids, objects at and past N, extreme bid and
-	// gains, and more payments than servers.
-	f.Add(uint8(2), slices.Concat(i64(math.MinInt64), []byte{6}, ad(1, 0, 3), ad(0xff, 2, 1), ad(4, 0xfb, 1), ad(60, 3, 1),
+	f.Add(uint8(3), slices.Concat([]byte{4}, ad(2, 15, 1), ad(0, 1, 4), ad(0, 1, 4), ad(0, 1, 9), []byte{0},
+		[]byte{1}, ad(2, 3, 5), []byte{0}))
+	// A foreign server, negative ids, objects at and past N, extreme gains,
+	// and more payments than servers.
+	f.Add(uint8(2), slices.Concat([]byte{6}, ad(1, 0, 3), ad(0xff, 2, 1), ad(4, 0xfb, 1), ad(60, 3, 1),
 		[]byte{0x80, 0x7f, 0xff, 0xff, 0xff, 4}, i64(math.MaxInt64), ad(9, 4, math.MinInt64), []byte{200, 1, 2, 3}))
 	f.Add(uint8(1), []byte{})
 

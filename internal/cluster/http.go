@@ -25,8 +25,9 @@ type ShardInfo struct {
 }
 
 // ClusterStatus is the GET /cluster payload: the coordinator's aggregated
-// view (membership, assignment, delegate-game accounting, per-shard
-// metrics), or a shard's local view of itself.
+// view (membership, assignment, merge counts, payments, per-shard metrics),
+// or a shard's local view of itself. DESIGN.md §16 lists the fields each
+// role serves.
 type ClusterStatus struct {
 	Role          string `json:"role"`
 	AssignVersion uint64 `json:"assign_version"`
@@ -35,15 +36,12 @@ type ClusterStatus struct {
 	Shard int    `json:"shard,omitempty"`
 	Mode  string `json:"mode,omitempty"`
 	// Coordinator-side aggregation.
-	Merges           int64         `json:"merges,omitempty"`
-	Repartitions     int64         `json:"repartitions,omitempty"`
-	TopDecisions     int64         `json:"top_decisions,omitempty"`
-	LastWinner       int           `json:"last_winner"`
-	DelegatePayments map[int]int64 `json:"delegate_payments,omitempty"`
-	ForwardErrors    int64         `json:"forward_errors,omitempty"`
-	LastError        string        `json:"last_error,omitempty"`
-	Shards           []ShardInfo   `json:"shards,omitempty"`
-	Payments         []int64       `json:"payments,omitempty"`
+	Merges        int64       `json:"merges,omitempty"`
+	Repartitions  int64       `json:"repartitions,omitempty"`
+	ForwardErrors int64       `json:"forward_errors,omitempty"`
+	LastError     string      `json:"last_error,omitempty"`
+	Shards        []ShardInfo `json:"shards,omitempty"`
+	Payments      []int64     `json:"payments,omitempty"`
 }
 
 // Status aggregates the cluster view: membership states locally, per-shard
@@ -70,26 +68,20 @@ func (co *Coordinator) Status(ctx context.Context) ClusterStatus {
 		rep := &reps[j]
 		rows[i].Assign = rep.Assign
 		rows[i].Mode = rep.Mode
-		rows[i].Members = len(rep.Members)
+		rows[i].Members = rep.Members
 		rows[i].Metrics = &rep.Metrics
 	}
 
 	co.mu.Lock()
 	st := ClusterStatus{
-		Role:             "coordinator",
-		AssignVersion:    co.assignVer,
-		Merges:           co.phase.Merges,
-		Repartitions:     co.phase.Assigns,
-		TopDecisions:     co.topDecisions,
-		LastWinner:       co.lastWinner,
-		ForwardErrors:    co.forwardErrors,
-		LastError:        co.lastErr,
-		DelegatePayments: make(map[int]int64, len(co.delegatePayments)),
-		Payments:         append([]int64(nil), co.lastPayments...),
-		Shards:           rows,
-	}
-	for id, p := range co.delegatePayments {
-		st.DelegatePayments[id] = p
+		Role:          "coordinator",
+		AssignVersion: co.assignVer,
+		Merges:        co.phase.Merges,
+		Repartitions:  co.phase.Assigns,
+		ForwardErrors: co.forwardErrors,
+		LastError:     co.lastErr,
+		Payments:      append([]int64(nil), co.lastPayments...),
+		Shards:        rows,
 	}
 	co.mu.Unlock()
 	st.EpochVersion = co.mirror.Current().Version
@@ -114,7 +106,6 @@ func (s *Shard) Status() ClusterStatus {
 		Shard:         s.id,
 		AssignVersion: s.assignVer,
 		Mode:          s.mode.String(),
-		LastWinner:    -1,
 	}
 	ctrl := s.ctrl
 	s.mu.Unlock()

@@ -151,6 +151,10 @@ func (m *Membership) ProbeOnce(ctx context.Context) {
 	m.notify(changes)
 }
 
+// ping is the MethodPing handler every daemon registers: the reply arriving
+// is the answer ProbeOnce reads.
+func ping(context.Context, *PingRequest) (any, error) { return &PingReply{}, nil }
+
 // ReportFailure feeds an out-of-band RPC failure (a delta forward or solve
 // call that died) into the failure detector, so the next decision does not
 // wait for a probe round to notice.

@@ -15,9 +15,7 @@ import (
 func pingEndpoint(t *testing.T) *Endpoint {
 	t.Helper()
 	ep := NewEndpoint(CodecGob)
-	HandleFunc(ep, MethodPing, func(ctx context.Context, req *PingRequest) (any, error) {
-		return &PingReply{Role: "test"}, nil
-	})
+	HandleFunc(ep, MethodPing, ping)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

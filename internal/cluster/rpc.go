@@ -2,12 +2,12 @@
 // partitions the servers into communication-cost regions (hierarchy's
 // partitioner), masks its mirror's state to each region's members, ships
 // it to a shard daemon over a small length-prefixed RPC transport, runs the
-// regional AGT-RAM games concurrently, and merges the regional winners
-// through a top-level delegate game with a boundary-replica exchange: the
-// paper's semi-distributed mechanism stretched over processes. Every
-// daemon speaks the mirror's server and object ids, and a coordinator and
-// its shards must run the same build: the codecs encode this package's
-// request and reply structs, whose fields change between builds.
+// regional AGT-RAM games concurrently, and merges the regional placements,
+// their union followed by a boundary-replica exchange: the paper's
+// semi-distributed mechanism stretched over processes. Every daemon speaks
+// the mirror's server and object ids, and a coordinator and its shards
+// must run the same build: the codecs encode this package's request and
+// reply structs, whose fields change between builds.
 //
 // The layer cake, bottom to top:
 //
@@ -40,23 +40,25 @@
 //     region that owns their server, a remove-object to every region, and
 //     what no live region owns (add-object, a new server id)
 //     re-partitions. A cluster solve is one round trip per shard: the
-//     solve reply carries the region's delegate bid, its border ads (every
-//     surplus replica it placed, once; primaries are implicit) and its
-//     payments, and the merge bounds each reply once and runs on the
-//     bounded ads. Every shard RPC goes through forward, one failure
-//     policy: a failed call is counted as a forward error, reported to the
-//     failure detector and re-synced by a re-partition, and a region whose
-//     solve failed contributes nothing to that merge. A multi-region merge
-//     whose bids and bounded ads equal the previous merge's, with the
-//     mirror unmoved, publishes nothing.
+//     solve reply carries the region's border ads (every surplus replica
+//     it placed, once; primaries are implicit) and its payments, and the
+//     merge bounds each reply once and runs on the bounded ads. Every
+//     shard RPC goes through forward, one failure policy: a failed call is
+//     counted as a forward error, reported to the failure detector and
+//     re-synced by a re-partition, and a region whose solve failed
+//     contributes nothing to that merge. A multi-region merge whose
+//     bounded ads equal the previous merge's, under the same generation
+//     with the mirror unmoved, publishes nothing. Every reply carries only
+//     what its caller reads: a ping, an assignment or a delta forward is
+//     judged by its reply arriving.
 //
 // Determinism boundary: regional games are deterministic in (region, seed)
 // exactly like the single daemon; the merge — including the boundary
-// exchange's sorted ad ordering — is deterministic in the mirror's epoch
-// and the regions' bids and bounded ads. Membership timing (when a probe
-// declares a peer dead) is wall-clock and therefore not deterministic —
-// tests pin it by calling ProbeOnce/AssignNow/SolveNow explicitly instead
-// of running the background loops.
+// exchange's sorted ad ordering — is deterministic in the assignment
+// generation, the mirror's epoch and the regions' bounded ads. Membership
+// timing (when a probe declares a peer dead) is wall-clock and therefore
+// not deterministic — tests pin it by calling ProbeOnce/AssignNow/SolveNow
+// explicitly instead of running the background loops.
 package cluster
 
 import (

@@ -97,7 +97,7 @@ func NewShard(id int, cost replication.CostFn, cfg ShardConfig) *Shard {
 			},
 		})
 	}
-	HandleFunc(s.ep, MethodPing, s.handlePing)
+	HandleFunc(s.ep, MethodPing, ping)
 	HandleFunc(s.ep, MethodAssign, s.handleAssign)
 	HandleFunc(s.ep, MethodDeltas, s.handleDeltas)
 	HandleFunc(s.ep, MethodSolve, s.handleSolve)
@@ -169,16 +169,6 @@ func (s *Shard) controller() *online.Controller {
 	return s.ctrl
 }
 
-func (s *Shard) handlePing(ctx context.Context, req *PingRequest) (any, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rep := &PingReply{Role: "shard", Shard: s.id, Assign: s.assignVer, Mode: s.mode.String()}
-	if s.ctrl != nil {
-		rep.Version = s.ctrl.Current().Version
-	}
-	return rep, nil
-}
-
 // ErrStaleAssign reports an assignment whose generation does not advance
 // the one the shard runs.
 var ErrStaleAssign = errors.New("cluster: stale assignment")
@@ -194,11 +184,8 @@ func (s *Shard) handleAssign(ctx context.Context, req *AssignRequest) (any, erro
 	if err != nil {
 		return nil, fmt.Errorf("rebuild controller: %w", err)
 	}
-	dropped := 0
 	if req.Carry != nil {
-		var carried *replication.Schema
-		carried, dropped = ctrl.Current().Problem.CarryOver(req.Carry)
-		ctrl.InstallSchema(carried, dropped)
+		ctrl.InstallSchema(ctrl.Current().Problem.CarryOver(req.Carry))
 	}
 	s.mu.Lock()
 	if s.closed {
@@ -222,7 +209,7 @@ func (s *Shard) handleAssign(ctx context.Context, req *AssignRequest) (any, erro
 		// terminal update and resubscribe against the new controller.
 		old.Close()
 	}
-	return &AssignReply{Version: req.Version, Dropped: dropped}, nil
+	return &AssignReply{}, nil
 }
 
 // applyGuarded is the shared delta path for the RPC handler and the HTTP
@@ -267,11 +254,10 @@ func (s *Shard) applyGuarded(assign uint64, ds []online.Delta) (online.Applied, 
 }
 
 func (s *Shard) handleDeltas(ctx context.Context, req *DeltasRequest) (any, error) {
-	a, err := s.applyGuarded(req.Assign, req.Deltas)
-	if err != nil {
+	if _, err := s.applyGuarded(req.Assign, req.Deltas); err != nil {
 		return nil, err
 	}
-	return &a, nil
+	return &DeltasReply{}, nil
 }
 
 // SolveNow runs the regional game synchronously: the autonomous self-solve
@@ -285,9 +271,9 @@ func (s *Shard) SolveNow(ctx context.Context) error {
 }
 
 // handleSolve runs the regional game for the coordinator and answers with
-// the region's outcome — delegate bid, border ads (the placement's surplus
-// replicas) and payments — under the assignment generation it ran.
-// ElapsedNs times the solve alone, not the reply building.
+// the region's outcome — border ads (the placement's surplus replicas) and
+// payments — under the assignment generation it ran. ElapsedNs times the
+// solve alone, not the reply building.
 func (s *Shard) handleSolve(ctx context.Context, req *SolveRequest) (any, error) {
 	s.mu.Lock()
 	ctrl, ver := s.ctrl, s.assignVer
@@ -300,11 +286,9 @@ func (s *Shard) handleSolve(ctx context.Context, req *SolveRequest) (any, error)
 		return nil, err
 	}
 	elapsed := time.Since(start)
-	sch := ctrl.Current().Schema
 	return &SolveReply{
 		Assign:    ver,
-		SavedOTC:  sch.BaseCost() - sch.TotalCost(),
-		Border:    borderAds(sch),
+		Border:    borderAds(ctrl.Current().Schema),
 		Payments:  ctrl.LastSolvePayments(),
 		ElapsedNs: elapsed.Nanoseconds(),
 	}, nil
@@ -339,8 +323,8 @@ func (s *Shard) handleMetrics(ctx context.Context, req *MetricsRequest) (any, er
 		return nil, ErrUnassigned
 	}
 	return &MetricsReply{
-		Shard: s.id, Assign: ver, Mode: mode.String(),
-		Members: region.Members,
+		Assign: ver, Mode: mode.String(),
+		Members: len(region.Members),
 		Metrics: ctrl.Metrics(),
 	}, nil
 }

@@ -14,22 +14,12 @@ const (
 	MethodMetrics = "metrics"
 )
 
-// PingRequest is the health probe; PingReply identifies the peer.
+// PingRequest is the health probe.
 type PingRequest struct{}
 
-// PingReply reports the peer's role and where it stands.
-type PingReply struct {
-	Role string `json:"role"` // "coordinator" or "shard"
-	// Shard is the responder's shard id (shards only).
-	Shard int `json:"shard"`
-	// Assign is the assignment version the shard currently runs (0 before
-	// the first assignment).
-	Assign uint64 `json:"assign"`
-	// Mode is the shard's current mode (hierarchical|autonomous).
-	Mode string `json:"mode,omitempty"`
-	// Version is the responder's current epoch version.
-	Version uint64 `json:"version"`
-}
+// PingReply answers a probe. A probe is judged only by whether the reply
+// arrives, so it carries nothing.
+type PingReply struct{}
 
 // AssignRequest ships a region to a shard: the mirror's state masked to the
 // region's members, and the members' share of the current merged placement
@@ -45,13 +35,10 @@ type AssignRequest struct {
 	Carry [][]int32 `json:"carry,omitempty"`
 }
 
-// AssignReply acknowledges an installed assignment.
-type AssignReply struct {
-	Version uint64 `json:"version"`
-	// Dropped counts carried replicas that were infeasible on the masked
-	// instance.
-	Dropped int `json:"dropped"`
-}
+// AssignReply acknowledges an installed assignment; its arrival is the
+// acknowledgement. The shard counts the carried replicas its masked
+// instance could not hold in its own metrics (carried_drops).
+type AssignReply struct{}
 
 // DeltasRequest forwards a delta sub-batch to the owning shard.
 type DeltasRequest struct {
@@ -61,6 +48,11 @@ type DeltasRequest struct {
 	Assign uint64         `json:"assign"`
 	Deltas []online.Delta `json:"deltas"`
 }
+
+// DeltasReply acknowledges an applied sub-batch. The mirror already
+// published the batch's epoch, so the coordinator needs no more than the
+// arrival.
+type DeltasReply struct{}
 
 // SolveRequest asks a shard to run its regional game now.
 type SolveRequest struct{}
@@ -76,9 +68,6 @@ type SolveReply struct {
 	// coordinator discards replies from a different generation (their
 	// placement is of another partition).
 	Assign uint64 `json:"assign"`
-	// SavedOTC is the transfer cost the regional game saved (base OTC minus
-	// OTC), which is the region delegate's sealed bid in the top-level game.
-	SavedOTC int64 `json:"saved_otc"`
 	// Border is the region's placement: it lists every surplus replica the
 	// region placed, in (object, server) order, each with its reserve price
 	// for the merge's boundary exchange. Primaries are implicit.
@@ -106,11 +95,11 @@ type BorderAd struct {
 // MetricsRequest pulls a shard's controller metrics for aggregation.
 type MetricsRequest struct{}
 
-// MetricsReply is one shard's contribution to GET /cluster.
+// MetricsReply is one shard's contribution to its row in GET /cluster.
+// Members counts the region's member servers.
 type MetricsReply struct {
-	Shard   int            `json:"shard"`
 	Assign  uint64         `json:"assign"`
 	Mode    string         `json:"mode"`
-	Members []int32        `json:"members"`
+	Members int            `json:"members"`
 	Metrics online.Metrics `json:"metrics"`
 }

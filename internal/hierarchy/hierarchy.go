@@ -65,8 +65,6 @@ type Config struct {
 	// FailedRegions lists regions whose mechanism is down from the start;
 	// their servers never replicate anything.
 	FailedRegions []int
-	// MaxEpochs caps the number of epochs; <= 0 means unbounded.
-	MaxEpochs int
 }
 
 // Result is the outcome of a run.
@@ -242,7 +240,7 @@ func Solve(ctx context.Context, p *replication.Problem, cfg Config) (*Result, er
 	}
 
 	hierarchical := cfg.Mode == Hierarchical
-	for cfg.MaxEpochs <= 0 || res.Epochs < cfg.MaxEpochs {
+	for {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("hierarchy: %w", err)
 		}

@@ -165,17 +165,6 @@ func TestSolveErrors(t *testing.T) {
 	}
 }
 
-func TestMaxEpochs(t *testing.T) {
-	p := testutil.MustBuild(testutil.Small(7))
-	res, err := Solve(context.Background(), p, Config{Regions: 4, MaxEpochs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Epochs > 2 {
-		t.Fatalf("epochs %d, want <= 2", res.Epochs)
-	}
-}
-
 func TestModeString(t *testing.T) {
 	if Hierarchical.String() != "hierarchical" || Autonomous.String() != "autonomous" {
 		t.Fatal("mode names wrong")
